@@ -33,6 +33,7 @@ from .kernels import (
     apply_discrete_derivative,
     bdf2_kernel,
     bdf2_recombine,
+    build_table,
     fast_l1_kernel,
     l1_kernel,
     verify_assumptions,

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation failure, 3 property violation detected,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -25,28 +26,9 @@ EXIT_VALIDATION = 2
 EXIT_VIOLATION = 3
 EXIT_NUMERICAL = 4
 
-_SCHEMES = ("l1", "fastl1", "alikhanov", "bdf2", "bdf2recombined")
-_DEFAULT_PI = {"l1": 1.0, "fastl1": 1.5, "alikhanov": 2.75}
-
 
 class PropertyViolation(RuntimeError):
     """A certified inequality was breached at run time."""
-
-
-def _build_table(scheme, mesh, alpha, eps):
-    if scheme == "l1":
-        return kernels.l1_kernel(mesh, alpha)
-    if scheme == "alikhanov":
-        return kernels.alikhanov_kernel(mesh, alpha)
-    if scheme == "fastl1":
-        approx = soe.build_soe(alpha, eps, float(mesh.tau.min()), mesh.T)
-        return kernels.fast_l1_kernel(mesh, alpha, approx)
-    if scheme == "bdf2":
-        return kernels.bdf2_kernel(mesh, alpha)
-    if scheme == "bdf2recombined":
-        table, _ = kernels.bdf2_recombine(kernels.bdf2_kernel(mesh, alpha))
-        return table
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def _header_lines(args, names):
@@ -68,7 +50,7 @@ def _emit(text: str, out_path):
 
 def _cmd_kernels_dump(args):
     mesh = parse_mesh_spec(args.mesh)
-    table = _build_table(args.scheme, mesh, args.alpha, args.eps)
+    table = kernels.build_table(args.scheme, mesh, args.alpha, args.eps)
     buf = io.StringIO()
     kernels.kernel_rows_csv(table.rows, buf,
                             _header_lines(args, ["scheme", "mesh", "alpha"]))
@@ -78,7 +60,7 @@ def _cmd_kernels_dump(args):
 
 def _cmd_complementary_dump(args):
     mesh = parse_mesh_spec(args.mesh)
-    table = _build_table(args.scheme, mesh, args.alpha, args.eps)
+    table = kernels.build_table(args.scheme, mesh, args.alpha, args.eps)
     ctable = complementary.build_complementary(table)
     buf = io.StringIO()
     kernels.kernel_rows_csv(ctable.rows, buf,
@@ -89,8 +71,8 @@ def _cmd_complementary_dump(args):
 
 def _cmd_audit(args):
     mesh = parse_mesh_spec(args.mesh)
-    table = _build_table(args.scheme, mesh, args.alpha, args.eps)
-    claim = args.pi_a if args.pi_a is not None else _DEFAULT_PI.get(args.scheme)
+    table = kernels.build_table(args.scheme, mesh, args.alpha, args.eps)
+    claim = args.pi_a if args.pi_a is not None else table.pi_A
     report = kernels.verify_assumptions(table, mesh, claim)
     a3 = check_A3(mesh, args.rho_bound)
     payload = {
@@ -114,10 +96,10 @@ def _cmd_audit(args):
 
 def _cmd_gronwall_verify(args):
     mesh = parse_mesh_spec(args.mesh)
-    table = _build_table(args.scheme, mesh, args.alpha, args.eps)
+    table = kernels.build_table(args.scheme, mesh, args.alpha, args.eps)
     if table.pi_A is None:
-        rep = kernels.verify_assumptions(table, mesh)
-        table.pi_A = rep.a2_pi_estimate
+        measured = kernels.verify_assumptions(table, mesh).a2_pi_estimate
+        table = dataclasses.replace(table, pi_A=measured)
     ctable = complementary.build_complementary(table)
     if args.Lambda is not None:
         lam_total = args.Lambda
@@ -182,7 +164,7 @@ def _solve_csv(mesh, us, exact, errors, norms, header):
 
 def _cmd_solve(args):
     mesh = parse_mesh_spec(args.mesh)
-    table = _build_table(args.scheme, mesh, args.alpha, args.eps)
+    table = kernels.build_table(args.scheme, mesh, args.alpha, args.eps)
     header = _header_lines(args, ["problem", "scheme", "mesh", "alpha",
                                   "lam", "kappa"])
     if args.problem == "single-mode":
@@ -288,19 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("kernels", help="kernel table utilities")
     ksub = k.add_subparsers(dest="kernels_command", required=True)
     kd = ksub.add_parser("dump", help="CSV of (n, lag, value)")
-    kd.add_argument("--scheme", choices=_SCHEMES, required=True)
+    kd.add_argument("--scheme", choices=kernels.SCHEMES, required=True)
     common(kd)
     kd.set_defaults(func=_cmd_kernels_dump)
 
     c = sub.add_parser("complementary", help="complementary table utilities")
     csub = c.add_subparsers(dest="complementary_command", required=True)
     cd = csub.add_parser("dump", help="CSV of (n, lag, value)")
-    cd.add_argument("--scheme", choices=_SCHEMES, required=True)
+    cd.add_argument("--scheme", choices=kernels.SCHEMES, required=True)
     common(cd)
     cd.set_defaults(func=_cmd_complementary_dump)
 
     a = sub.add_parser("audit", help="positivity/monotonicity and lower-bound audit")
-    a.add_argument("--scheme", choices=_SCHEMES, required=True)
+    a.add_argument("--scheme", choices=kernels.SCHEMES, required=True)
     a.add_argument("--pi-a", dest="pi_a", type=float, default=None)
     a.add_argument("--rho-bound", dest="rho_bound", type=float, default=1.75)
     common(a)
@@ -309,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gronwall", help="Gronwall bound verification")
     gsub = g.add_subparsers(dest="gronwall_command", required=True)
     gv = gsub.add_parser("verify", help="randomized hypothesis trials")
-    gv.add_argument("--scheme", choices=_SCHEMES, required=True)
+    gv.add_argument("--scheme", choices=kernels.SCHEMES, required=True)
     gv.add_argument("--trials", type=int, default=100)
     gv.add_argument("--form", choices=("quadratic", "linear", "both"),
                     default="both")
@@ -321,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run a subdiffusion solver")
     s.add_argument("--problem", choices=("single-mode", "fd1d"),
                    default="single-mode")
-    s.add_argument("--scheme", choices=_SCHEMES, required=True)
+    s.add_argument("--scheme", choices=kernels.SCHEMES, required=True)
     s.add_argument("--lambda", dest="lam", type=float, default=1.0)
     s.add_argument("--kappa", type=float, default=0.0)
     s.add_argument("--M", type=int, default=64)

@@ -11,9 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 from scipy.special import logsumexp
 
-from .kernels import KernelTable, kernel_rows_csv
+from .kernels import (KernelTable, check_same_problem, kernel_rows_csv, lag_rows,
+                      row_blocks)
 from .mesh import TimeMesh
 from .specialfn import log_mittag_leffler, omega
 
@@ -35,86 +37,70 @@ class ZeroDiagonalError(ValueError):
 
 @dataclass
 class ComplementaryTable:
-    """Rows of P^(n)_j (j = 0..n-1), tied to the kernel table they invert."""
+    """P^(n)_j tied to the kernel table it inverts.
 
-    rows: list
+    ``P[n-1, j-1]`` holds P^(n)_{n-j} for j <= n and 0 above the diagonal, in
+    one read-only (N, N) array; ``row(n)``, ``rows`` and ``diagonal()`` are
+    views of it.
+    """
+
+    P: np.ndarray
     source: KernelTable
+
+    def __post_init__(self):
+        self.P.setflags(write=False)
 
     @property
     def N(self) -> int:
-        return len(self.rows)
+        return self.P.shape[0]
+
+    @property
+    def rows(self) -> tuple:
+        """Row n-1 holds P^(n)_j for the lags j = 0..n-1."""
+        return lag_rows(self.P)
 
     def row(self, n: int) -> np.ndarray:
-        return self.rows[n - 1]
+        return self.P[n - 1, n - 1::-1]
 
-    def convolve(self, g: np.ndarray, n: int) -> float:
-        """sum_{j=1..n} P^(n)_{n-j} g_j with g 0-indexed by j-1."""
-        return float(self.row(n)[::-1] @ g[:n])
+    def diagonal(self) -> np.ndarray:
+        """P^(n)_0 = 1/A^(n)_0 for n = 1..N."""
+        return np.diagonal(self.P)
 
 
 def build_complementary(table: KernelTable) -> ComplementaryTable:
     """Solve the triangular identity sum_j P^(n)_{n-j} A^(j)_{j-m} = 1.
 
-    Row n is generated by P^(n)_0 = 1/A^(n)_0 followed by
-    P^(n)_j = (1/A^(n-j)_0) * sum_{k<j} (A^(n-k)_{j-k-1} - A^(n-k)_{j-k}) P^(n)_k.
-    The cross-row kernel differences needed at (n, j) all lie on the diagonal
-    m - i = n - j of the lag-difference array, which is extracted once.
+    In matrix form P K = L with L the lower-triangular matrix of ones, so
+    P = B^-1 for B = K L^-1, whose column m is K[:, m] - K[:, m+1] (the last
+    column is K's). B's diagonal is A^(m)_0 and its off-diagonal entries
+    A^(j)_{j-m} - A^(j)_{j-m-1} are <= 0 for a monotone kernel, so the
+    triangular inverse adds only nonnegative terms and keeps every entry of P
+    to a few ulp relative; cumsum(K^-1), whose terms cancel, does not.
+    B is built and inverted in place, so the peak is one (N, N) array.
     """
-    N = table.N
     diag = table.diagonal()
     if np.any(diag <= 0.0):
         bad = int(np.argmax(diag <= 0.0)) + 1
         raise ZeroDiagonalError(f"A^({bad})_0 = {diag[bad - 1]} is not positive")
-    inv_diag = 1.0 / diag
-
-    # apad[m, j] = A^(m)_j; the difference needed at (n, j, k) sits on the
-    # diagonal m - i = n - j of ddiff, extracted once per offset below.
-    apad = np.zeros((N + 1, N + 1))
-    for m in range(1, N + 1):
-        apad[m, :m] = table.row(m)
-    ddiff = apad[:, :-1] - apad[:, 1:]
-    # dgrid[c][i-1] = A^(c+i)_{i-1} - A^(c+i)_i for i = 1..N-c
-    dgrid = [np.diagonal(ddiff, -(c + 1)).copy() for c in range(N)]
-
-    rows = []
-    for n in range(1, N + 1):
-        P = np.empty(n)
-        P[0] = inv_diag[n - 1]
-        for j in range(1, n):
-            d = dgrid[n - j]
-            P[j] = inv_diag[n - j - 1] * float(d[:j] @ P[j - 1::-1])
-        P.setflags(write=False)
-        rows.append(P)
-    return ComplementaryTable(rows=rows, source=table)
+    B = np.array(table.K, order="F")
+    B[:, :-1] -= table.K[:, 1:]
+    P, _ = dtrtri(B, lower=1, overwrite_c=1)  # info > 0 needs a zero pivot
+    return ComplementaryTable(P=P, source=table)
 
 
-def identity_residual(ctable: ComplementaryTable, max_full_N: int = 256,
-                      n_samples: int | None = None, seed=None) -> float:
-    """max over pairs (m, n) of |sum_j P^(n)_{n-j} A^(j)_{j-m} - 1|.
+def identity_residual(ctable: ComplementaryTable, seed=None) -> float:
+    """max over pairs m <= n of |sum_j P^(n)_{n-j} A^(j)_{j-m} - 1|, i.e. the
+    exact max |P K - tril(1)| over every entry, at every N.
 
-    All pairs are checked up to max_full_N; larger tables are sampled
-    (10 N pairs by default).
+    ``seed`` is unused; it is accepted so existing callers keep working.
     """
-    table = ctable.source
-    N = ctable.N
-    if N <= max_full_N:
-        worst = 0.0
-        for n in range(1, N + 1):
-            P = ctable.row(n)
-            S = np.zeros(n)
-            for j in range(1, n + 1):
-                S[:j] += P[n - j] * table.row(j)[::-1]
-            worst = max(worst, float(np.max(np.abs(S - 1.0))))
-        return worst
-    rng = np.random.default_rng(seed)
-    count = 10 * N if n_samples is None else n_samples
+    K = ctable.source.K
     worst = 0.0
-    for _ in range(count):
-        n = int(rng.integers(1, N + 1))
-        m = int(rng.integers(1, n + 1))
-        P = ctable.row(n)
-        s = sum(P[n - j] * table.row(j)[j - m] for j in range(m, n + 1))
-        worst = max(worst, abs(s - 1.0))
+    for rows in row_blocks(ctable.N):
+        stop = rows.stop  # P and K vanish beyond the block's last column
+        S = ctable.P[rows, :stop] @ K[:stop, :stop]
+        S -= np.arange(stop) <= np.arange(rows.start, stop)[:, None]
+        worst = max(worst, float(np.max(np.abs(S))))
     return worst
 
 
@@ -133,17 +119,20 @@ def check_lemma21(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
     """Nonnegativity, the per-entry bound P^(n)_{n-k} <= pi_A Gamma(2-a) tau_k^a
     (the per-k form), and sum_j P^(n)_{n-j} omega_{1-a}(t_j) <= pi_A.
     """
+    check_same_problem(ctable.source, mesh, alpha)
     C = pi_A * math.gamma(2.0 - alpha)
     tau_pow = mesh.tau ** alpha
     w = omega(1.0 - alpha, mesh.nodes[1:])
     min_entry = math.inf
     entry_excess = -math.inf
-    sum_excess = -math.inf
-    for n in range(1, ctable.N + 1):
-        P = ctable.row(n)
-        min_entry = min(min_entry, float(P.min()))
-        entry_excess = max(entry_excess, float(np.max(P - C * tau_pow[:n][::-1])))
-        sum_excess = max(sum_excess, float(P[::-1] @ w[:n]) - pi_A)
+    for rows in row_blocks(ctable.N):
+        stop = rows.stop
+        P = ctable.P[rows, :stop]
+        lower = np.arange(stop) <= np.arange(rows.start, stop)[:, None]
+        min_entry = min(min_entry, float(np.min(P, where=lower, initial=math.inf)))
+        entry_excess = max(entry_excess, float(np.max(
+            P - C * tau_pow[:stop], where=lower, initial=-math.inf)))
+    sum_excess = float(np.max(ctable.P @ w)) - pi_A
     scale = max(1.0, C * mesh.max_step() ** alpha)
     return Lemma21Report(
         min_entry=min_entry,
@@ -177,30 +166,32 @@ def check_lemma22_23(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
         sum_{j<n} P^(n)_{n-j} E_a(mu t_j^a) <= max(1,rho) pi_A (E_a(mu t_n^a) - 1)/mu,
     evaluated in the log domain since E_a overflows doubles for small alpha.
     """
+    check_same_problem(ctable.source, mesh, alpha)
     fac = max(1.0, rho) * pi_A
-    t = mesh.nodes
+    t = mesh.nodes[1:]
+    W = np.stack([omega(1.0 + k * alpha, t) for k in range(k_max + 1)], axis=1)
+    lhs_w, rhs_w = W[:, :-1], fac * W[:, 1:]  # column k-1 serves power k
+    logE = np.array([[log_mittag_leffler(alpha, mu * tj ** alpha) for mu in mus]
+                     for tj in t])
+    rhs_log = (math.log(fac) + logE + np.log1p(-np.exp(-logE))
+               - np.log(np.asarray(mus, dtype=float)))
     power_excess = -math.inf
-    for k in range(1, k_max + 1):
-        lhs_w = omega(1.0 + (k - 1) * alpha, t[1:])  # derivative values at t_j
-        rhs_w = fac * omega(1.0 + k * alpha, t[1:])
-        for n in range(2, ctable.N + 1):
-            P = ctable.row(n)
-            lhs = float(P[1:] @ lhs_w[: n - 1][::-1])
-            rel = (lhs - rhs_w[n - 1]) / max(1.0, rhs_w[n - 1])
-            power_excess = max(power_excess, rel)
-
     log_margin = math.inf
-    log_fac = math.log(fac)
-    for mu in mus:
-        logE = np.array([log_mittag_leffler(alpha, mu * tj ** alpha) for tj in t[1:]])
-        for n in range(2, ctable.N + 1):
-            P = ctable.row(n)
-            with np.errstate(divide="ignore"):
-                logP = np.log(np.maximum(P[1:], 0.0))
-            lhs_log = float(logsumexp(logP + logE[: n - 1][::-1]))
-            le = logE[n - 1]
-            rhs_log = log_fac + le + math.log1p(-math.exp(-le)) - math.log(mu)
-            log_margin = min(log_margin, rhs_log - lhs_log)
+    # the sums run over j < n: the strict lower part, and row 1 has none
+    for rows in row_blocks(ctable.N):
+        stop = rows.stop
+        strict = np.arange(stop) < np.arange(rows.start, stop)[:, None]
+        P = np.where(strict, ctable.P[rows, :stop], 0.0)
+        tail = slice(1 if rows.start == 0 else 0, None)
+        rel = (P @ lhs_w[:stop] - rhs_w[rows]) / np.maximum(1.0, rhs_w[rows])
+        power_excess = max(power_excess, float(np.max(rel[tail], initial=-math.inf)))
+        with np.errstate(divide="ignore"):  # log 0 = -inf drops the entry
+            logP = np.log(np.maximum(P, 0.0, out=P), out=P)
+            for i in range(len(mus)):
+                lhs_log = logsumexp(logP + logE[:stop, i], axis=1)
+                margin = rhs_log[rows, i] - lhs_log
+                log_margin = min(log_margin,
+                                 float(np.min(margin[tail], initial=math.inf)))
 
     return Lemma22Report(
         powerlaw_max_excess=power_excess,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complementary import ComplementaryTable
-from .kernels import KernelTable, apply_discrete_derivative
+from .kernels import (KernelTable, apply_discrete_derivative, check_same_problem,
+                      row_blocks)
 from .mesh import TimeMesh
 from .specialfn import mittag_leffler
 
@@ -98,11 +99,6 @@ def check_step_restriction(mesh: TimeMesh, alpha: float, pi_A: float,
     return mesh.max_step() <= step_restriction_threshold(alpha, pi_A, Lambda)
 
 
-def _complementary_sums(ctable: ComplementaryTable, g: np.ndarray) -> np.ndarray:
-    """S_k = sum_{j=1..k} P^(k)_{k-j} g^j for k = 1..N."""
-    return np.array([ctable.convolve(g, k) for k in range(1, ctable.N + 1)])
-
-
 def gronwall_bound(problem: GronwallProblem, ctable: ComplementaryTable,
                    mesh: TimeMesh, alpha: float, pi_A: float,
                    rho: float) -> GronwallCertificate:
@@ -117,11 +113,12 @@ def gronwall_bound(problem: GronwallProblem, ctable: ComplementaryTable,
     """
     if problem.g is None:
         raise ValueError("problem.g must be set to evaluate the bound")
+    check_same_problem(ctable.source, mesh, alpha)
     g = problem.g
     N = mesh.N
     if len(g) != N:
         raise ValueError(f"g must have N = {N} entries")
-    S = _complementary_sums(ctable, g)
+    S = ctable.P @ g  # S_k = sum_{j=1..k} P^(k)_{k-j} g^j
     weak_term = pi_A * math.gamma(1.0 - alpha) * np.maximum.accumulate(
         mesh.nodes[1:] ** alpha * g)
     restriction_ok = check_step_restriction(mesh, alpha, pi_A, problem.Lambda)
@@ -168,15 +165,19 @@ def _offset_combine(V: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _lambda_convolution(lambdas: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """C[:, n-1] = sum_{k=1..n} lambda_{n-k} W[:, k-1] for each trial row."""
-    trials, N = W.shape
+    """C[:, n-1] = sum_{k=1..n} lambda_{n-k} W[:, k-1] for each trial row: W times
+    the lower-triangular Toeplitz matrix of the lambdas, one row block at a time."""
     out = np.empty_like(W)
-    for n in range(1, N + 1):
-        out[:, n - 1] = W[:, :n] @ lambdas[:n][::-1]
+    for rows in row_blocks(W.shape[1]):
+        lag = np.arange(rows.start, rows.stop)[:, None] - np.arange(rows.stop)
+        T = np.where(lag >= 0, lambdas[np.maximum(lag, 0)], 0.0)
+        out[:, rows] = W[:, : rows.stop] @ T.T
     return out
 
 
 def _run_trials(ctable, mesh, ktable, problem, trials, rng, quadratic, tol):
+    check_same_problem(ktable, mesh)
+    check_same_problem(ctable.source, mesh, ktable.alpha)
     N = mesh.N
     rho = max(1.0, mesh.max_ratio())
     pi_A = ktable.pi_A
@@ -190,11 +191,11 @@ def _run_trials(ctable, mesh, ktable, problem, trials, rng, quadratic, tol):
     V = rng.uniform(0.1, 2.0, size=(trials, N + 1))
     Vth = _offset_combine(V, problem.theta)
     if quadratic:
-        lhs = np.stack([apply_discrete_derivative(ktable, row ** 2) for row in V])
+        lhs = apply_discrete_derivative(ktable, (V ** 2).T).T
         lam_term = _lambda_convolution(problem.lambdas, Vth ** 2)
         g = np.maximum(0.0, (lhs - lam_term) / Vth)
     else:
-        lhs = np.stack([apply_discrete_derivative(ktable, row) for row in V])
+        lhs = apply_discrete_derivative(ktable, V.T).T
         lam_term = _lambda_convolution(problem.lambdas, Vth)
         g = np.maximum(0.0, lhs - lam_term)
 
@@ -206,9 +207,7 @@ def _run_trials(ctable, mesh, ktable, problem, trials, rng, quadratic, tol):
              for tn in mesh.nodes[1:]])
     else:
         factor = np.ones(N)
-    S = np.empty((trials, N))
-    for k in range(1, N + 1):
-        S[:, k - 1] = g[:, :k] @ ctable.row(k)[::-1]
+    S = g @ ctable.P.T
     if problem.Lambda > 0.0 or quadratic:
         G = V[:, :1] + np.maximum.accumulate(S, axis=1)
     else:
@@ -260,8 +259,4 @@ def exchange_identity_residual(ctable: ComplementaryTable,
     """
     v = np.asarray(v, dtype=float)
     D = apply_discrete_derivative(ktable, v)
-    worst = 0.0
-    for n in range(1, ktable.N + 1):
-        s = ctable.convolve(D, n)
-        worst = max(worst, abs(s - (v[n] - v[0])))
-    return worst
+    return float(np.max(np.abs(ctable.P @ D - (v[1:] - v[0]))))

@@ -13,13 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import TimeMesh
-from .soe import SOEApprox, SOENotCertifiedError
+from .soe import SOEApprox, SOENotCertifiedError, build_soe
 from .specialfn import omega
 
 __all__ = [
     "KernelTable",
     "AssumptionReport",
     "NonUniformMeshError",
+    "SCHEMES",
+    "build_table",
     "l1_kernel",
     "alikhanov_kernel",
     "fast_l1_kernel",
@@ -30,6 +32,8 @@ __all__ = [
     "kernel_rows_csv",
 ]
 
+SCHEMES = ("l1", "fastl1", "alikhanov", "bdf2", "bdf2recombined")
+
 # Relative slack (scaled by the row diagonal) absorbed by the monotonicity scan.
 A1_SLACK = 1e-13
 
@@ -38,33 +42,58 @@ class NonUniformMeshError(ValueError):
     """The operation is only defined on uniform meshes."""
 
 
+# Consumers of the (N, N) tables work on this many rows at a time, so their
+# scratch stays O(ROW_BLOCK * N) however large the table is.
+ROW_BLOCK = 32
+
+
+def row_blocks(N: int):
+    """Row slices of at most ROW_BLOCK rows covering 0..N-1."""
+    return [slice(r0, min(N, r0 + ROW_BLOCK)) for r0 in range(0, N, ROW_BLOCK)]
+
+
+def lag_rows(M: np.ndarray) -> tuple:
+    """Rows of a lower-triangular (N, N) table as lag-ordered views:
+    entry j of row n is M[n-1, n-1-j]."""
+    return tuple(M[n, n::-1] for n in range(M.shape[0]))
+
+
 @dataclass
 class KernelTable:
-    """Per-row coefficients of a discrete memory derivative.
+    """Coefficients of a discrete memory derivative.
 
-    ``rows[n-1][j]`` holds A^(n)_j where the lag is j = n - k, so each row n
-    has exactly n entries ordered from the diagonal (lag 0) backwards in time.
-    Finished tables are immutable and safe to share between threads.
+    ``K[n-1, k-1]`` holds A^(n)_{n-k} for k <= n and 0 above the diagonal, in
+    one read-only (N, N) array; ``row(n)``, ``rows`` and ``diagonal()`` are
+    views of it. Finished tables are immutable and safe to share between
+    threads.
     """
 
-    rows: list
+    K: np.ndarray
     theta: float
     alpha: float
     scheme_id: str
     pi_A: float | None
     mesh: TimeMesh
 
+    def __post_init__(self):
+        self.K.setflags(write=False)
+
     @property
     def N(self) -> int:
-        return len(self.rows)
+        return self.K.shape[0]
+
+    @property
+    def rows(self) -> tuple:
+        """Row n-1 holds A^(n)_j for the lags j = 0..n-1."""
+        return lag_rows(self.K)
 
     def row(self, n: int) -> np.ndarray:
         """Coefficient row for step n (1-based), indexed by lag."""
-        return self.rows[n - 1]
+        return self.K[n - 1, n - 1::-1]
 
     def diagonal(self) -> np.ndarray:
         """A^(n)_0 for n = 1..N."""
-        return np.array([r[0] for r in self.rows])
+        return np.diagonal(self.K)
 
 
 @dataclass(frozen=True)
@@ -74,13 +103,6 @@ class AssumptionReport:
     a2_pi_estimate: float
     pi_A_claim: float | None
     a2_holds_for_claim: bool | None
-
-
-def _finalize(rows, theta, alpha, scheme_id, pi_A, mesh) -> KernelTable:
-    for r in rows:
-        r.setflags(write=False)
-    return KernelTable(rows=rows, theta=theta, alpha=alpha, scheme_id=scheme_id,
-                       pi_A=pi_A, mesh=mesh)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -161,23 +183,25 @@ def _weight_integrals(alpha: float, u_lo, h):
 
 
 def _l1_row(mesh: TimeMesh, alpha: float, n: int) -> np.ndarray:
-    # a^(n)_{n-k} = (1/tau_k) int_{t_{k-1}}^{t_k} omega_{1-a}(t_n - s) ds
+    # a^(n)_{n-k} = (1/tau_k) int_{t_{k-1}}^{t_k} omega_{1-a}(t_n - s) ds,
+    # for k = 1..n; one row at a time keeps the scratch O(N)
     t = mesh.nodes
-    tau = mesh.tau[:n]
-    avg, _ = _weight_integrals(alpha, t[n] - t[1 : n + 1], tau)
-    return avg[::-1].copy()
+    avg, _ = _weight_integrals(alpha, t[n] - t[1 : n + 1], mesh.tau[:n])
+    return avg
 
 
 def l1_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
     """Piecewise-linear (L1) kernels; theta = 0, lower-bound constant 1."""
     alpha = _check_alpha(alpha)
-    rows = [_l1_row(mesh, alpha, n) for n in range(1, mesh.N + 1)]
-    return _finalize(rows, 0.0, alpha, "l1", 1.0, mesh)
+    K = np.zeros((mesh.N, mesh.N))
+    for n in range(1, mesh.N + 1):
+        K[n - 1, :n] = _l1_row(mesh, alpha, n)
+    return KernelTable(K, 0.0, alpha, "l1", 1.0, mesh)
 
 
-def _quadratic_rows(mesh: TimeMesh, alpha: float, offset_theta: float,
-                    last_interval_quadratic: bool):
-    """Rows for the two piecewise-quadratic schemes, built by accumulating the
+def _quadratic_matrix(mesh: TimeMesh, alpha: float, offset_theta: float,
+                      last_interval_quadratic: bool) -> np.ndarray:
+    """K for the two piecewise-quadratic schemes, built by accumulating the
     contribution of each interpolation interval to the increment coefficients.
 
     Interval k < n (quadratic through t_{k-1}, t_k, t_{k+1}) contributes
@@ -188,7 +212,7 @@ def _quadratic_rows(mesh: TimeMesh, alpha: float, offset_theta: float,
     t = mesh.nodes
     tau = mesh.tau
     rho = mesh.rho
-    rows = []
+    K = np.zeros((mesh.N, mesh.N))
     for n in range(1, mesh.N + 1):
         t_eval = t[n] - offset_theta * tau[n - 1]
         c = np.zeros(n + 1)  # c[k] multiplies the increment of step k, k = 1..n
@@ -207,8 +231,8 @@ def _quadratic_rows(mesh: TimeMesh, alpha: float, offset_theta: float,
             width = t_eval - t[n - 1]
             avg, _ = _weight_integrals(alpha, 0.0, width)
             c[n] += avg[0] * width / tau[n - 1]
-        rows.append(c[1:][::-1].copy())  # lag order: A^(n)_j = c[n - j]
-    return rows
+        K[n - 1, :n] = c[1:]  # A^(n)_{n-k} = c[k]
+    return K
 
 
 def alikhanov_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
@@ -219,8 +243,8 @@ def alikhanov_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
     """
     alpha = _check_alpha(alpha)
     theta = alpha / 2.0
-    rows = _quadratic_rows(mesh, alpha, theta, last_interval_quadratic=False)
-    return _finalize(rows, theta, alpha, "alikhanov", 11.0 / 4.0, mesh)
+    K = _quadratic_matrix(mesh, alpha, theta, last_interval_quadratic=False)
+    return KernelTable(K, theta, alpha, "alikhanov", 11.0 / 4.0, mesh)
 
 
 def bdf2_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
@@ -230,9 +254,9 @@ def bdf2_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
     lower-bound constant is claimed.
     """
     alpha = _check_alpha(alpha)
-    rows = _quadratic_rows(mesh, alpha, 0.0, last_interval_quadratic=True)
-    rows[0] = _l1_row(mesh, alpha, 1)
-    return _finalize(rows, 0.0, alpha, "bdf2", None, mesh)
+    K = _quadratic_matrix(mesh, alpha, 0.0, last_interval_quadratic=True)
+    K[0, :1] = _l1_row(mesh, alpha, 1)
+    return KernelTable(K, 0.0, alpha, "bdf2", None, mesh)
 
 
 def fast_l1_kernel(mesh: TimeMesh, alpha: float, soe: SOEApprox) -> KernelTable:
@@ -266,10 +290,9 @@ def fast_l1_kernel(mesh: TimeMesh, alpha: float, soe: SOEApprox) -> KernelTable:
     t = mesh.nodes
     tau = mesh.tau
     theta_nodes = soe.nodes
-    rows = []
+    K = np.zeros((mesh.N, mesh.N))
     for n in range(1, mesh.N + 1):
-        row = np.empty(n)
-        row[0] = omega(2.0 - alpha, tau[n - 1]) / tau[n - 1]
+        K[n - 1, n - 1] = omega(2.0 - alpha, tau[n - 1]) / tau[n - 1]
         if n >= 2:
             # (1/tau_k) int of each exponential in product form: decay to the
             # interval's near end times -expm1(-theta tau)/(theta tau); no
@@ -277,10 +300,8 @@ def fast_l1_kernel(mesh: TimeMesh, alpha: float, soe: SOEApprox) -> KernelTable:
             u_lo = t[n] - t[1:n]  # k = 1..n-1
             x = np.outer(theta_nodes, tau[: n - 1])
             decay = np.exp(-np.outer(theta_nodes, u_lo))
-            vals = soe.weights @ (decay * (-np.expm1(-x) / x))
-            row[1:] = vals[::-1]
-        rows.append(row)
-    return _finalize(rows, 0.0, alpha, "fastl1", 1.5, mesh)
+            K[n - 1, : n - 1] = soe.weights @ (decay * (-np.expm1(-x) / x))
+    return KernelTable(K, 0.0, alpha, "fastl1", 1.5, mesh)
 
 
 def bdf2_recombine(table: KernelTable):
@@ -300,16 +321,41 @@ def bdf2_recombine(table: KernelTable):
             "recombination is only available on uniform meshes")
     last = table.row(table.N)
     eta = 0.5 * (1.0 - last[1] / last[0])
-    rows = []
-    for r in table.rows:
-        out = np.empty_like(r)
-        acc = 0.0
-        for j in range(len(r)):
-            acc = r[j] + eta * acc
-            out[j] = acc
-        rows.append(out)
-    new = _finalize(rows, table.theta, table.alpha, "bdf2recombined", None, mesh)
+    # lag grows right to left along a row, so sweep the columns that way
+    R = table.K.copy()
+    for c in range(table.N - 2, -1, -1):
+        R[:, c] += eta * R[:, c + 1]
+    new = KernelTable(R, table.theta, table.alpha, "bdf2recombined", None, mesh)
     return new, float(eta)
+
+
+def build_table(scheme: str, mesh: TimeMesh, alpha: float,
+                eps: float | None = None) -> KernelTable:
+    """Kernel table of the scheme named ``scheme`` (one of SCHEMES); ``eps``
+    is the compression tolerance of fastl1 and unused by the others."""
+    if scheme == "l1":
+        return l1_kernel(mesh, alpha)
+    if scheme == "alikhanov":
+        return alikhanov_kernel(mesh, alpha)
+    if scheme == "fastl1":
+        approx = build_soe(alpha, eps, float(mesh.tau.min()), mesh.T)
+        return fast_l1_kernel(mesh, alpha, approx)
+    if scheme == "bdf2":
+        return bdf2_kernel(mesh, alpha)
+    if scheme == "bdf2recombined":
+        return bdf2_recombine(bdf2_kernel(mesh, alpha))[0]
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def check_same_problem(table: KernelTable, mesh: TimeMesh,
+                       alpha: float | None = None) -> None:
+    """Raise ValueError unless ``table`` was built on ``mesh`` (and, when
+    given, at ``alpha``), so no audit certifies another problem's table."""
+    if not np.array_equal(mesh.nodes, table.mesh.nodes):
+        raise ValueError("mesh differs from the mesh the table was built on")
+    if alpha is not None and abs(float(alpha) - table.alpha) > 1e-15:
+        raise ValueError(
+            f"alpha={alpha} differs from the table's alpha={table.alpha}")
 
 
 def verify_assumptions(table: KernelTable, mesh: TimeMesh,
@@ -320,7 +366,9 @@ def verify_assumptions(table: KernelTable, mesh: TimeMesh,
 
     Monotonicity tolerates rounding of size A1_SLACK * A^(n)_0 per row unless
     ``strict`` is set. A non-positive entry makes the constant infinite.
+    The scan runs row by row because it recomputes the oracle integrals per row.
     """
+    check_same_problem(table, mesh)
     worst = 0.0
     a1 = True
     pi_est = 0.0
@@ -362,11 +410,7 @@ def apply_discrete_derivative(table: KernelTable, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[0] != table.N + 1:
         raise ValueError(f"sequence must have N+1 = {table.N + 1} entries")
-    dv = np.diff(v, axis=0)
-    out = np.empty((table.N,) + v.shape[1:])
-    for n in range(1, table.N + 1):
-        out[n - 1] = np.tensordot(table.row(n)[::-1], dv[:n], axes=(0, 0))
-    return out
+    return table.K @ np.diff(v, axis=0)
 
 
 def kernel_rows_csv(rows, fh, header_lines=()) -> int:
@@ -376,7 +420,7 @@ def kernel_rows_csv(rows, fh, header_lines=()) -> int:
     fh.write("n,lag,value\n")
     count = 0
     for n, row in enumerate(rows, start=1):
-        for lag, val in enumerate(row):
-            fh.write(f"{n},{lag},{float(val)!r}\n")
-            count += 1
+        # one write per row, not N^2/2 small strings held by an in-memory sink
+        fh.write("".join(f"{n},{lag},{v!r}\n" for lag, v in enumerate(row.tolist())))
+        count += len(row)
     return count

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .complementary import ComplementaryTable
-from .kernels import KernelTable
+from .kernels import KernelTable, build_table, check_same_problem
 from .mesh import TimeMesh, graded_mesh
 from .soe import SOEApprox, history_update
 from .specialfn import mittag_leffler, omega
@@ -299,6 +299,14 @@ def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh, ktable: KernelTable,
 _ULP_SLACK = 4.0 * np.finfo(float).eps
 
 
+def _leading_pair(ktable: KernelTable):
+    """A^(n)_0, A^(n)_1 (0 on row 1, which has no lag 1) and
+    theta^(n) = (A0 - A1)/(2 A0 - A1) for n = 1..N; A1 is K's subdiagonal."""
+    a0 = ktable.diagonal()
+    a1 = np.concatenate(([0.0], np.diagonal(ktable.K, -1)))
+    return a0, a1, (a0 - a1) / (2.0 * a0 - a1)
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     d: np.ndarray
@@ -333,42 +341,28 @@ def check_energy_lemmas(ktable: KernelTable, dim: int, trials: int,
     d_n * A0 = (2 - r)/(1 - r) >= 2, with equality exactly on row 1 (r = 0);
     `d_times_diag_at_least_two` checks that range, allowing row 1 a few ulp.
     """
-    N = ktable.N
     theta = ktable.theta
-    a0 = ktable.diagonal()
-    a1 = np.array([ktable.row(n)[1] if n >= 2 else 0.0 for n in range(1, N + 1)])
+    a0, a1, th_n = _leading_pair(ktable)
     if np.any(a0 == a1):
         raise DegenerateKernelError("row with A0 == A1")
     d = (2.0 * a0 - a1) / (a0 * (a0 - a1))
-    th_n = (a0 - a1) / (2.0 * a0 - a1)
     d_a0 = d * a0
 
     rng = np.random.default_rng(rng)
-    V = rng.standard_normal(size=(trials, N + 1, dim))
-    dV = np.diff(V, axis=1)
-    sq = np.einsum("tnd,tnd->tn", V, V)
-    d_sq = np.diff(sq, axis=1)
-
-    viol = [0, 0, 0]
-    worst = [math.inf, math.inf, math.inf]
-    for n in range(1, N + 1):
-        row_rev = ktable.row(n)[::-1]
-        w = np.tensordot(dV[:, :n], row_rev, axes=(1, 0))  # (trials, dim)
-        base = d_sq[:, :n] @ row_rev
-        wn2 = np.einsum("td,td->t", w, w)
-        vth = theta * V[:, n - 1] + (1.0 - theta) * V[:, n]
-        sides = (
-            2.0 * np.einsum("td,td->t", w, V[:, n]) - base - wn2 / a0[n - 1],
-            2.0 * np.einsum("td,td->t", w, V[:, n - 1]) - base
-            + wn2 / (a0[n - 1] - a1[n - 1]),
-            2.0 * np.einsum("td,td->t", w, vth) - base
-            - d[n - 1] * (th_n[n - 1] - theta) * wn2,
-        )
-        scale = np.maximum(np.abs(base) + wn2, 1.0)
-        for i, resid in enumerate(sides):
-            rel = resid / scale
-            worst[i] = min(worst[i], float(rel.min()))
-            viol[i] += int(np.sum(rel < -slack))
+    V = rng.standard_normal(size=(trials, ktable.N + 1, dim))
+    w = ktable.K @ np.diff(V, axis=1)  # (trials, N, dim): memory derivatives
+    base = np.diff(np.einsum("tnd,tnd->tn", V, V), axis=1) @ ktable.K.T
+    wn2 = np.einsum("tnd,tnd->tn", w, w)
+    vth = theta * V[:, :-1] + (1.0 - theta) * V[:, 1:]
+    sides = (
+        2.0 * np.einsum("tnd,tnd->tn", w, V[:, 1:]) - base - wn2 / a0,
+        2.0 * np.einsum("tnd,tnd->tn", w, V[:, :-1]) - base + wn2 / (a0 - a1),
+        2.0 * np.einsum("tnd,tnd->tn", w, vth) - base - d * (th_n - theta) * wn2,
+    )
+    scale = np.maximum(np.abs(base) + wn2, 1.0)
+    rels = [resid / scale for resid in sides]
+    worst = [float(rel.min()) for rel in rels]
+    viol = [int(np.sum(rel < -slack)) for rel in rels]
     return EnergyReport(
         d=d,
         theta_n=th_n,
@@ -383,7 +377,7 @@ def check_energy_lemmas(ktable: KernelTable, dim: int, trials: int,
         d_times_diag_above_one=bool(np.all(d_a0 > 1.0)),
         d_times_diag_at_least_two=bool(d_a0[0] >= 2.0 - _ULP_SLACK
                                        and np.all(d_a0[1:] >= 2.0)),
-        theta_below_half_from_row2=bool(np.all(th_n[1:] < 0.5)) if N >= 2 else True,
+        theta_below_half_from_row2=bool(np.all(th_n[1:] < 0.5)),
         theta_row1=float(th_n[0]),
     )
 
@@ -411,20 +405,18 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
         |u^n| <= 2 E_alpha(4 max(1,rho) pi_A kappa t_n^alpha)
                  (|u^0| + 2 max_k sum_j P^(k)_{k-j} |psi_j|).
     """
+    check_same_problem(ktable, mesh)
+    check_same_problem(ctable.source, mesh, ktable.alpha)
     theta = ktable.theta
     alpha = ktable.alpha
     h = result.h
     x = result.x
     traj = result.trajectory
-    N = mesh.N
-    a0 = ktable.diagonal()
-    a1 = np.array([ktable.row(n)[1] if n >= 2 else 0.0 for n in range(1, N + 1)])
-    th_n = (a0 - a1) / (2.0 * a0 - a1)
-    theta_ok = bool(np.all(theta <= th_n + 1e-15))
+    theta_ok = bool(np.all(theta <= _leading_pair(ktable)[2] + 1e-15))
 
     t_off = mesh.offset_nodes(theta)
     if problem.psi is None:
-        psi_norms = np.zeros(N)
+        psi_norms = np.zeros(mesh.N)
     else:
         psi_norms = np.array(
             [math.sqrt(h) * np.linalg.norm(np.broadcast_to(
@@ -432,22 +424,19 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
              for t in t_off])
 
     sq = h * np.einsum("nd,nd->n", traj, traj)
-    d_sq = np.diff(sq)
-    worst = math.inf
-    for n in range(1, N + 1):
-        lhs = float(d_sq[:n] @ ktable.row(n)[::-1])
-        u_th = theta * traj[n - 1] + (1.0 - theta) * traj[n]
-        nth = math.sqrt(h) * np.linalg.norm(u_th)
-        rhs = 2.0 * problem.kappa * nth ** 2 + 2.0 * nth * psi_norms[n - 1]
-        scale = max(1.0, abs(lhs), rhs)
-        worst = min(worst, (rhs - lhs) / scale)
+    lhs = ktable.K @ np.diff(sq)
+    u_th = theta * traj[:-1] + (1.0 - theta) * traj[1:]
+    nth = math.sqrt(h) * np.linalg.norm(u_th, axis=1)
+    rhs = 2.0 * problem.kappa * nth ** 2 + 2.0 * nth * psi_norms
+    scale = np.maximum(np.maximum(1.0, np.abs(lhs)), rhs)
+    worst = float(np.min((rhs - lhs) / scale))
     hyp_ok = bool(worst >= -rel_tol)
 
     rho = max(1.0, mesh.max_ratio())
     mu = 4.0 * rho * pi_A * problem.kappa
     factor = 2.0 * np.array(
         [mittag_leffler(alpha, mu * t ** alpha) for t in mesh.nodes[1:]])
-    S = np.array([ctable.convolve(psi_norms, k) for k in range(1, N + 1)])
+    S = ctable.P @ psi_norms
     norms = math.sqrt(h) * np.linalg.norm(traj, axis=1)
     envelope = factor * (norms[0] + 2.0 * np.maximum.accumulate(S))
     margins = (envelope - norms[1:]) / np.maximum(envelope, 1.0)
@@ -471,14 +460,10 @@ def estimate_order(errors) -> np.ndarray:
     return np.log2(errors[:-1] / errors[1:])
 
 
-def _build_table(scheme: str, mesh: TimeMesh, alpha: float) -> KernelTable:
-    from . import kernels as _k
-
-    if scheme == "l1":
-        return _k.l1_kernel(mesh, alpha)
-    if scheme == "alikhanov":
-        return _k.alikhanov_kernel(mesh, alpha)
-    raise ValueError(f"unsupported scheme {scheme!r} for convergence studies")
+def _study_table(scheme: str, mesh: TimeMesh, alpha: float) -> KernelTable:
+    if scheme not in ("l1", "alikhanov"):
+        raise ValueError(f"unsupported scheme {scheme!r} for convergence studies")
+    return build_table(scheme, mesh, alpha)
 
 
 def smooth_study(scheme: str, alpha: float, Ns, T: float = 1.0,
@@ -491,7 +476,7 @@ def smooth_study(scheme: str, alpha: float, Ns, T: float = 1.0,
     errors = []
     for N in Ns:
         mesh = graded_mesh(int(N), 1.0, T)
-        ktable = _build_table(scheme, mesh, alpha)
+        ktable = _study_table(scheme, mesh, alpha)
         t_off = mesh.offset_nodes(ktable.theta)
         psi = caputo_of_power(alpha, 3.0, t_off) + lam * (1.0 + t_off ** 3)
         problem = SingleModeProblem(alpha=alpha, lambda_L=lam, psi=psi, u0=1.0)
@@ -509,7 +494,7 @@ def singular_study(scheme: str, alpha: float, Ns, gamma: float,
     errors = []
     for N in Ns:
         mesh = graded_mesh(int(N), gamma, T)
-        ktable = _build_table(scheme, mesh, alpha)
+        ktable = _study_table(scheme, mesh, alpha)
         problem = SingleModeProblem(alpha=alpha, lambda_L=lam, psi=None, u0=1.0)
         res = solve_single_mode(problem, mesh, ktable)
         errors.append(res.max_error)

@@ -52,20 +52,7 @@ class TableStore:
         key = (scheme, family, N, alpha, eps)
         if key not in self._kernel:
             mesh = make_mesh(family, N)
-            if scheme == "l1":
-                table = kernels.l1_kernel(mesh, alpha)
-            elif scheme == "alikhanov":
-                table = kernels.alikhanov_kernel(mesh, alpha)
-            elif scheme == "fastl1":
-                approx = self.soe(alpha, eps, float(mesh.tau.min()), mesh.T)
-                table = kernels.fast_l1_kernel(mesh, alpha, approx)
-            elif scheme == "bdf2":
-                table = kernels.bdf2_kernel(mesh, alpha)
-            elif scheme == "bdf2recombined":
-                table, _ = kernels.bdf2_recombine(kernels.bdf2_kernel(mesh, alpha))
-            else:
-                raise ValueError(scheme)
-            self._kernel[key] = (mesh, table)
+            self._kernel[key] = (mesh, kernels.build_table(scheme, mesh, alpha, eps))
         return self._kernel[key]
 
     def ctable(self, scheme, family, N, alpha, eps=FAST_EPS):

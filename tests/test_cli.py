@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -184,3 +185,45 @@ def test_soe_build_json(capsys):
     assert payload["Nq"] == len(payload["nodes"])
     assert payload["cert_residual"] <= 1e-7
     assert all(w > 0 for w in payload["weights"])
+
+
+# sha256 of the `kernels dump` body per scheme at alpha = 0.4; recombination
+# exists only on uniform meshes, so bdf2recombined is pinned on graded:64,1,1
+DUMP_SHA256 = {
+    ("l1", "graded:64,2,1"):
+        "3a9525124a89552f75f4301ecdfcdabfc92d41aad9eef0ee17e37c9ae98c63ad",
+    ("fastl1", "graded:64,2,1"):
+        "f65820758c810f2b7ad3ed971c4c17378c7b01bec971769854a0c295bc5cb112",
+    ("alikhanov", "graded:64,2,1"):
+        "fbd55e9ec94de01c3a703bb80bbebea99a29e9b2856c3c3f60445e7bd501e6ec",
+    ("bdf2", "graded:64,2,1"):
+        "e154b6dc52150a057e80c3d35804103ed0a9e816fa5b60924a7bd32e805f2c11",
+    ("bdf2recombined", "graded:64,1,1"):
+        "67469d09490b6aba443350f070f6e7b7c4133ece41786eed04d44f1ea3425300",
+}
+
+
+@pytest.mark.parametrize("scheme,mesh", sorted(DUMP_SHA256))
+def test_kernels_dump_bytes_pinned(capsys, scheme, mesh):
+    code, out, _ = run(capsys, "kernels", "dump", "--scheme", scheme,
+                       "--mesh", mesh, "--alpha", "0.4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[scheme, mesh]
+
+
+def test_gronwall_verify_leaves_built_table_alone(capsys, monkeypatch):
+    # bdf2 claims no pi_A, so the command runs on the measured one
+    built = []
+    original = cli.kernels.build_table
+
+    def spy(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli.kernels, "build_table", spy)
+    code, out, _ = run(capsys, "gronwall", "verify", "--scheme", "bdf2",
+                       "--mesh", "graded:16,1,1", "--alpha", "0.5",
+                       "--trials", "5")
+    assert code == 0
+    assert built[0].pi_A is None
+    assert json.loads(out)["pi_A"] > 0.0

@@ -13,7 +13,7 @@ from fracstep.complementary import (
     to_csv,
 )
 from fracstep.kernels import KernelTable, alikhanov_kernel, l1_kernel
-from fracstep.mesh import graded_mesh, mesh_from_nodes, uniform_mesh
+from fracstep.mesh import graded_mesh, mesh_from_nodes, random_mesh, uniform_mesh
 
 from conftest import make_mesh
 
@@ -43,15 +43,7 @@ def test_identity_holds_for_raw_bdf2(store):
 def test_identity_at_larger_scale():
     mesh = graded_mesh(512, 2.0, 1.0)
     ct = build_complementary(l1_kernel(mesh, 0.5))
-    assert identity_residual(ct, max_full_N=512) <= 1e-11
-
-
-def test_sampled_identity_path_agrees(store):
-    mesh, table, ct = store.ctable("l1", "graded2", 48, 0.5)
-    full = identity_residual(ct)
-    sampled = identity_residual(ct, max_full_N=8, n_samples=400, seed=3)
-    assert sampled <= 1e-11
-    assert sampled <= full + 1e-13
+    assert identity_residual(ct) <= 1e-11
 
 
 def test_nonnegative_under_a1(store):
@@ -63,9 +55,9 @@ def test_nonnegative_under_a1(store):
 
 def test_zero_diagonal_rejected():
     mesh = uniform_mesh(3, 1.0)
-    rows = [r.copy() for r in l1_kernel(mesh, 0.5).rows]
-    rows[1][0] = 0.0
-    bad = KernelTable(rows=rows, theta=0.0, alpha=0.5, scheme_id="l1",
+    K = l1_kernel(mesh, 0.5).K.copy()
+    K[1, 1] = 0.0  # A^(2)_0
+    bad = KernelTable(K=K, theta=0.0, alpha=0.5, scheme_id="l1",
                       pi_A=None, mesh=mesh)
     with pytest.raises(ZeroDiagonalError):
         build_complementary(bad)
@@ -89,9 +81,9 @@ def test_lemma21_alikhanov_with_its_constant(store):
 
 def test_lemma21_flags_corrupted_source():
     mesh = uniform_mesh(6, 1.0)
-    rows = [r.copy() for r in l1_kernel(mesh, 0.5).rows]
-    rows[4][1] = -5.0  # breaks positivity badly enough to push P negative
-    bad = KernelTable(rows=rows, theta=0.0, alpha=0.5, scheme_id="l1",
+    K = l1_kernel(mesh, 0.5).K.copy()
+    K[4, 3] = -5.0  # A^(5)_1: breaks positivity badly enough to push P negative
+    bad = KernelTable(K=K, theta=0.0, alpha=0.5, scheme_id="l1",
                       pi_A=None, mesh=mesh)
     ct = build_complementary(bad)
     rep = check_lemma21(ct, mesh, 0.5, 1.0)
@@ -130,3 +122,40 @@ def test_csv_export(store, tmp_path):
     count = to_csv(ct, buf, ["scheme=l1"])
     assert count == 12 * 13 // 2
     assert buf.getvalue().startswith("# scheme=l1\nn,lag,value\n")
+
+
+def _mp_complementary_row(K, n, dps=40):
+    """P^(n)_{n-j} for j = 1..n by back-substitution of p B = e_n at ``dps``
+    digits, where B = K L^-1 has columns K[:, m] - K[:, m+1]."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        A = [[mpmath.mpf(float(K[j, m])) for m in range(n)] for j in range(n)]
+        B = [[A[j][m] - (A[j][m + 1] if m + 1 < n else 0) for m in range(n)]
+             for j in range(n)]
+        p = [mpmath.mpf(0)] * n
+        p[n - 1] = 1 / B[n - 1][n - 1]
+        for m in range(n - 2, -1, -1):
+            p[m] = -mpmath.fsum(p[j] * B[j][m] for j in range(m + 1, n)) / B[m][m]
+        return np.array([float(x) for x in p])
+
+
+@pytest.mark.parametrize("mesh", [graded_mesh(256, 3.0, 1.0),
+                                  random_mesh(512, 1.0, rho_bound=1.75, seed=7)],
+                         ids=["graded3", "random"])
+def test_entries_match_high_precision_oracle(mesh):
+    """Every sampled entry of P to 1e-13 relative. The identity residual
+    cannot see this: P = cumsum(K^-1) passes the residual but not this test."""
+    table = l1_kernel(mesh, 0.3)
+    P = build_complementary(table).P
+    rng = np.random.default_rng(5)
+    rows = [mesh.N, *rng.integers(mesh.N // 3, mesh.N, size=2).tolist()]
+    K_inv = np.linalg.inv(table.K)
+    worst = worst_cumsum = 0.0
+    for n in rows:
+        ref = _mp_complementary_row(table.K, n)
+        worst = max(worst, float(np.max(np.abs(P[n - 1, :n] / ref - 1.0))))
+        cumsum_row = K_inv[:n, :n].sum(axis=0)  # row n of cumsum(K^-1)
+        worst_cumsum = max(worst_cumsum,
+                           float(np.max(np.abs(cumsum_row / ref - 1.0))))
+    assert worst <= 1e-13
+    assert worst_cumsum > 1e-13

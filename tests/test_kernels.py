@@ -337,9 +337,9 @@ def test_recombine_restores_monotonicity():
 def test_verify_assumptions_flags_corrupt_table():
     mesh = uniform_mesh(3, 1.0)
     good = l1_kernel(mesh, 0.5)
-    rows = [r.copy() for r in good.rows]
-    rows[2][1] = -0.25
-    bad = KernelTable(rows=rows, theta=0.0, alpha=0.5, scheme_id="l1",
+    K = good.K.copy()
+    K[2, 1] = -0.25  # A^(3)_1
+    bad = KernelTable(K=K, theta=0.0, alpha=0.5, scheme_id="l1",
                       pi_A=None, mesh=mesh)
     report = verify_assumptions(bad, mesh)
     assert not report.a1_holds
@@ -350,10 +350,10 @@ def test_verify_assumptions_flags_corrupt_table():
 def test_verify_assumptions_strict_mode():
     mesh = uniform_mesh(6, 1.0)
     table = l1_kernel(mesh, 0.5)
-    rows = [r.copy() for r in table.rows]
-    # break monotonicity by less than the default slack
-    rows[5][2] = rows[5][1] + A1_SLACK * rows[5][0] * 0.1
-    wobbly = KernelTable(rows=rows, theta=0.0, alpha=0.5, scheme_id="l1",
+    K = table.K.copy()
+    # break monotonicity by less than the default slack: A^(6)_2 > A^(6)_1
+    K[5, 3] = K[5, 4] + A1_SLACK * K[5, 5] * 0.1
+    wobbly = KernelTable(K=K, theta=0.0, alpha=0.5, scheme_id="l1",
                          pi_A=None, mesh=mesh)
     assert verify_assumptions(wobbly, mesh).a1_holds
     assert not verify_assumptions(wobbly, mesh, strict=True).a1_holds

@@ -197,8 +197,8 @@ def test_energy_exact_equality_second_pairing_first_row():
 
 def test_energy_degenerate_kernel_guard():
     mesh = uniform_mesh(2, 1.0)
-    rows = [np.array([1.0]), np.array([1.0, 1.0])]
-    flat = KernelTable(rows=rows, theta=0.0, alpha=0.5, scheme_id="l1",
+    K = np.array([[1.0, 0.0], [1.0, 1.0]])  # A^(2)_0 == A^(2)_1
+    flat = KernelTable(K=K, theta=0.0, alpha=0.5, scheme_id="l1",
                        pi_A=None, mesh=mesh)
     with pytest.raises(DegenerateKernelError):
         check_energy_lemmas(flat, dim=2, trials=1, rng=0)
