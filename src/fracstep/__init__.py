@@ -72,7 +72,6 @@ from .solver import (
     solve_fd1d,
     solve_single_mode,
     solve_single_mode_fast,
-    step_scheme,
 )
 from .specialfn import (
     MLEvalConfig,

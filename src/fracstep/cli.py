@@ -8,8 +8,8 @@ Exit codes: 0 success, 2 validation failure, 3 property violation detected,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -40,21 +40,22 @@ def _header_lines(args, names):
     return lines
 
 
+def _sink(out_path):
+    """The ``--out`` file opened for writing, or stdout without one."""
+    return open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _sink(out_path) as fh:
+        fh.write(text)
 
 
 def _cmd_kernels_dump(args):
     mesh = parse_mesh_spec(args.mesh)
     table = kernels.build_table(args.scheme, mesh, args.alpha, args.eps)
-    buf = io.StringIO()
-    kernels.kernel_rows_csv(table.rows, buf,
-                            _header_lines(args, ["scheme", "mesh", "alpha"]))
-    _emit(buf.getvalue(), args.out)
+    with _sink(args.out) as fh:
+        kernels.kernel_rows_csv(table.rows, fh,
+                                _header_lines(args, ["scheme", "mesh", "alpha"]))
     return EXIT_OK
 
 
@@ -62,10 +63,9 @@ def _cmd_complementary_dump(args):
     mesh = parse_mesh_spec(args.mesh)
     table = kernels.build_table(args.scheme, mesh, args.alpha, args.eps)
     ctable = complementary.build_complementary(table)
-    buf = io.StringIO()
-    kernels.kernel_rows_csv(ctable.rows, buf,
-                            _header_lines(args, ["scheme", "mesh", "alpha"]))
-    _emit(buf.getvalue(), args.out)
+    with _sink(args.out) as fh:
+        kernels.kernel_rows_csv(ctable.rows, fh,
+                                _header_lines(args, ["scheme", "mesh", "alpha"]))
     return EXIT_OK
 
 
@@ -149,44 +149,46 @@ def _cmd_gronwall_verify(args):
     return EXIT_OK
 
 
-def _solve_csv(mesh, us, exact, errors, norms, header):
-    buf = io.StringIO()
-    for line in header:
-        buf.write(f"# {line}\n")
-    buf.write("n,t_n,value,exact,error\n")
-    for n in range(len(mesh.nodes)):
-        val = us[n] if us is not None else norms[n]
-        ex = "" if exact is None else repr(float(exact[n]))
-        er = "" if errors is None else repr(float(errors[n]))
-        buf.write(f"{n},{float(mesh.nodes[n])!r},{float(val)!r},{ex},{er}\n")
-    return buf.getvalue()
+def _write_solve_csv(out_path, mesh, values, exact, errors, header):
+    with _sink(out_path) as fh:
+        for line in header:
+            fh.write(f"# {line}\n")
+        fh.write("n,t_n,value,exact,error\n")
+        for n in range(len(mesh.nodes)):
+            ex = "" if exact is None else repr(float(exact[n]))
+            er = "" if errors is None else repr(float(errors[n]))
+            fh.write(f"{n},{float(mesh.nodes[n])!r},{float(values[n])!r},{ex},{er}\n")
 
 
 def _cmd_solve(args):
     mesh = parse_mesh_spec(args.mesh)
-    table = kernels.build_table(args.scheme, mesh, args.alpha, args.eps)
+    if args.scheme == "fastl1":
+        # march on the O(Nq) history, not on an O(N^2 Nq) table
+        kernel = soe.build_soe(args.alpha, args.eps, float(mesh.tau.min()), mesh.T)
+    else:
+        kernel = table = kernels.build_table(args.scheme, mesh, args.alpha)
     header = _header_lines(args, ["problem", "scheme", "mesh", "alpha",
                                   "lam", "kappa"])
     if args.problem == "single-mode":
         problem = solver.SingleModeProblem(
             alpha=args.alpha, lambda_L=args.lam, kappa=args.kappa, u0=1.0)
-        res = solver.solve_single_mode(problem, mesh, table)
-        _emit(_solve_csv(mesh, res.us, res.exact, res.errors, None, header),
-              args.out)
+        res = solver.solve_single_mode(problem, mesh, kernel)
+        _write_solve_csv(args.out, mesh, res.us, res.exact, res.errors, header)
         return EXIT_OK
     # fd1d: bounded forcing, checked against the stability envelope
     problem = solver.FDProblem1D(
         length=1.0, M=args.M, kappa=args.kappa,
         psi=lambda x, t: np.sin(np.pi * x) * np.cos(2.0 * t),
         u0=lambda x: np.sin(np.pi * x))
-    res = solver.solve_fd1d(problem, mesh, table)
+    res = solver.solve_fd1d(problem, mesh, kernel)
+    if args.scheme == "fastl1":  # the audit needs K and P
+        table = kernels.fast_l1_kernel(mesh, args.alpha, kernel)
     pi_A = table.pi_A
     if pi_A is None:
         pi_A = kernels.verify_assumptions(table, mesh).a2_pi_estimate
     ctable = complementary.build_complementary(table)
     stab = solver.check_stability_envelope(table, mesh, res, problem, ctable, pi_A)
-    norms = np.concatenate([[res.l2_norms[0]], res.l2_norms[1:]])
-    _emit(_solve_csv(mesh, None, None, None, norms, header), args.out)
+    _write_solve_csv(args.out, mesh, res.l2_norms, None, None, header)
     if stab.theta_condition_ok and not (stab.hypothesis_ok and stab.envelope_ok):
         raise PropertyViolation(
             f"stability audit failed: hypothesis_ok={stab.hypothesis_ok} "
@@ -207,17 +209,15 @@ def _cmd_converge(args):
     else:
         errors, orders = solver.smooth_study(args.scheme, args.alpha, Ns)
         kind = "smooth"
-    buf = io.StringIO()
-    for line in _header_lines(args, ["scheme", "alpha", "Ns"]):
-        buf.write(f"# {line}\n")
-    buf.write(f"# study={kind}\n")
-    buf.write("N,error,order\n")
     text = [f"{'N':>8} {'error':>14} {'order':>8}"]
-    for i, N in enumerate(Ns):
-        order = "" if i == 0 else f"{orders[i - 1]:.4f}"
-        buf.write(f"{N},{float(errors[i])!r},{order}\n")
-        text.append(f"{N:>8} {errors[i]:>14.6e} {order:>8}")
-    _emit(buf.getvalue(), args.out)
+    with _sink(args.out) as fh:
+        for line in _header_lines(args, ["scheme", "alpha", "Ns"]):
+            fh.write(f"# {line}\n")
+        fh.write(f"# study={kind}\nN,error,order\n")
+        for i, N in enumerate(Ns):
+            order = "" if i == 0 else f"{orders[i - 1]:.4f}"
+            fh.write(f"{N},{float(errors[i])!r},{order}\n")
+            text.append(f"{N:>8} {errors[i]:>14.6e} {order:>8}")
     if args.out:
         sys.stdout.write("\n".join(text) + "\n")
     return EXIT_OK

@@ -181,8 +181,8 @@ def _run_trials(ctable, mesh, ktable, problem, trials, rng, quadratic, tol):
     N = mesh.N
     rho = max(1.0, mesh.max_ratio())
     pi_A = ktable.pi_A
-    if pi_A is None:
-        raise ValueError("trials need a kernel table with a known pi_A")
+    if pi_A is None or not math.isfinite(pi_A):
+        raise ValueError(f"trials need a kernel table with a finite pi_A, got {pi_A}")
     if problem.Lambda > 0.0 and not check_step_restriction(
             mesh, ktable.alpha, pi_A, problem.Lambda):
         raise StepRestrictionViolatedError(

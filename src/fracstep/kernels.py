@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import TimeMesh
-from .soe import SOEApprox, SOENotCertifiedError, build_soe
+from .soe import SOEApprox, _check_certified, build_soe
 from .specialfn import omega
 
 __all__ = [
@@ -270,23 +270,7 @@ def fast_l1_kernel(mesh: TimeMesh, alpha: float, soe: SOEApprox) -> KernelTable:
     constant to hold.
     """
     alpha = _check_alpha(alpha)
-    if abs(soe.alpha - alpha) > 1e-15:
-        raise SOENotCertifiedError(
-            f"approximation built for alpha={soe.alpha}, kernel wants {alpha}")
-    if soe.delta_t > mesh.tau.min() * (1.0 + 1e-12):
-        raise SOENotCertifiedError(
-            f"cutoff {soe.delta_t} exceeds the smallest mesh step {mesh.tau.min()}")
-    if soe.T < mesh.T * (1.0 - 1e-12):
-        raise SOENotCertifiedError(
-            f"certified horizon {soe.T} is shorter than the mesh horizon {mesh.T}")
-    eps_cap = min(omega(1.0 - alpha, mesh.T) / 3.0, alpha * omega(2.0 - alpha, 1.0))
-    if soe.eps > eps_cap:
-        raise SOENotCertifiedError(
-            f"tolerance {soe.eps} violates the kernel condition eps <= {eps_cap:.3e}")
-    if soe.cert_residual > soe.eps:
-        raise SOENotCertifiedError(
-            f"certification residual {soe.cert_residual} exceeds eps={soe.eps}")
-
+    _check_certified(soe, mesh, alpha)
     t = mesh.nodes
     tau = mesh.tau
     theta_nodes = soe.nodes

@@ -175,19 +175,63 @@ def soe_eval(approx: SOEApprox, t: float) -> float:
     return float(approx.weights @ np.exp(-approx.nodes * t))
 
 
-def history_update(approx: SOEApprox, H_prev, u_incr: float, tau_k: float) -> np.ndarray:
+def history_update(approx: SOEApprox, H_prev, u_incr, tau_k: float) -> np.ndarray:
     """One step of the per-node history recurrence
     H(t_k) = exp(-theta tau_k) H(t_{k-1}) + (1 - exp(-theta tau_k))/(theta tau_k) * incr,
-    with H(t_0) = 0 as the zero vector.
+    with H(t_0) = 0. The state is (Nq,), or (Nq, M) for M unknowns whose
+    increments ``u_incr`` have shape (M,).
     """
     H_prev = np.asarray(H_prev, dtype=float)
-    if H_prev.shape != approx.nodes.shape:
+    if H_prev.shape[:1] != approx.nodes.shape:
         raise ValueError(
-            f"history length {H_prev.shape} does not match Nq={approx.Nq}")
+            f"history shape {H_prev.shape} does not match Nq={approx.Nq}")
     if tau_k <= 0.0:
         raise ValueError("tau_k must be positive")
-    x = approx.nodes * tau_k
+    x = approx.nodes.reshape((-1,) + (1,) * (H_prev.ndim - 1)) * tau_k
     return np.exp(-x) * H_prev + (-np.expm1(-x) / x) * u_incr
+
+
+def _check_certified(approx: SOEApprox, mesh, alpha: float) -> None:
+    """Raise SOENotCertifiedError unless ``approx`` meets the conditions of
+    fast L1 (see ``kernels.fast_l1_kernel``) at ``alpha`` on ``mesh``."""
+    if abs(approx.alpha - alpha) > 1e-15:
+        raise SOENotCertifiedError(
+            f"approximation built for alpha={approx.alpha}, consumer wants {alpha}")
+    if approx.delta_t > mesh.tau.min() * (1.0 + 1e-12):
+        raise SOENotCertifiedError(
+            f"cutoff {approx.delta_t} exceeds the smallest mesh step {mesh.tau.min()}")
+    if approx.T < mesh.T * (1.0 - 1e-12):
+        raise SOENotCertifiedError(
+            f"certified horizon {approx.T} is shorter than the mesh horizon {mesh.T}")
+    eps_cap = min(omega(1.0 - alpha, mesh.T) / 3.0, alpha * omega(2.0 - alpha, 1.0))
+    if approx.eps > eps_cap:
+        raise SOENotCertifiedError(
+            f"tolerance {approx.eps} violates the kernel condition eps <= {eps_cap:.3e}")
+    if approx.cert_residual > approx.eps:
+        raise SOENotCertifiedError(
+            f"certification residual {approx.cert_residual} exceeds eps={approx.eps}")
+
+
+class _SOEHistory:
+    """Fast L1 history: Nq exponential states per unknown, O(Nq) memory at
+    any step count, with the exact L1 diagonal A^(n)_0 = omega_{2-a}(tau_n)/tau_n."""
+
+    theta = 0.0
+
+    def __init__(self, approx: SOEApprox, mesh, alpha: float, shape=()):
+        _check_certified(approx, mesh, alpha)
+        self.approx, self.alpha, self.tau = approx, alpha, mesh.tau
+        self.nodes = approx.nodes.reshape((-1,) + (1,) * len(shape))
+        self.H = np.zeros((approx.Nq,) + shape)
+
+    def a0(self, n: int) -> float:
+        return omega(2.0 - self.alpha, self.tau[n - 1]) / self.tau[n - 1]
+
+    def term(self, n: int):
+        return self.approx.weights @ (np.exp(-self.nodes * self.tau[n - 1]) * self.H)
+
+    def push(self, increment, tau: float) -> None:
+        self.H = history_update(self.approx, self.H, increment, tau)
 
 
 def fast_l1_apply(approx: SOEApprox, mesh, v) -> np.ndarray:
@@ -199,13 +243,10 @@ def fast_l1_apply(approx: SOEApprox, mesh, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[0] != mesh.N + 1:
         raise ValueError(f"sequence must have N+1 = {mesh.N + 1} entries")
-    alpha = approx.alpha
+    history = _SOEHistory(approx, mesh, approx.alpha)
     out = np.empty(mesh.N)
-    H = np.zeros(approx.Nq)
     for n in range(1, mesh.N + 1):
-        tau_n = mesh.tau[n - 1]
         incr = v[n] - v[n - 1]
-        a0 = omega(2.0 - alpha, tau_n) / tau_n
-        out[n - 1] = a0 * incr + approx.weights @ (np.exp(-approx.nodes * tau_n) * H)
-        H = history_update(approx, H, incr, tau_n)
+        out[n - 1] = history.a0(n) * incr + history.term(n)
+        history.push(incr, mesh.tau[n - 1])
     return out

@@ -18,8 +18,8 @@ from scipy.linalg import solve_banded
 from .complementary import ComplementaryTable
 from .kernels import KernelTable, build_table, check_same_problem
 from .mesh import TimeMesh, graded_mesh
-from .soe import SOEApprox, history_update
-from .specialfn import mittag_leffler, omega
+from .soe import SOEApprox, _SOEHistory
+from .specialfn import mittag_leffler
 
 __all__ = [
     "SingleModeProblem",
@@ -31,7 +31,6 @@ __all__ = [
     "SingularSystemError",
     "DegenerateKernelError",
     "NonPositiveError",
-    "step_scheme",
     "caputo_of_power",
     "solve_single_mode",
     "solve_single_mode_fast",
@@ -106,52 +105,60 @@ class FDProblem1D:
         return self.h * np.arange(1, self.M + 1)
 
 
-def _history_term(row: np.ndarray, dv: np.ndarray):
-    """sum_{k<n} A^(n)_{n-k} (v^k - v^{k-1}); dv holds the first n-1 increments."""
-    n = len(row)
-    if n == 1:
-        return 0.0 if dv.ndim == 1 else np.zeros(dv.shape[1])
-    return np.tensordot(row[1:], dv[: n - 1][::-1], axes=(0, 0))
+class _DenseHistory:
+    """History sums from a kernel table over increments kept in one array."""
+
+    def __init__(self, ktable: KernelTable, mesh: TimeMesh, alpha, shape):
+        check_same_problem(ktable, mesh, alpha)
+        self.ktable, self.theta = ktable, ktable.theta
+        self.dU = np.empty((ktable.N,) + shape)
+        self.count = 0
+
+    def a0(self, n: int) -> float:
+        return self.ktable.K[n - 1, n - 1]
+
+    def term(self, n: int):
+        """sum_{k<n} A^(n)_{n-k} (u^k - u^{k-1}), zero at n = 1."""
+        return np.tensordot(self.ktable.row(n)[1:], self.dU[: n - 1][::-1],
+                            axes=(0, 0))
+
+    def push(self, increment, tau: float) -> None:
+        self.dU[self.count] = increment
+        self.count += 1
 
 
-def step_scheme(ktable: KernelTable, history, n: int, problem) -> np.ndarray | float:
-    """Advance one step: solve
-    [A^(n)_0 + (1-theta)(L - kappa)] u^n =
-        A^(n)_0 u^{n-1} - history - theta (L - kappa) u^{n-1} + psi(t_{n-theta}).
+def _scalar_step(problem: SingleModeProblem, mesh: TimeMesh, theta: float):
+    shift = problem.lambda_L - problem.kappa
 
-    ``history`` holds u^0..u^{n-1}. Scalar problems divide; the FD problem
-    solves its tridiagonal system by direct banded elimination. A singular
-    pivot cannot occur while kappa <= smallest operator eigenvalue
-    + A^(n)_0 / (1 - theta); larger reaction constants raise.
-    """
-    us = np.asarray(history, dtype=float)
-    if us.shape[0] != n:
-        raise ValueError(f"history must hold the {n} values u^0..u^{n - 1}")
-    row = ktable.row(n)
-    theta = ktable.theta
-    dv = np.diff(us, axis=0)
-    hist = _history_term(row, dv)
-    a0 = row[0]
-    if isinstance(problem, SingleModeProblem):
-        shift = problem.lambda_L - problem.kappa
+    def solve(n, a0, u_prev, hist):
         psi_n = 0.0 if problem.psi is None else float(problem.psi[n - 1])
         denom = a0 + (1.0 - theta) * shift
         if not math.isfinite(denom) or abs(denom) < 1e-300:
             raise SingularSystemError(f"zero pivot at step {n}")
-        return (a0 * us[-1] - hist - theta * shift * us[-1] + psi_n) / denom
-    if isinstance(problem, FDProblem1D):
-        h2 = problem.h ** 2
-        x = problem.grid()
+        return (a0 * u_prev - hist - theta * shift * u_prev + psi_n) / denom
+
+    return problem.u0, solve
+
+
+def _fd_step(problem: FDProblem1D, mesh: TimeMesh, theta: float):
+    h2 = problem.h ** 2
+    x = problem.grid()
+    t_off = mesh.offset_nodes(theta)
+    u0 = np.zeros(problem.M)
+    if problem.u0 is not None:
+        u0[:] = problem.u0(x) if callable(problem.u0) else problem.u0
+    ab = np.zeros((3, problem.M))
+    ab[0, 1:] = ab[2, :-1] = -(1.0 - theta) / h2
+
+    def solve(n, a0, u_prev, hist):
         psi_n = 0.0
         if problem.psi is not None:
-            t_off = ktable.mesh.offset_nodes(theta)[n - 1]
-            psi_n = np.asarray(problem.psi(x, t_off), dtype=float)
-        lap_u_prev = _apply_shifted_laplacian(us[-1], h2, problem.kappa)
-        rhs = a0 * us[-1] - hist - theta * lap_u_prev + psi_n
-        ab = np.zeros((3, problem.M))
-        ab[0, 1:] = -(1.0 - theta) / h2
+            psi_n = np.asarray(problem.psi(x, t_off[n - 1]), dtype=float)
+        lap = 2.0 * u_prev - problem.kappa * h2 * u_prev  # h^2 (L - kappa) u
+        lap[:-1] -= u_prev[1:]
+        lap[1:] -= u_prev[:-1]
+        rhs = a0 * u_prev - hist - theta * (lap / h2) + psi_n
         ab[1, :] = a0 + (1.0 - theta) * (2.0 / h2 - problem.kappa)
-        ab[2, :-1] = -(1.0 - theta) / h2
         try:
             u = solve_banded((1, 1), ab, rhs)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - needs kappa >> 1
@@ -159,14 +166,28 @@ def step_scheme(ktable: KernelTable, history, n: int, problem) -> np.ndarray | f
         if not np.all(np.isfinite(u)):
             raise SingularSystemError(f"non-finite solve at step {n}")
         return u
-    raise TypeError(f"unsupported problem type {type(problem).__name__}")
+
+    return u0, solve
 
 
-def _apply_shifted_laplacian(u: np.ndarray, h2: float, kappa: float) -> np.ndarray:
-    out = 2.0 * u - kappa * h2 * u
-    out[:-1] -= u[1:]
-    out[1:] -= u[:-1]
-    return out / h2
+def _march(problem, mesh: TimeMesh, kernel) -> np.ndarray:
+    """u^0..u^N, step n solving [A^(n)_0 + (1-theta)(L - kappa)] u^n =
+    A^(n)_0 u^{n-1} - hist - theta (L - kappa) u^{n-1} + psi(t_{n-theta}), with
+    A^(n)_0 and hist from a KernelTable (dense) or an SOEApprox (fast L1 states),
+    refused if built for another mesh or alpha. Pivots are nonzero while
+    kappa <= smallest eigenvalue of L + A^(n)_0 / (1 - theta)."""
+    fd = isinstance(problem, FDProblem1D)
+    backend = _SOEHistory if isinstance(kernel, SOEApprox) else _DenseHistory
+    # FD problems carry no alpha: the kernel's own is checked against the mesh
+    history = backend(kernel, mesh, kernel.alpha if fd else problem.alpha,
+                      (problem.M,) if fd else ())
+    u0, solve = (_fd_step if fd else _scalar_step)(problem, mesh, history.theta)
+    U = np.empty((mesh.N + 1,) + np.shape(u0))
+    U[0] = u0
+    for n in range(1, mesh.N + 1):
+        U[n] = solve(n, history.a0(n), U[n - 1], history.term(n))
+        history.push(U[n] - U[n - 1], mesh.tau[n - 1])
+    return U
 
 
 def caputo_of_power(alpha: float, sigma: float, t):
@@ -201,17 +222,13 @@ class SingleModeResult:
 
 
 def solve_single_mode(problem: SingleModeProblem, mesh: TimeMesh,
-                      ktable: KernelTable,
+                      kernel: KernelTable | SOEApprox,
                       exact=None) -> SingleModeResult:
-    """March the scalar scheme; errors are reported against ``exact(t)`` or,
-    for the homogeneous decaying problem, against the Mittag-Leffler solution.
-    """
-    if abs(ktable.alpha - problem.alpha) > 1e-15:
-        raise ValueError("problem and kernel table disagree on alpha")
-    us = np.empty(mesh.N + 1)
-    us[0] = problem.u0
-    for n in range(1, mesh.N + 1):
-        us[n] = step_scheme(ktable, us[:n], n, problem)
+    """March the scalar scheme on a kernel table, or on an SOE approximation
+    (fast L1 with O(Nq) history memory). Errors are reported against
+    ``exact(t)`` or, for the homogeneous decaying problem, against the
+    Mittag-Leffler solution."""
+    us = _march(problem, mesh, kernel)
     reference = None
     if exact is not None:
         reference = np.array([exact(t) for t in mesh.nodes])
@@ -225,37 +242,8 @@ def solve_single_mode(problem: SingleModeProblem, mesh: TimeMesh,
 
 def solve_single_mode_fast(problem: SingleModeProblem, mesh: TimeMesh,
                            approx: SOEApprox, exact=None) -> SingleModeResult:
-    """L1 marching with the history compressed into Nq exponential states.
-
-    Memory is O(Nq), independent of the step count; the trajectory matches
-    the direct path to within a small multiple of the compression tolerance.
-    """
-    alpha = problem.alpha
-    if abs(approx.alpha - alpha) > 1e-15:
-        raise ValueError("problem and compression disagree on alpha")
-    us = np.empty(mesh.N + 1)
-    us[0] = problem.u0
-    H = np.zeros(approx.Nq)
-    shift = problem.lambda_L - problem.kappa
-    for n in range(1, mesh.N + 1):
-        tau_n = mesh.tau[n - 1]
-        a0 = omega(2.0 - alpha, tau_n) / tau_n
-        tail = float(approx.weights @ (np.exp(-approx.nodes * tau_n) * H))
-        psi_n = 0.0 if problem.psi is None else float(problem.psi[n - 1])
-        denom = a0 + shift
-        if not math.isfinite(denom) or abs(denom) < 1e-300:
-            raise SingularSystemError(f"zero pivot at step {n}")
-        us[n] = (a0 * us[n - 1] - tail + psi_n) / denom
-        H = history_update(approx, H, us[n] - us[n - 1], tau_n)
-    reference = None
-    if exact is not None:
-        reference = np.array([exact(t) for t in mesh.nodes])
-    elif problem.psi is None and problem.kappa == 0.0:
-        reference = problem.u0 * np.array(
-            [mittag_leffler(alpha, -problem.lambda_L * t ** alpha)
-             if t > 0 else 1.0 for t in mesh.nodes])
-    errors = np.abs(us - reference) if reference is not None else None
-    return SingleModeResult(us=us, exact=reference, errors=errors)
+    """``solve_single_mode`` on the fast L1 history of ``approx``."""
+    return solve_single_mode(problem, mesh, approx, exact)
 
 
 @dataclass(frozen=True)
@@ -269,20 +257,13 @@ class FDResult:
     max_errors: np.ndarray | None
 
 
-def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh, ktable: KernelTable,
-               exact=None) -> FDResult:
-    """March the finite-difference scheme; discrete L2 norms carry weight h."""
+def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh,
+               kernel: KernelTable | SOEApprox, exact=None) -> FDResult:
+    """March the finite-difference scheme on a kernel table or an SOE
+    approximation (fast L1, Nq x M states); discrete L2 norms carry weight h."""
+    traj = _march(problem, mesh, kernel)
     x = problem.grid()
     h = problem.h
-    traj = np.empty((mesh.N + 1, problem.M))
-    if problem.u0 is None:
-        traj[0] = 0.0
-    elif callable(problem.u0):
-        traj[0] = np.asarray(problem.u0(x), dtype=float)
-    else:
-        traj[0] = np.asarray(problem.u0, dtype=float)
-    for n in range(1, mesh.N + 1):
-        traj[n] = step_scheme(ktable, traj[:n], n, problem)
     l2 = math.sqrt(h) * np.linalg.norm(traj, axis=1)
     mx = np.abs(traj).max(axis=1)
     l2_err = max_err = None
@@ -460,10 +441,23 @@ def estimate_order(errors) -> np.ndarray:
     return np.log2(errors[:-1] / errors[1:])
 
 
-def _study_table(scheme: str, mesh: TimeMesh, alpha: float) -> KernelTable:
+def _study(scheme: str, alpha: float, Ns, gamma: float, T: float, lam: float,
+           smooth: bool):
     if scheme not in ("l1", "alikhanov"):
         raise ValueError(f"unsupported scheme {scheme!r} for convergence studies")
-    return build_table(scheme, mesh, alpha)
+    errors = []
+    for N in Ns:
+        mesh = graded_mesh(int(N), gamma, T)
+        ktable = build_table(scheme, mesh, alpha)
+        psi = exact = None
+        if smooth:
+            t_off = mesh.offset_nodes(ktable.theta)
+            psi = caputo_of_power(alpha, 3.0, t_off) + lam * (1.0 + t_off ** 3)
+            exact = lambda t: 1.0 + t ** 3
+        problem = SingleModeProblem(alpha=alpha, lambda_L=lam, psi=psi, u0=1.0)
+        errors.append(solve_single_mode(problem, mesh, ktable, exact).max_error)
+    errors = np.array(errors)
+    return errors, estimate_order(errors)
 
 
 def smooth_study(scheme: str, alpha: float, Ns, T: float = 1.0,
@@ -473,30 +467,11 @@ def smooth_study(scheme: str, alpha: float, Ns, T: float = 1.0,
     The forcing is evaluated analytically at the offset points, so the
     measured decay isolates the time discretization.
     """
-    errors = []
-    for N in Ns:
-        mesh = graded_mesh(int(N), 1.0, T)
-        ktable = _study_table(scheme, mesh, alpha)
-        t_off = mesh.offset_nodes(ktable.theta)
-        psi = caputo_of_power(alpha, 3.0, t_off) + lam * (1.0 + t_off ** 3)
-        problem = SingleModeProblem(alpha=alpha, lambda_L=lam, psi=psi, u0=1.0)
-        res = solve_single_mode(problem, mesh, ktable,
-                                exact=lambda t: 1.0 + t ** 3)
-        errors.append(res.max_error)
-    errors = np.array(errors)
-    return errors, estimate_order(errors)
+    return _study(scheme, alpha, Ns, 1.0, T, lam, smooth=True)
 
 
 def singular_study(scheme: str, alpha: float, Ns, gamma: float,
                    T: float = 1.0, lam: float = 1.0):
     """Errors/orders for the decaying exact solution E_alpha(-lam t^alpha),
     whose derivative blows up at t = 0; gamma grades the mesh."""
-    errors = []
-    for N in Ns:
-        mesh = graded_mesh(int(N), gamma, T)
-        ktable = _study_table(scheme, mesh, alpha)
-        problem = SingleModeProblem(alpha=alpha, lambda_L=lam, psi=None, u0=1.0)
-        res = solve_single_mode(problem, mesh, ktable)
-        errors.append(res.max_error)
-    errors = np.array(errors)
-    return errors, estimate_order(errors)
+    return _study(scheme, alpha, Ns, gamma, T, lam, smooth=False)

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from fracstep import cli
+from fracstep.kernels import fast_l1_kernel
+from fracstep.mesh import parse_mesh_spec
+from fracstep.soe import build_soe
+from fracstep.solver import SingleModeProblem, solve_single_mode
 from fracstep.gronwall import TrialReport
 
 
@@ -227,3 +231,65 @@ def test_gronwall_verify_leaves_built_table_alone(capsys, monkeypatch):
     assert code == 0
     assert built[0].pi_A is None
     assert json.loads(out)["pi_A"] > 0.0
+
+
+def test_gronwall_verify_refuses_table_failing_a1(capsys):
+    # this bdf2 table has a non-positive entry, so pi_A measures infinite
+    code, out, err = run(capsys, "gronwall", "verify", "--scheme", "bdf2",
+                         "--mesh", "graded:64,2,1", "--alpha", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "finite pi_A" in err
+
+
+# sha256 of `solve` bodies at alpha = 0.4 (fd1d with M = 16, kappa = 0.5);
+# the marching loop must reproduce them byte for byte
+SOLVE_SHA256 = {
+    ("single-mode", "l1", "graded:64,2,1"):
+        "c64c4db70f0308a6ded81d12107907f05d550d04206fce96dd0e90d93694a130",
+    ("single-mode", "alikhanov", "graded:64,2,1"):
+        "7d9bca6e9f28db3efaac8fde343707d7def225c96600dad22d9c11cdd8bf6e37",
+    ("single-mode", "bdf2recombined", "graded:64,1,1"):
+        "a6cc063f4d6a7071a10565d0adbff9a920ad544735cd26649d5395d540c27e4a",
+    ("fd1d", "l1", "graded:64,2,1"):
+        "35b2a19e812a144a3b837c354a8bfb70a5c79243564313fc3e5f65a87eb2bc3f",
+    ("fd1d", "alikhanov", "graded:64,2,1"):
+        "ea8a26f2a99cbf2a5c2fb95243698069842476a2b3864ff137dd9cf0fc4652e1",
+}
+
+
+@pytest.mark.parametrize("problem,scheme,mesh", sorted(SOLVE_SHA256))
+def test_solve_bytes_pinned(capsys, problem, scheme, mesh):
+    argv = ["solve", "--problem", problem, "--scheme", scheme, "--mesh", mesh,
+            "--alpha", "0.4"]
+    if problem == "fd1d":
+        argv += ["--M", "16", "--kappa", "0.5"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SOLVE_SHA256[problem, scheme, mesh]
+
+
+def test_solve_fastl1_marches_without_a_table(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.kernels, "fast_l1_kernel",
+                        lambda *a: calls.append(a))
+    code, out, _ = run(capsys, "solve", "--scheme", "fastl1",
+                       "--mesh", "graded:96,3,1", "--alpha", "0.5")
+    assert code == 0
+    assert calls == []
+    values = np.array([float(line.split(",")[2]) for line in out.splitlines()
+                       if line[:1].isdigit()])
+    mesh = parse_mesh_spec("graded:96,3,1")
+    approx = build_soe(0.5, 1e-8, float(mesh.tau.min()), mesh.T)
+    dense = solve_single_mode(SingleModeProblem(alpha=0.5, lambda_L=1.0), mesh,
+                              fast_l1_kernel(mesh, 0.5, approx))
+    assert np.max(np.abs(values - dense.us)) <= 1e-14
+
+
+def test_solve_fastl1_refuses_tolerance_above_kernel_cap(capsys):
+    code, out, err = run(capsys, "solve", "--scheme", "fastl1",
+                         "--mesh", "graded:16,2,1", "--alpha", "0.5",
+                         "--eps", "0.5")
+    assert code == 2
+    assert "kernel condition" in err

@@ -103,6 +103,20 @@ def test_history_length_mismatch(store):
         history_update(approx, np.zeros(approx.Nq + 1), 1.0, 0.1)
 
 
+def test_history_matrix_state_updates_each_column(store):
+    approx = store.soe(**STD)
+    rng = np.random.default_rng(5)
+    H = rng.uniform(size=(approx.Nq, 3))
+    incr = rng.standard_normal(3)
+    out = history_update(approx, H, incr, 0.01)
+    assert out.shape == H.shape
+    for j in range(3):
+        assert np.array_equal(out[:, j],
+                              history_update(approx, H[:, j], incr[j], 0.01))
+    with pytest.raises(ValueError):
+        history_update(approx, np.zeros((approx.Nq + 1, 3)), incr, 0.01)
+
+
 @pytest.mark.parametrize("family,alpha", [("uniform", 0.5), ("graded2", 0.3),
                                           ("graded2", 0.7)])
 def test_fast_apply_matches_direct_convolution(store, family, alpha):

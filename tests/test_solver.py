@@ -5,8 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from fracstep.complementary import build_complementary
-from fracstep.kernels import KernelTable, alikhanov_kernel, l1_kernel
+from fracstep.kernels import (KernelTable, alikhanov_kernel, fast_l1_kernel,
+                              l1_kernel)
 from fracstep.mesh import graded_mesh, uniform_mesh
+from fracstep.soe import SOENotCertifiedError
 from fracstep.solver import (
     DegenerateKernelError,
     FDProblem1D,
@@ -22,7 +24,6 @@ from fracstep.solver import (
     solve_fd1d,
     solve_single_mode,
     solve_single_mode_fast,
-    step_scheme,
 )
 
 from conftest import make_mesh
@@ -81,11 +82,33 @@ def test_singular_system_detected():
         solve_single_mode(bad, mesh, table)
 
 
-def test_step_scheme_validates_history_length():
-    mesh = uniform_mesh(4, 1.0)
-    table = l1_kernel(mesh, 0.5)
-    with pytest.raises(ValueError):
-        step_scheme(table, np.ones(3), 2, SingleModeProblem(0.5, 1.0))
+def test_solvers_refuse_a_table_of_another_problem():
+    mesh = graded_mesh(64, 2.0, 1.0)
+    other = l1_kernel(uniform_mesh(64, 1.0), 0.5)
+    with pytest.raises(ValueError, match="mesh"):
+        solve_single_mode(SingleModeProblem(alpha=0.5, lambda_L=1.0), mesh, other)
+    with pytest.raises(ValueError, match="alpha"):
+        solve_single_mode(SingleModeProblem(alpha=0.4, lambda_L=1.0), mesh,
+                          l1_kernel(mesh, 0.5))
+    with pytest.raises(ValueError, match="mesh"):
+        solve_fd1d(FDProblem1D(length=1.0, M=4), mesh, other)
+
+
+def test_solvers_refuse_an_uncertified_compression(store):
+    # smallest step (1/64)^3 lies below the certified window [1e-3, 1]
+    mesh = graded_mesh(64, 3.0, 1.0)
+    approx = store.soe(0.5, 1e-8, 1e-3, 1.0)
+    problem = SingleModeProblem(alpha=0.5, lambda_L=1.0)
+    with pytest.raises(SOENotCertifiedError, match="smallest mesh step"):
+        solve_single_mode_fast(problem, mesh, approx)
+    with pytest.raises(SOENotCertifiedError, match="smallest mesh step"):
+        solve_fd1d(FDProblem1D(length=1.0, M=4), mesh, approx)
+    fitted = store.soe(0.5, 1e-8, float(mesh.tau.min()), mesh.T)
+    with pytest.raises(SOENotCertifiedError, match="alpha"):
+        solve_single_mode(SingleModeProblem(alpha=0.4, lambda_L=1.0), mesh,
+                          fitted)
+    with pytest.raises(SOENotCertifiedError, match="horizon"):
+        solve_single_mode(problem, graded_mesh(64, 3.0, 2.0), fitted)
 
 
 def test_smooth_orders():
@@ -110,6 +133,26 @@ def test_fast_path_tracks_direct_path(store):
     direct = solve_single_mode(problem, mesh, l1_kernel(mesh, alpha))
     fast = solve_single_mode_fast(problem, mesh, approx)
     assert np.max(np.abs(direct.us - fast.us)) <= 1e-6
+
+
+def test_soe_history_matches_fast_table(store):
+    # both backends march the same fast L1 scheme; only the summation differs
+    alpha = 0.5
+    mesh = graded_mesh(96, 2.0, 1.0)
+    approx = store.soe(alpha, 1e-10, float(mesh.tau.min()), mesh.T)
+    table = fast_l1_kernel(mesh, alpha, approx)
+    mode = SingleModeProblem(alpha=alpha, lambda_L=2.0, kappa=0.5,
+                             psi=np.cos(mesh.nodes[1:]))
+    gap = solve_single_mode(mode, mesh, approx).us - \
+        solve_single_mode(mode, mesh, table).us
+    assert np.max(np.abs(gap)) <= 1e-14
+    problem = FDProblem1D(
+        length=1.0, M=24, kappa=1.0,
+        psi=lambda x, t: np.sin(math.pi * x) * np.cos(2.0 * t),
+        u0=lambda x: np.sin(math.pi * x) + 0.5 * np.sin(3.0 * math.pi * x))
+    fast = solve_fd1d(problem, mesh, approx)
+    dense = solve_fd1d(problem, mesh, table)
+    assert np.max(np.abs(fast.trajectory - dense.trajectory)) <= 1e-14
 
 
 def test_fd_zero_data_zero_solution():
