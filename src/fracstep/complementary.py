@@ -14,8 +14,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtri
 from scipy.special import logsumexp
 
-from .kernels import (KernelTable, check_same_problem, kernel_rows_csv, lag_rows,
-                      row_blocks)
+from .kernels import KernelTable, check_same_problem, lag_rows, row_blocks
 from .mesh import TimeMesh
 from .specialfn import log_mittag_leffler, omega
 
@@ -201,7 +200,3 @@ def check_lemma22_23(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
         k_range=(1, k_max),
         mus=tuple(mus),
     )
-
-
-def to_csv(ctable: ComplementaryTable, fh, header_lines=()) -> int:
-    return kernel_rows_csv(ctable.rows, fh, header_lines)

@@ -17,7 +17,7 @@ from .complementary import ComplementaryTable
 from .kernels import (KernelTable, apply_discrete_derivative, check_same_problem,
                       row_blocks)
 from .mesh import TimeMesh
-from .specialfn import mittag_leffler
+from .specialfn import _ml_envelope
 
 __all__ = [
     "GronwallProblem",
@@ -128,8 +128,7 @@ def gronwall_bound(problem: GronwallProblem, ctable: ComplementaryTable,
                 f"max step {mesh.max_step():.3e} exceeds "
                 f"{step_restriction_threshold(alpha, pi_A, problem.Lambda):.3e}")
         mu = 2.0 * max(1.0, rho) * pi_A * problem.Lambda
-        factor = 2.0 * np.array(
-            [mittag_leffler(alpha, mu * tn ** alpha) for tn in mesh.nodes[1:]])
+        factor = _ml_envelope(alpha, mu, mesh.nodes[1:])
         G = problem.v0 + np.maximum.accumulate(S)
         bound = factor * G
         weak = factor * (problem.v0 + weak_term)
@@ -202,9 +201,7 @@ def _run_trials(ctable, mesh, ktable, problem, trials, rng, quadratic, tol):
     # bound evaluated per trial; the envelope factor is shared
     if problem.Lambda > 0.0:
         mu = 2.0 * rho * pi_A * problem.Lambda
-        factor = 2.0 * np.array(
-            [mittag_leffler(ktable.alpha, mu * tn ** ktable.alpha)
-             for tn in mesh.nodes[1:]])
+        factor = _ml_envelope(ktable.alpha, mu, mesh.nodes[1:])
     else:
         factor = np.ones(N)
     S = g @ ctable.P.T

@@ -114,7 +114,7 @@ def _check_alpha(alpha: float) -> float:
 
 # Intervals much shorter than their distance to the evaluation point switch
 # from antiderivative differences (which cancel catastrophically there) to a
-# positive-term midpoint series; see _avg_weight_integral.
+# positive-term midpoint series; see _weight_integrals.
 _SERIES_SWITCH = 0.4
 _SERIES_STEPS = 16
 
@@ -133,42 +133,35 @@ def _series_sums(alpha: float, D, h):
     t_even = base.copy()
     odd = base * alpha * (0.5 * h / D) / 3.0   # m = 1 term of the moment sum
     t_odd = base * alpha * (0.5 * h / D)
-    for step in range(1, _SERIES_STEPS):
-        m_e = 2 * step
+    for m_e in range(2, 2 * _SERIES_STEPS, 2):
         t_even = t_even * (alpha + m_e - 2) * (alpha + m_e - 1) \
             / ((m_e - 1) * m_e) * x2
         even += t_even / (m_e + 1)
-        m_o = 2 * step + 1
+        m_o = m_e + 1
         t_odd = t_odd * (alpha + m_o - 2) * (alpha + m_o - 1) \
             / ((m_o - 1) * m_o) * x2
         odd += t_odd / (m_o + 2)
     return even, 0.5 * h ** 2 * odd
 
 
-def _omega_or_zero(beta: float, u):
-    u = np.asarray(u, dtype=float)
+def _omega_or_zero(beta: float, u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u)
-    pos = u > 0
-    if np.any(pos):
-        out[pos] = omega(beta, u[pos])
+    out[u > 0] = omega(beta, u[u > 0])
     return out
 
 
-def _weight_integrals(alpha: float, u_lo, h):
-    """Average and first-moment integrals of omega_{1-a} over an interval of
+def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray):
+    """Average and first-moment integrals of omega_{1-a} over intervals of
     width h whose NEAR endpoint sits at distance u_lo >= 0 from the
-    evaluation point:
+    evaluation point (1-D arrays of one length):
       avg    = (1/h) int omega_{1-a}(dist) ds,
       moment = int (s - mid) omega_{1-a}(dist) ds.
     u_lo must be the exact endpoint distance (0 for the singular interval);
     the slow power decay of the weight makes even 1e-17 of endpoint slop
     visible at the 1e-5 level.
     """
-    u_lo, h = np.broadcast_arrays(np.atleast_1d(np.asarray(u_lo, dtype=float)),
-                                  np.atleast_1d(np.asarray(h, dtype=float)))
     D = u_lo + 0.5 * h
-    avg = np.empty_like(D)
-    mom = np.empty_like(D)
+    avg, mom = np.empty((2,) + D.shape)
     near = h > _SERIES_SWITCH * D
     if np.any(near):
         u_hi = u_lo[near] + h[near]
@@ -182,20 +175,37 @@ def _weight_integrals(alpha: float, u_lo, h):
     return avg, mom
 
 
-def _l1_row(mesh: TimeMesh, alpha: float, n: int) -> np.ndarray:
-    # a^(n)_{n-k} = (1/tau_k) int_{t_{k-1}}^{t_k} omega_{1-a}(t_n - s) ds,
-    # for k = 1..n; one row at a time keeps the scratch O(N)
+def _triangle(mesh: TimeMesh, alpha: float, offset: float = 0.0):
+    """Yield (rows, avg, mom) over the kernel triangle, one row block at a time.
+
+    ``avg`` and ``mom`` have shape (len(rows), rows.stop); entry [n-1-rows.start,
+    k-1] holds the _weight_integrals of interval k, [t_{k-1}, min(t_k, t_eval)],
+    at t_eval = t_n - offset * tau_n for k <= n (so offset > 0 cuts the closing
+    interval at t_eval), and 0 for k > n.
+    """
     t = mesh.nodes
-    avg, _ = _weight_integrals(alpha, t[n] - t[1 : n + 1], mesh.tau[:n])
-    return avg
+    t_eval = t[1:] - offset * mesh.tau
+    r0 = 0
+    while r0 < mesh.N:
+        # largest block with (r1 - r0) * r1 <= 4N entries: O(N) scratch
+        r1 = min(mesh.N, max(r0 + 1, (r0 + math.isqrt(r0 * r0 + 16 * mesh.N)) // 2))
+        rows, r0 = slice(r0, r1), r1
+        te = t_eval[rows, None]
+        hi = np.minimum(t[1 : rows.stop + 1], te)
+        inside = np.arange(rows.stop) <= np.arange(rows.start, rows.stop)[:, None]
+        avg, mom = np.zeros((2,) + hi.shape)
+        avg[inside], mom[inside] = _weight_integrals(
+            alpha, (te - hi)[inside], (hi - t[: rows.stop])[inside])
+        yield rows, avg, mom
 
 
 def l1_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
     """Piecewise-linear (L1) kernels; theta = 0, lower-bound constant 1."""
     alpha = _check_alpha(alpha)
     K = np.zeros((mesh.N, mesh.N))
-    for n in range(1, mesh.N + 1):
-        K[n - 1, :n] = _l1_row(mesh, alpha, n)
+    # a^(n)_{n-k} = (1/tau_k) int_{t_{k-1}}^{t_k} omega_{1-a}(t_n - s) ds
+    for rows, avg, _ in _triangle(mesh, alpha):
+        K[rows, : rows.stop] = avg
     return KernelTable(K, 0.0, alpha, "l1", 1.0, mesh)
 
 
@@ -209,29 +219,31 @@ def _quadratic_matrix(mesh: TimeMesh, alpha: float, offset_theta: float,
     The closing interval is linear for the offset scheme and quadratic
     (through t_{n-2}, t_{n-1}, t_n) for the BDF2-like one.
     """
-    t = mesh.nodes
-    tau = mesh.tau
-    rho = mesh.rho
+    t, tau, rho = mesh.nodes, mesh.tau, mesh.rho
     K = np.zeros((mesh.N, mesh.N))
-    for n in range(1, mesh.N + 1):
-        t_eval = t[n] - offset_theta * tau[n - 1]
-        c = np.zeros(n + 1)  # c[k] multiplies the increment of step k, k = 1..n
-        if n >= 2:
-            a_mid, mom = _weight_integrals(alpha, t_eval - t[1:n], tau[: n - 1])
-            b_mid = 2.0 * mom / (tau[: n - 1] * (tau[: n - 1] + tau[1:n]))
-            c[1:n] += a_mid - b_mid
-            c[2:] += rho[: n - 1] * b_mid
-        if last_interval_quadratic and n >= 2:
-            a0, mom0 = _weight_integrals(alpha, 0.0, tau[n - 1])
-            b0 = 2.0 * mom0[0] / (tau[n - 2] * (tau[n - 2] + tau[n - 1]))
-            c[n] += a0[0] + rho[n - 2] * b0
-            c[n - 1] -= b0
+    for rows, avg, mom in _triangle(mesh, alpha, offset_theta):
+        w = rows.stop
+        n = np.arange(rows.start, w)  # 0-based row index = diagonal column
+        diag = (n - rows.start, n)
+        b = np.zeros_like(mom)
+        b[:, :-1] = 2.0 * mom[:, :-1] / (tau[: w - 1] * (tau[: w - 1] + tau[1:w]))
+        b[diag] = 0.0
+        Kb = avg - b
+        Kb[diag] = 0.0
+        Kb[:, 1:] += rho[: w - 1] * b[:, :-1]
+        if last_interval_quadratic:
+            q = n[n >= 1]
+            cell = (q - rows.start, q)
+            b0 = 2.0 * mom[cell] / (tau[q - 1] * (tau[q - 1] + tau[q]))
+            Kb[cell] += avg[cell] + rho[q - 1] * b0
+            Kb[cell[0], q - 1] -= b0
+            if rows.start == 0:
+                Kb[0, 0] = avg[0, 0]  # the BDF2-like first row is L1's
         else:
             # linear interpolant on [t_{n-1}, t_eval]
-            width = t_eval - t[n - 1]
-            avg, _ = _weight_integrals(alpha, 0.0, width)
-            c[n] += avg[0] * width / tau[n - 1]
-        K[n - 1, :n] = c[1:]  # A^(n)_{n-k} = c[k]
+            width = (t[n + 1] - offset_theta * tau[n]) - t[n]
+            Kb[diag] += avg[diag] * width / tau[n]
+        K[rows, :w] = Kb
     return K
 
 
@@ -255,7 +267,6 @@ def bdf2_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
     """
     alpha = _check_alpha(alpha)
     K = _quadratic_matrix(mesh, alpha, 0.0, last_interval_quadratic=True)
-    K[0, :1] = _l1_row(mesh, alpha, 1)
     return KernelTable(K, 0.0, alpha, "bdf2", None, mesh)
 
 
@@ -350,39 +361,28 @@ def verify_assumptions(table: KernelTable, mesh: TimeMesh,
 
     Monotonicity tolerates rounding of size A1_SLACK * A^(n)_0 per row unless
     ``strict`` is set. A non-positive entry makes the constant infinite.
-    The scan runs row by row because it recomputes the oracle integrals per row.
     """
     check_same_problem(table, mesh)
-    worst = 0.0
-    a1 = True
-    pi_est = 0.0
-    t = mesh.nodes
-    tau = mesh.tau
-    for n in range(1, table.N + 1):
-        row = table.row(n)
-        slack = 0.0 if strict else A1_SLACK * abs(row[0])
-        pos_deficit = float(max(0.0, -row.min()))
-        mono_excess = float(np.max(np.diff(row), initial=0.0))
-        worst = max(worst, pos_deficit, mono_excess)
-        if row.min() <= 0.0 or mono_excess > slack:
-            a1 = False
-        avg, _ = _weight_integrals(table.alpha, t[n] - t[1 : n + 1], tau[:n])
-        integrals = avg * tau[:n]  # over [t_{k-1}, t_k] for k = 1..n
-        denom = tau[:n] * row[::-1]
-        if np.any(denom <= 0.0):
-            pi_est = math.inf
-        else:
-            pi_est = max(pi_est, float((integrals / denom).max()))
+    worst, a1, pi_est = 0.0, True, 0.0
+    for rows, avg, _ in _triangle(mesh, table.alpha):
+        w = rows.stop
+        Kb = table.K[rows, :w]
+        inside = np.arange(w) <= np.arange(rows.start, w)[:, None]
+        low = Kb.min(axis=1, where=inside, initial=np.inf)
+        # lag differences A_{j+1} - A_j of each row, as column differences
+        rise = np.max(Kb[:, :-1] - Kb[:, 1:], axis=1, where=inside[:, 1:], initial=0.0)
+        slack = 0.0 if strict else A1_SLACK * np.abs(np.diagonal(Kb, rows.start))
+        worst = max(worst, float(-low.min()), float(rise.max()))
+        a1 = a1 and not (np.any(low <= 0.0) or np.any(rise > slack))
+        # integral over [t_{k-1}, t_k] / (tau_k A^(n)_{n-k}), infinite if A <= 0
+        denom = (mesh.tau[:w] * Kb)[inside]
+        ratio = np.divide((avg * mesh.tau[:w])[inside], denom, where=denom > 0.0,
+                          out=np.full_like(denom, math.inf))
+        pi_est = max(pi_est, float(ratio.max()))
     # relative cushion so a claim of exactly pi_A survives last-bit rounding
     holds = None if pi_A_claim is None else bool(
         pi_est <= pi_A_claim * (1.0 + 1e-10))
-    return AssumptionReport(
-        a1_holds=a1,
-        a1_worst_violation=worst,
-        a2_pi_estimate=pi_est,
-        pi_A_claim=pi_A_claim,
-        a2_holds_for_claim=holds,
-    )
+    return AssumptionReport(a1, worst, pi_est, pi_A_claim, holds)
 
 
 def apply_discrete_derivative(table: KernelTable, v) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,14 +102,20 @@ def _build(nodes: np.ndarray) -> TimeMesh:
     return TimeMesh(nodes=nodes, tau=tau, rho=rho)
 
 
+def _check_steps(N) -> int:
+    """N as an int; numpy integers pass, floats, bools and N < 1 do not."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
+        raise InvalidMeshError(f"N must be a positive integer, got {N!r}")
+    return int(N)
+
+
 def graded_mesh(N: int, gamma: float, T: float) -> TimeMesh:
     """Mesh with nodes t_n = (n/N)**gamma * T.
 
     gamma = 1 gives the uniform mesh; larger gamma concentrates points near
-    t = 0. Requires N >= 1, gamma >= 1 and T > 0.
+    t = 0. Requires a positive integer N, gamma >= 1 and T > 0.
     """
-    if N < 1:
-        raise InvalidMeshError(f"N must be a positive integer, got {N}")
+    N = _check_steps(N)
     if gamma < 1.0:
         raise InvalidMeshError(f"grading exponent must satisfy gamma >= 1, got {gamma}")
     if T <= 0.0:
@@ -143,6 +150,7 @@ def random_mesh(N: int, T: float, rho_bound: float = 1.75, seed=None) -> TimeMes
     Consecutive step factors tau_{k+1}/tau_k are drawn from
     [1.02/rho_bound, 1.5], so rho_k = tau_k/tau_{k+1} <= rho_bound/1.02.
     """
+    N = _check_steps(N)
     if rho_bound <= 1.02 / 1.5:
         raise InvalidMeshError("rho_bound too small for the factor window")
     rng = np.random.default_rng(seed)

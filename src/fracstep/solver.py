@@ -19,7 +19,7 @@ from .complementary import ComplementaryTable
 from .kernels import KernelTable, build_table, check_same_problem
 from .mesh import TimeMesh, graded_mesh
 from .soe import SOEApprox, _SOEHistory
-from .specialfn import mittag_leffler
+from .specialfn import _ml_envelope, mittag_leffler
 
 __all__ = [
     "SingleModeProblem",
@@ -415,8 +415,7 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
 
     rho = max(1.0, mesh.max_ratio())
     mu = 4.0 * rho * pi_A * problem.kappa
-    factor = 2.0 * np.array(
-        [mittag_leffler(alpha, mu * t ** alpha) for t in mesh.nodes[1:]])
+    factor = _ml_envelope(alpha, mu, mesh.nodes[1:])
     S = ctable.P @ psi_norms
     norms = math.sqrt(h) * np.linalg.norm(traj, axis=1)
     envelope = factor * (norms[0] + 2.0 * np.maximum.accumulate(S))

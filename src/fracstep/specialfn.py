@@ -126,6 +126,12 @@ def _sum_double_double(alpha: float, z: float, cfg: MLEvalConfig, k_max: int) ->
     )
 
 
+def _ml_envelope(alpha: float, mu: float, t) -> np.ndarray:
+    """2 E_alpha(mu t^alpha) at each time in ``t``: the Gronwall and stability
+    envelope factor."""
+    return 2.0 * np.array([mittag_leffler(alpha, mu * tn ** alpha) for tn in t])
+
+
 def mittag_leffler(alpha: float, z: float, cfg: MLEvalConfig = _DEFAULT_CFG) -> float:
     """E_alpha(z) = sum_k z**k / Gamma(1 + k*alpha) for alpha in (0, 1].
 

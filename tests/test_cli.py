@@ -192,7 +192,8 @@ def test_soe_build_json(capsys):
 
 
 # sha256 of the `kernels dump` body per scheme at alpha = 0.4; recombination
-# exists only on uniform meshes, so bdf2recombined is pinned on graded:64,1,1
+# exists only on uniform meshes, so bdf2recombined is pinned on graded:64,1,1.
+# The N = 300 tables span many row blocks of the kernel evaluator.
 DUMP_SHA256 = {
     ("l1", "graded:64,2,1"):
         "3a9525124a89552f75f4301ecdfcdabfc92d41aad9eef0ee17e37c9ae98c63ad",
@@ -204,6 +205,12 @@ DUMP_SHA256 = {
         "e154b6dc52150a057e80c3d35804103ed0a9e816fa5b60924a7bd32e805f2c11",
     ("bdf2recombined", "graded:64,1,1"):
         "67469d09490b6aba443350f070f6e7b7c4133ece41786eed04d44f1ea3425300",
+    ("l1", "graded:300,3,1"):
+        "5fdb6d7e16a4f7abf86a56e3573ef766ee4a30f0cd17b2ea6f8b4544a65cd16e",
+    ("alikhanov", "graded:300,3,1"):
+        "cb478943b3d0ee76486a583d9ba415b5a9caac0c61542b6c303a074da499553a",
+    ("bdf2", "graded:300,3,1"):
+        "870a3b4e035e06454a26b14340a8c06655b2543ed9f315e4c9fc1544190b4086",
 }
 
 
@@ -213,6 +220,29 @@ def test_kernels_dump_bytes_pinned(capsys, scheme, mesh):
                        "--mesh", mesh, "--alpha", "0.4")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[scheme, mesh]
+
+
+# sha256 of `audit` bodies at alpha = 0.4 and N = 300 (bdf2 fails A1 there)
+AUDIT_SHA256 = {
+    ("l1", "graded:300,3,1"):
+        "788add39b8f30ca30209ab161acd7ca4a57ea1af26a06d77838dde36498d8288",
+    ("fastl1", "graded:300,3,1"):
+        "623e723b3a9c976c849d0df0c2d883362390c18174aab405cf2a0f19eec89479",
+    ("alikhanov", "graded:300,3,1"):
+        "0577ca9603129a8de670ce1041181e95facaa848acdbccf7f78cd47c591a822c",
+    ("bdf2", "graded:300,3,1"):
+        "72cc361b6b68be11d6e7d8259517f2fe4724c6d5ded1ddf9b7c334c9fc216b48",
+    ("bdf2recombined", "graded:300,1,1"):
+        "3728d8ff80b0865a0947d22731fe4384b793413524e1290cc85f429a8de72ff5",
+}
+
+
+@pytest.mark.parametrize("scheme,mesh", sorted(AUDIT_SHA256))
+def test_audit_bytes_pinned(capsys, scheme, mesh):
+    code, out, _ = run(capsys, "audit", "--scheme", scheme, "--mesh", mesh,
+                       "--alpha", "0.4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_SHA256[scheme, mesh]
 
 
 def test_gronwall_verify_leaves_built_table_alone(capsys, monkeypatch):

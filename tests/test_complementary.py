@@ -10,9 +10,8 @@ from fracstep.complementary import (
     check_lemma21,
     check_lemma22_23,
     identity_residual,
-    to_csv,
 )
-from fracstep.kernels import KernelTable, alikhanov_kernel, l1_kernel
+from fracstep.kernels import KernelTable, alikhanov_kernel, kernel_rows_csv, l1_kernel
 from fracstep.mesh import graded_mesh, mesh_from_nodes, random_mesh, uniform_mesh
 
 from conftest import make_mesh
@@ -119,7 +118,7 @@ def test_lemma22_power_k1_reduces_to_plain_sum(store):
 def test_csv_export(store, tmp_path):
     _, _, ct = store.ctable("l1", "uniform", 12, 0.5)
     buf = io.StringIO()
-    count = to_csv(ct, buf, ["scheme=l1"])
+    count = kernel_rows_csv(ct.rows, buf, ["scheme=l1"])
     assert count == 12 * 13 // 2
     assert buf.getvalue().startswith("# scheme=l1\nn,lag,value\n")
 

@@ -8,6 +8,7 @@ from fracstep.kernels import (
     A1_SLACK,
     KernelTable,
     NonUniformMeshError,
+    _weight_integrals,
     alikhanov_kernel,
     apply_discrete_derivative,
     bdf2_kernel,
@@ -17,7 +18,7 @@ from fracstep.kernels import (
     kernel_rows_csv,
     verify_assumptions,
 )
-from fracstep.mesh import graded_mesh, mesh_from_nodes, uniform_mesh
+from fracstep.mesh import graded_mesh, mesh_from_nodes, random_mesh, uniform_mesh
 from fracstep.soe import SOENotCertifiedError, build_soe
 from fracstep.specialfn import omega
 
@@ -357,6 +358,47 @@ def test_verify_assumptions_strict_mode():
                          pi_A=None, mesh=mesh)
     assert verify_assumptions(wobbly, mesh).a1_holds
     assert not verify_assumptions(wobbly, mesh, strict=True).a1_holds
+
+
+def _row_by_row_audit(table, mesh, strict):
+    """The per-row L1 entries and audit that the block evaluator replaced,
+    kept as its bit-for-bit reference."""
+    t, tau = mesh.nodes, mesh.tau
+    worst, a1, pi_est, l1_rows = 0.0, True, 0.0, []
+    for n in range(1, table.N + 1):
+        row = table.row(n)
+        slack = 0.0 if strict else A1_SLACK * abs(row[0])
+        mono = float(np.max(np.diff(row), initial=0.0))
+        worst = max(worst, float(max(0.0, -row.min())), mono)
+        a1 = a1 and not (row.min() <= 0.0 or mono > slack)
+        avg, _ = _weight_integrals(table.alpha, t[n] - t[1:n + 1], tau[:n])
+        l1_rows.append(avg)
+        denom = tau[:n] * row[::-1]
+        pi_est = math.inf if np.any(denom <= 0.0) else max(
+            pi_est, float((avg * tau[:n] / denom).max()))
+    return l1_rows, (a1, worst, pi_est)
+
+
+@pytest.mark.parametrize("build", [l1_kernel, alikhanov_kernel, bdf2_kernel])
+@pytest.mark.parametrize("mesh", [graded_mesh(200, 3.0, 1.0),
+                                  random_mesh(200, 1.0, seed=3)],
+                         ids=["graded3", "random"])
+def test_block_evaluator_matches_row_by_row(build, mesh):
+    table = build(mesh, 0.45)
+    wobbly, negative = table.K.copy(), table.K.copy()
+    wobbly[170, 3] = wobbly[170, 4] * (1.0 + 1e-14)  # below the default slack
+    negative[120, 60] = -1e-3
+    for K in (table.K, wobbly, negative):
+        tab = KernelTable(K, table.theta, 0.45, table.scheme_id, None, mesh)
+        for strict in (False, True):
+            rows, expected = _row_by_row_audit(tab, mesh, strict)
+            report = verify_assumptions(tab, mesh, strict=strict)
+            got = (report.a1_holds, report.a1_worst_violation,
+                   report.a2_pi_estimate)
+            assert got == expected
+    if build is l1_kernel:
+        for n, row in enumerate(rows, start=1):
+            assert np.array_equal(table.K[n - 1, :n], row)
 
 
 def test_apply_discrete_derivative_matches_loops():

@@ -117,6 +117,18 @@ def test_random_mesh_respects_ratio_bound():
         assert m.nodes[0] == 0.0
 
 
+@pytest.mark.parametrize("make", [lambda N: graded_mesh(N, 2.0, 1.0),
+                                  lambda N: random_mesh(N, 1.0, seed=0)],
+                         ids=["graded", "random"])
+@pytest.mark.parametrize("N", [0, -3, 2.5, 4.0, True, "4"])
+def test_step_count_must_be_a_positive_integer(make, N):
+    # a float N used to give a mesh ending short of T, N <= 0 a one-step mesh
+    with pytest.raises(InvalidMeshError, match="positive integer"):
+        make(N)
+    m = make(np.int64(3))
+    assert m.N == 3 and m.T == 1.0
+
+
 def test_offset_nodes():
     m = mesh_from_nodes([0, 1, 3])
     off = m.offset_nodes(0.25)

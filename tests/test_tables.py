@@ -19,7 +19,13 @@ from fracstep.gronwall import (
     verify_gronwall_linear,
     verify_gronwall_quadratic,
 )
-from fracstep.kernels import apply_discrete_derivative, l1_kernel, verify_assumptions
+from fracstep.kernels import (
+    alikhanov_kernel,
+    apply_discrete_derivative,
+    bdf2_kernel,
+    l1_kernel,
+    verify_assumptions,
+)
 from fracstep.mesh import graded_mesh, uniform_mesh
 from fracstep.solver import FDProblem1D, check_stability_envelope, solve_fd1d
 
@@ -78,6 +84,8 @@ def test_audits_refuse_a_table_built_for_another_problem(name):
 # outputs included; the tables it reads already exist.
 MEMORY_LIMITS = {
     "l1_kernel": 1.25,
+    "alikhanov_kernel": 1.25,
+    "bdf2_kernel": 1.25,
     "build_complementary": 1.25,
     "identity_residual": 1.0,
     "verify_assumptions": 1.0,
@@ -93,6 +101,8 @@ def test_scratch_memory_stays_within_one_table():
     made = {}
     calls = {
         "l1_kernel": lambda: made.setdefault("table", l1_kernel(mesh, 0.5)),
+        "alikhanov_kernel": lambda: alikhanov_kernel(mesh, 0.5),
+        "bdf2_kernel": lambda: bdf2_kernel(mesh, 0.5),
         "build_complementary": lambda: made.setdefault(
             "ct", build_complementary(made["table"])),
         "identity_residual": lambda: identity_residual(made["ct"]),
