@@ -170,8 +170,9 @@ def check_lemma22_23(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
     t = mesh.nodes[1:]
     W = np.stack([omega(1.0 + k * alpha, t) for k in range(k_max + 1)], axis=1)
     lhs_w, rhs_w = W[:, :-1], fac * W[:, 1:]  # column k-1 serves power k
-    logE = np.array([[log_mittag_leffler(alpha, mu * tj ** alpha) for mu in mus]
-                     for tj in t])
+    # float_power is libm's pow, as the scalar t_j ** alpha, so logE keeps its bits
+    logE = log_mittag_leffler(
+        alpha, np.float_power(t, alpha)[:, None] * np.asarray(mus, dtype=float))
     rhs_log = (math.log(fac) + logE + np.log1p(-np.exp(-logE))
                - np.log(np.asarray(mus, dtype=float)))
     power_excess = -math.inf

@@ -233,9 +233,8 @@ def solve_single_mode(problem: SingleModeProblem, mesh: TimeMesh,
     if exact is not None:
         reference = np.array([exact(t) for t in mesh.nodes])
     elif problem.psi is None and problem.kappa == 0.0:
-        reference = problem.u0 * np.array(
-            [mittag_leffler(problem.alpha, -problem.lambda_L * t ** problem.alpha)
-             if t > 0 else 1.0 for t in mesh.nodes])
+        reference = problem.u0 * mittag_leffler(
+            problem.alpha, -problem.lambda_L * mesh.nodes ** problem.alpha)
     errors = np.abs(us - reference) if reference is not None else None
     return SingleModeResult(us=us, exact=reference, errors=errors)
 
@@ -388,6 +387,9 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
     """
     check_same_problem(ktable, mesh)
     check_same_problem(ctable.source, mesh, ktable.alpha)
+    if not math.isfinite(pi_A):
+        raise ValueError(f"the stability envelope needs a finite pi_A, got {pi_A}: "
+                         "the kernel table fails A1")
     theta = ktable.theta
     alpha = ktable.alpha
     h = result.h

@@ -272,15 +272,29 @@ def test_gronwall_verify_refuses_table_failing_a1(capsys):
     assert "finite pi_A" in err
 
 
+def test_solve_fd1d_refuses_table_failing_a1(capsys):
+    # alpha 0.7 on this mesh gives a bdf2 table with a non-positive entry, so
+    # pi_A measures infinite and the stability envelope has no finite rate
+    argv = ["solve", "--problem", "fd1d", "--scheme", "bdf2",
+            "--mesh", "graded:200,2,1", "--M", "16"]
+    code, out, err = run(capsys, *argv, "--alpha", "0.7")
+    assert code == 2
+    assert out == ""
+    assert "finite pi_A" in err and "fails A1" in err
+    code, out, _ = run(capsys, *argv, "--alpha", "0.3")
+    assert code == 0
+    assert out.startswith("# fracstep solve")
+
+
 # sha256 of `solve` bodies at alpha = 0.4 (fd1d with M = 16, kappa = 0.5);
 # the marching loop must reproduce them byte for byte
 SOLVE_SHA256 = {
     ("single-mode", "l1", "graded:64,2,1"):
-        "c64c4db70f0308a6ded81d12107907f05d550d04206fce96dd0e90d93694a130",
+        "4874554ed44e02a95d3f3de0336d7f30c294ae7351feb0b14989c183eb943d08",
     ("single-mode", "alikhanov", "graded:64,2,1"):
-        "7d9bca6e9f28db3efaac8fde343707d7def225c96600dad22d9c11cdd8bf6e37",
+        "36bb709fd3e7ac84b881f4cc8271142826a6cced6c676128a0c414e7ec104626",
     ("single-mode", "bdf2recombined", "graded:64,1,1"):
-        "a6cc063f4d6a7071a10565d0adbff9a920ad544735cd26649d5395d540c27e4a",
+        "370cc9959c84c106ecccf8734b20b53d98e8408831e2c1fd7a8229a7ec8178cb",
     ("fd1d", "l1", "graded:64,2,1"):
         "35b2a19e812a144a3b837c354a8bfb70a5c79243564313fc3e5f65a87eb2bc3f",
     ("fd1d", "alikhanov", "graded:64,2,1"):

@@ -156,3 +156,104 @@ def test_log_ml_handles_huge_values():
 def test_log_ml_rejects_negative():
     with pytest.raises(ValueError):
         log_mittag_leffler(0.5, -1.0)
+
+
+def _refusal_edge(alpha, cfg):
+    """Largest x (to 1e-9) with E_alpha(-x) accepted; refused beyond it."""
+    lo, hi = 0.0, 100.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        try:
+            mittag_leffler(alpha, -mid, cfg)
+            lo = mid
+        except NonConvergenceError:
+            hi = mid
+    return lo
+
+
+def _oracle(alpha, z):
+    """mpmath_ml with enough digits to absorb the cancellation and enough
+    terms to pass the peak and fall below 1e-30."""
+    ln_abs = math.log(abs(z))
+    ln_t = [k * ln_abs - math.lgamma(1.0 + alpha * k) for k in range(1, 5000)]
+    peak = int(np.argmax(ln_t))
+    terms = next(k for k in range(peak, len(ln_t)) if ln_t[k] < -70.0) + 2
+    return float(mpmath_ml(alpha, z, dps=30 + int(max(ln_t) / 2.3), terms=terms))
+
+
+@pytest.mark.parametrize("abs_tol", [1e-14, 1e-5])
+def test_ml_array_matches_oracle_up_to_refusal_edge(abs_tol):
+    # x runs from the series band through the whole cancellation band the
+    # contour serves, up to the refusal edge
+    cfg = MLEvalConfig(abs_tol=abs_tol)
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0):
+        edge = _refusal_edge(alpha, cfg)
+        xs = np.linspace(0.05, edge, 10)
+        got = mittag_leffler(alpha, -xs, cfg)
+        ref = np.array([_oracle(alpha, -x) for x in xs])
+        err = np.abs(got - ref)
+        assert err.max() <= abs_tol, (alpha, xs[err.argmax()], err.max())
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("cfg", [
+    MLEvalConfig(), MLEvalConfig(abs_tol=1e-5), MLEvalConfig(max_terms=4),
+    MLEvalConfig(max_terms=100), MLEvalConfig(abs_tol=1e-15)])
+def test_ml_array_agrees_with_scalar_loop(cfg):
+    rng = np.random.default_rng(7)
+    mixed = rng.permutation(np.concatenate(
+        [-np.geomspace(1e-3, 40.0, 60), np.geomspace(1e-3, 30.0, 29), [0.0, -0.0]]))
+    for alpha in (0.3, 0.7, 1.0):
+        ok = [z for z in mixed
+              if not isinstance(_outcome(lambda: mittag_leffler(alpha, z, cfg)),
+                                Exception)]
+        cases = [mixed.reshape(7, 13), np.array(ok),
+                 np.insert(ok, len(ok) // 2, math.nan),
+                 np.insert(ok, len(ok) // 3, -1e3), np.array([math.inf, -1e3])]
+        for z in cases:
+            scalar = []
+            for v in z.ravel():
+                scalar.append(_outcome(lambda: mittag_leffler(alpha, float(v), cfg)))
+                if isinstance(scalar[-1], Exception):
+                    break
+            got = _outcome(lambda: mittag_leffler(alpha, z, cfg))
+            if isinstance(scalar[-1], Exception):
+                assert type(got) is type(scalar[-1]), (alpha, got, scalar[-1])
+                assert str(got) == str(scalar[-1])
+            else:
+                assert got.shape == z.shape
+                assert np.array_equal(got.ravel(), scalar)
+
+
+def test_ml_scalar_argument_returns_float():
+    for z in (-1.0, np.float64(-1.0), np.array(-1.0), 0.0):
+        assert type(mittag_leffler(0.5, z)) is float
+        assert type(log_mittag_leffler(0.5, abs(z))) is float
+    assert mittag_leffler(0.5, np.array([-1.0])).shape == (1,)
+
+
+def test_ml_tolerance_below_contour_accuracy_refuses_in_cancellation_band():
+    tight = MLEvalConfig(abs_tol=1e-15)
+    for alpha, z in [(0.5, -4.5), (0.6, -4.0), (1.0, -18.0), (0.3, -1.5)]:
+        mittag_leffler(alpha, z)  # the default tolerance answers here
+        with pytest.raises(NonConvergenceError, match="certified accuracy"):
+            mittag_leffler(alpha, z, tight)
+    assert mittag_leffler(0.9, 1.5, tight) == pytest.approx(
+        ORACLE_VALUES[0.9, 1.5], rel=5e-14)
+
+
+def test_log_ml_array_agrees_with_scalar_loop():
+    z = np.array([[0.0, 0.3, 4.0], [20.0, 1e-3, 10.0]])
+    for alpha in (0.3, 0.5, 0.9):
+        got = log_mittag_leffler(alpha, z)
+        assert got.shape == z.shape
+        assert np.array_equal(got.ravel(),
+                              [log_mittag_leffler(alpha, float(v)) for v in z.ravel()])
+    with pytest.raises(ValueError):
+        log_mittag_leffler(0.5, np.array([1.0, -1.0]))

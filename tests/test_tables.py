@@ -28,6 +28,7 @@ from fracstep.kernels import (
 )
 from fracstep.mesh import graded_mesh, uniform_mesh
 from fracstep.solver import FDProblem1D, check_stability_envelope, solve_fd1d
+from fracstep.specialfn import mittag_leffler
 
 
 def test_rows_and_diagonal_are_views_of_one_readonly_matrix():
@@ -92,6 +93,9 @@ MEMORY_LIMITS = {
     "check_lemma21": 1.0,
     "check_lemma22_23": 1.0,
     "apply_discrete_derivative": 1.0,
+    "mittag_leffler": 1.0,
+    "gronwall_bound": 1.0,
+    "check_stability_envelope": 1.0,
 }
 
 
@@ -99,6 +103,8 @@ def test_scratch_memory_stays_within_one_table():
     N = 512
     mesh = graded_mesh(N, 2.0, 1.0)
     made = {}
+    bound = GronwallProblem(lambdas=np.zeros(N), g=np.ones(N), v0=1.0, Lambda=0.5)
+    fd = FDProblem1D(length=1.0, M=8, kappa=1.0)
     calls = {
         "l1_kernel": lambda: made.setdefault("table", l1_kernel(mesh, 0.5)),
         "alikhanov_kernel": lambda: alikhanov_kernel(mesh, 0.5),
@@ -112,9 +118,18 @@ def test_scratch_memory_stays_within_one_table():
                                                      rho=1.0),
         "apply_discrete_derivative": lambda: apply_discrete_derivative(
             made["table"], np.ones((N + 1, 4))),
+        # at alpha = 0.5 the series band ends near x = 1.1 and the contour
+        # band runs on to 5.7
+        "mittag_leffler": lambda: mittag_leffler(0.5, np.linspace(0.0, -5.0, N)),
+        "gronwall_bound": lambda: gronwall_bound(bound, made["ct"], mesh, 0.5,
+                                                 1.0, 1.0),
+        "check_stability_envelope": lambda: check_stability_envelope(
+            made["table"], mesh, made["run"], fd, made["ct"], 1.0),
     }
     peaks = {}
     for name, call in calls.items():
+        if name == "check_stability_envelope":  # the run it audits exists too
+            made["run"] = solve_fd1d(fd, mesh, made["table"])
         tracemalloc.start()
         try:
             call()
