@@ -50,21 +50,14 @@ def _emit(text: str, out_path):
         fh.write(text)
 
 
-def _cmd_kernels_dump(args):
+def _cmd_dump(args):
+    """``kernels dump`` or ``complementary dump``: the table's (n, lag, value) CSV."""
     mesh = parse_mesh_spec(args.mesh)
     table = kernels.build_table(args.scheme, mesh, args.alpha, args.eps)
+    if args.command == "complementary":
+        table = complementary.build_complementary(table)
     with _sink(args.out) as fh:
         kernels.kernel_rows_csv(table.rows, fh,
-                                _header_lines(args, ["scheme", "mesh", "alpha"]))
-    return EXIT_OK
-
-
-def _cmd_complementary_dump(args):
-    mesh = parse_mesh_spec(args.mesh)
-    table = kernels.build_table(args.scheme, mesh, args.alpha, args.eps)
-    ctable = complementary.build_complementary(table)
-    with _sink(args.out) as fh:
-        kernels.kernel_rows_csv(ctable.rows, fh,
                                 _header_lines(args, ["scheme", "mesh", "alpha"]))
     return EXIT_OK
 
@@ -164,7 +157,7 @@ def _cmd_solve(args):
     mesh = parse_mesh_spec(args.mesh)
     if args.scheme == "fastl1":
         # march on the O(Nq) history, not on an O(N^2 Nq) table
-        kernel = soe.build_soe(args.alpha, args.eps, float(mesh.tau.min()), mesh.T)
+        kernel = soe._soe_for_mesh(args.alpha, args.eps, mesh)
     else:
         kernel = table = kernels.build_table(args.scheme, mesh, args.alpha)
     header = _header_lines(args, ["problem", "scheme", "mesh", "alpha",
@@ -267,19 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="include a timestamp header line (off for "
                              "byte-reproducible output)")
 
-    k = sub.add_parser("kernels", help="kernel table utilities")
-    ksub = k.add_subparsers(dest="kernels_command", required=True)
-    kd = ksub.add_parser("dump", help="CSV of (n, lag, value)")
-    kd.add_argument("--scheme", choices=kernels.SCHEMES, required=True)
-    common(kd)
-    kd.set_defaults(func=_cmd_kernels_dump)
-
-    c = sub.add_parser("complementary", help="complementary table utilities")
-    csub = c.add_subparsers(dest="complementary_command", required=True)
-    cd = csub.add_parser("dump", help="CSV of (n, lag, value)")
-    cd.add_argument("--scheme", choices=kernels.SCHEMES, required=True)
-    common(cd)
-    cd.set_defaults(func=_cmd_complementary_dump)
+    for name, noun in (("kernels", "kernel"), ("complementary", "complementary")):
+        tsub = sub.add_parser(name, help=f"{noun} table utilities").add_subparsers(
+            dest=f"{name}_command", required=True)
+        dump = tsub.add_parser("dump", help="CSV of (n, lag, value)")
+        dump.add_argument("--scheme", choices=kernels.SCHEMES, required=True)
+        common(dump)
+        dump.set_defaults(func=_cmd_dump)
 
     a = sub.add_parser("audit", help="positivity/monotonicity and lower-bound audit")
     a.add_argument("--scheme", choices=kernels.SCHEMES, required=True)

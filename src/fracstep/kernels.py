@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import TimeMesh
-from .soe import SOEApprox, _check_certified, build_soe
+from .soe import SOEApprox, _check_certified, _soe_for_mesh, fast_l1_apply
 from .specialfn import omega
 
 __all__ = [
@@ -273,29 +273,16 @@ def bdf2_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
 def fast_l1_kernel(mesh: TimeMesh, alpha: float, soe: SOEApprox) -> KernelTable:
     """L1 kernels with the history part compressed by decaying exponentials.
 
-    The diagonal entries are the exact L1 ones; entries of lag >= 1 integrate
-    the exponential sum instead of the singular weight, term by term in
-    closed form. The approximation must be certified on a window covering
-    every gap t_n - s that occurs, and its tolerance must satisfy
+    Column k is the SOE march of ``soe.fast_l1_apply`` on the unit step at
+    t_k, so row n holds the coefficients that march applies at step n. The
+    approximation must be certified on a window covering every gap t_n - s
+    that occurs, and its tolerance must satisfy
     eps <= min(omega_{1-a}(T)/3, a * omega_{2-a}(1)) for the 3/2 lower-bound
     constant to hold.
     """
     alpha = _check_alpha(alpha)
     _check_certified(soe, mesh, alpha)
-    t = mesh.nodes
-    tau = mesh.tau
-    theta_nodes = soe.nodes
-    K = np.zeros((mesh.N, mesh.N))
-    for n in range(1, mesh.N + 1):
-        K[n - 1, n - 1] = omega(2.0 - alpha, tau[n - 1]) / tau[n - 1]
-        if n >= 2:
-            # (1/tau_k) int of each exponential in product form: decay to the
-            # interval's near end times -expm1(-theta tau)/(theta tau); no
-            # antiderivative differencing, so short intervals do not cancel
-            u_lo = t[n] - t[1:n]  # k = 1..n-1
-            x = np.outer(theta_nodes, tau[: n - 1])
-            decay = np.exp(-np.outer(theta_nodes, u_lo))
-            K[n - 1, : n - 1] = soe.weights @ (decay * (-np.expm1(-x) / x))
+    K = fast_l1_apply(soe, mesh, np.tri(mesh.N + 1, mesh.N, -1))
     return KernelTable(K, 0.0, alpha, "fastl1", 1.5, mesh)
 
 
@@ -333,8 +320,7 @@ def build_table(scheme: str, mesh: TimeMesh, alpha: float,
     if scheme == "alikhanov":
         return alikhanov_kernel(mesh, alpha)
     if scheme == "fastl1":
-        approx = build_soe(alpha, eps, float(mesh.tau.min()), mesh.T)
-        return fast_l1_kernel(mesh, alpha, approx)
+        return fast_l1_kernel(mesh, alpha, _soe_for_mesh(alpha, eps, mesh))
     if scheme == "bdf2":
         return bdf2_kernel(mesh, alpha)
     if scheme == "bdf2recombined":

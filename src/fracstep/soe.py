@@ -175,6 +175,18 @@ def soe_eval(approx: SOEApprox, t: float) -> float:
     return float(approx.weights @ np.exp(-approx.nodes * t))
 
 
+def _soe_for_mesh(alpha: float, eps: float, mesh) -> SOEApprox:
+    """Fast L1's approximation on ``mesh``, certified on [min tau_n, T]."""
+    return build_soe(alpha, eps, float(mesh.tau.min()), mesh.T)
+
+
+def _step_factors(nodes, tau: float):
+    """Per node theta, the decay exp(-theta tau) of a state over a step of
+    length tau and the weight (1 - exp(-theta tau))/(theta tau) of its increment."""
+    x = nodes * tau
+    return np.exp(-x), -np.expm1(-x) / x
+
+
 def history_update(approx: SOEApprox, H_prev, u_incr, tau_k: float) -> np.ndarray:
     """One step of the per-node history recurrence
     H(t_k) = exp(-theta tau_k) H(t_{k-1}) + (1 - exp(-theta tau_k))/(theta tau_k) * incr,
@@ -187,8 +199,9 @@ def history_update(approx: SOEApprox, H_prev, u_incr, tau_k: float) -> np.ndarra
             f"history shape {H_prev.shape} does not match Nq={approx.Nq}")
     if tau_k <= 0.0:
         raise ValueError("tau_k must be positive")
-    x = approx.nodes.reshape((-1,) + (1,) * (H_prev.ndim - 1)) * tau_k
-    return np.exp(-x) * H_prev + (-np.expm1(-x) / x) * u_incr
+    nodes = approx.nodes.reshape((-1,) + (1,) * (H_prev.ndim - 1))
+    decay, phi = _step_factors(nodes, tau_k)
+    return decay * H_prev + phi * u_incr
 
 
 def _check_certified(approx: SOEApprox, mesh, alpha: float) -> None:
@@ -214,39 +227,42 @@ def _check_certified(approx: SOEApprox, mesh, alpha: float) -> None:
 
 class _SOEHistory:
     """Fast L1 history: Nq exponential states per unknown, O(Nq) memory at
-    any step count, with the exact L1 diagonal A^(n)_0 = omega_{2-a}(tau_n)/tau_n."""
+    any step count, with the exact L1 diagonal A^(n)_0 = omega_{2-a}(tau_n)/tau_n.
+    ``term(n)`` works out step n's decay and phi, which ``push`` then applies."""
 
     theta = 0.0
 
     def __init__(self, approx: SOEApprox, mesh, alpha: float, shape=()):
         _check_certified(approx, mesh, alpha)
-        self.approx, self.alpha, self.tau = approx, alpha, mesh.tau
+        self.weights, self.tau = approx.weights, mesh.tau
+        self.diagonal = omega(2.0 - alpha, mesh.tau) / mesh.tau
         self.nodes = approx.nodes.reshape((-1,) + (1,) * len(shape))
         self.H = np.zeros((approx.Nq,) + shape)
 
-    def a0(self, n: int) -> float:
-        return omega(2.0 - self.alpha, self.tau[n - 1]) / self.tau[n - 1]
-
     def term(self, n: int):
-        return self.approx.weights @ (np.exp(-self.nodes * self.tau[n - 1]) * self.H)
+        self.decay, self.phi = _step_factors(self.nodes, self.tau[n - 1])
+        return self.weights @ (self.decay * self.H)
 
-    def push(self, increment, tau: float) -> None:
-        self.H = history_update(self.approx, self.H, increment, tau)
+    def push(self, increment) -> None:
+        self.H *= self.decay
+        self.H += self.phi * increment
 
 
 def fast_l1_apply(approx: SOEApprox, mesh, v) -> np.ndarray:
-    """Memory derivative of a known sequence via histories, O(Nq) state.
+    """Memory derivative of a sequence of shape (N+1,) or (N+1, d) via
+    histories, O(Nq) state per column.
 
     Matches the direct L1 convolution to within a small multiple of eps times
     the total variation of the sequence.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape[0] != mesh.N + 1:
-        raise ValueError(f"sequence must have N+1 = {mesh.N + 1} entries")
-    history = _SOEHistory(approx, mesh, approx.alpha)
-    out = np.empty(mesh.N)
+    if v.ndim not in (1, 2) or v.shape[0] != mesh.N + 1:
+        raise ValueError(
+            f"sequence must have shape (N+1,) or (N+1, d) with N+1 = {mesh.N + 1}")
+    history = _SOEHistory(approx, mesh, approx.alpha, v.shape[1:])
+    out = np.empty((mesh.N,) + v.shape[1:])
     for n in range(1, mesh.N + 1):
         incr = v[n] - v[n - 1]
-        out[n - 1] = history.a0(n) * incr + history.term(n)
-        history.push(incr, mesh.tau[n - 1])
+        out[n - 1] = history.diagonal[n - 1] * incr + history.term(n)
+        history.push(incr)
     return out

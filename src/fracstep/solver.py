@@ -111,18 +111,16 @@ class _DenseHistory:
     def __init__(self, ktable: KernelTable, mesh: TimeMesh, alpha, shape):
         check_same_problem(ktable, mesh, alpha)
         self.ktable, self.theta = ktable, ktable.theta
+        self.diagonal = ktable.diagonal()
         self.dU = np.empty((ktable.N,) + shape)
         self.count = 0
-
-    def a0(self, n: int) -> float:
-        return self.ktable.K[n - 1, n - 1]
 
     def term(self, n: int):
         """sum_{k<n} A^(n)_{n-k} (u^k - u^{k-1}), zero at n = 1."""
         return np.tensordot(self.ktable.row(n)[1:], self.dU[: n - 1][::-1],
                             axes=(0, 0))
 
-    def push(self, increment, tau: float) -> None:
+    def push(self, increment) -> None:
         self.dU[self.count] = increment
         self.count += 1
 
@@ -185,8 +183,8 @@ def _march(problem, mesh: TimeMesh, kernel) -> np.ndarray:
     U = np.empty((mesh.N + 1,) + np.shape(u0))
     U[0] = u0
     for n in range(1, mesh.N + 1):
-        U[n] = solve(n, history.a0(n), U[n - 1], history.term(n))
-        history.push(U[n] - U[n - 1], mesh.tau[n - 1])
+        U[n] = solve(n, history.diagonal[n - 1], U[n - 1], history.term(n))
+        history.push(U[n] - U[n - 1])
     return U
 
 

@@ -238,7 +238,9 @@ def log_mittag_leffler(alpha: float, z):
     domain; this covers arguments whose value exceeds the double range, as
     happens in Gronwall-envelope style bounds with small alpha. Each element
     takes 1024 terms, doubled until the last falls 45 below the largest; one
-    that would need more than 2**24 raises NonConvergenceError.
+    that would need more than 2**24 raises NonConvergenceError. From
+    z**(1/alpha) = 40 on, the value is z**(1/alpha) - log(alpha): the rest of
+    the asymptotic expansion lies below exp(-z**(1/alpha)) relative.
     """
     alpha = _check_alpha(alpha)
     z_arr = np.asarray(z, dtype=float)
@@ -249,7 +251,14 @@ def log_mittag_leffler(alpha: float, z):
         raise ValueError("log_mittag_leffler requires z >= 0" if zb < 0.0
                          else f"z must be finite, got {float(zb)}")
     out = np.zeros(flat.shape)
-    todo = np.flatnonzero(flat > 0.0)
+    with np.errstate(over="ignore"):
+        root = flat ** (1.0 / alpha)
+    if np.isinf(root).any():
+        raise NonConvergenceError("log E_alpha(z) exceeds the double range for "
+                                  f"alpha={alpha}, z={float(flat[np.isinf(root)][0])}")
+    far = root >= 40.0
+    out[far] = root[far] - math.log(alpha)
+    todo = np.flatnonzero((flat > 0.0) & ~far)
     k_his = _doubling(1024, 2 ** 24)
 
     def finish(rows, ln_t):

@@ -198,7 +198,7 @@ DUMP_SHA256 = {
     ("l1", "graded:64,2,1"):
         "3a9525124a89552f75f4301ecdfcdabfc92d41aad9eef0ee17e37c9ae98c63ad",
     ("fastl1", "graded:64,2,1"):
-        "f65820758c810f2b7ad3ed971c4c17378c7b01bec971769854a0c295bc5cb112",
+        "98153d3c01fbab00b5926cfbc6f9642e26e9376c8eaad36b1ce8ce36e7e6c488",
     ("alikhanov", "graded:64,2,1"):
         "fbd55e9ec94de01c3a703bb80bbebea99a29e9b2856c3c3f60445e7bd501e6ec",
     ("bdf2", "graded:64,2,1"):

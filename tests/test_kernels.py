@@ -242,6 +242,56 @@ def test_fast_l1_certification_guards(store):
         fast_l1_kernel(mesh, alpha, sloppy)  # tolerance above the kernel cap
 
 
+def _fast_l1_row_by_row(mesh, alpha, approx):
+    """The per-row closed form that the SOE march replaced, kept as its
+    reference: each exponential decays to the interval's near end, times
+    -expm1(-theta tau)/(theta tau), in one exp per (node, entry)."""
+    t, tau = mesh.nodes, mesh.tau
+    K = np.zeros((mesh.N, mesh.N))
+    for n in range(1, mesh.N + 1):
+        K[n - 1, n - 1] = omega(2.0 - alpha, tau[n - 1]) / tau[n - 1]
+        x = np.outer(approx.nodes, tau[: n - 1])
+        decay = np.exp(-np.outer(approx.nodes, t[n] - t[1:n]))
+        K[n - 1, : n - 1] = approx.weights @ (decay * (-np.expm1(-x) / x))
+    return K
+
+
+FAST_L1_MESHES = {"graded3": graded_mesh(300, 3.0, 1.0),
+                  "random": random_mesh(300, 1.0, seed=3)}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_L1_MESHES))
+def test_fast_l1_table_matches_row_by_row(store, name):
+    mesh = FAST_L1_MESHES[name]
+    approx = store.soe(0.45, 1e-10, float(mesh.tau.min()), mesh.T)
+    K = fast_l1_kernel(mesh, 0.45, approx).K
+    ref = _fast_l1_row_by_row(mesh, 0.45, approx)
+    assert np.array_equal(K != 0.0, ref != 0.0)
+    assert np.array_equal(np.diag(K), np.diag(ref))
+    low = ref != 0.0
+    # products of per-step decays instead of one exp per entry: a few ulp
+    assert np.max(np.abs(K[low] - ref[low]) / ref[low]) <= 1e-13
+
+
+def test_fast_l1_table_matches_40_digit_sum(store):
+    mpmath = pytest.importorskip("mpmath")
+    mesh = FAST_L1_MESHES["graded3"]
+    approx = store.soe(0.45, 1e-10, float(mesh.tau.min()), mesh.T)
+    K = fast_l1_kernel(mesh, 0.45, approx).K
+    rng = np.random.default_rng(11)
+    n_s = np.concatenate(([2, 300, 300, 151], rng.integers(2, 301, size=36)))
+    k_s = np.concatenate(([1, 1, 299, 150], [rng.integers(1, n) for n in n_s[4:]]))
+    with mpmath.workdps(40):
+        theta = [mpmath.mpf(float(x)) for x in approx.nodes]
+        w = [mpmath.mpf(float(x)) for x in approx.weights]
+        for n, k in zip(n_s.tolist(), k_s.tolist()):
+            gap = mpmath.mpf(float(mesh.nodes[n])) - mpmath.mpf(float(mesh.nodes[k]))
+            h = mpmath.mpf(float(mesh.tau[k - 1]))
+            ref = mpmath.fsum(wq * mpmath.exp(-th * gap) * -mpmath.expm1(-th * h)
+                              / (th * h) for wq, th in zip(w, theta))
+            assert abs(K[n - 1, k - 1] - ref) <= 2e-14 * ref, (n, k)
+
+
 # ---------------------------------------------------------------------------
 # BDF2 and its recombination
 # ---------------------------------------------------------------------------

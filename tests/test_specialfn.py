@@ -158,6 +158,33 @@ def test_log_ml_rejects_negative():
         log_mittag_leffler(0.5, -1.0)
 
 
+@pytest.mark.parametrize("alpha,root", [(0.1, 40.0), (0.1, 200.0), (0.3, 55.0),
+                                        (0.5, 40.0), (0.5, 100.0), (0.8, 70.0),
+                                        (1.0, 40.0), (1.0, 200.0)])
+def test_log_ml_asymptotic_matches_series_oracle(alpha, root):
+    # from z^(1/alpha) = 40 on the value is z^(1/alpha) - log(alpha); the
+    # series oracle runs 3.5 z^(1/alpha)/alpha terms, past where they fall e^-75
+    mpmath = pytest.importorskip("mpmath")
+    z = root ** alpha
+    ref = mpmath.log(mpmath_ml(alpha, z, dps=40, terms=int(3.5 * root / alpha)))
+    assert abs(log_mittag_leffler(alpha, z) - float(ref)) <= 2.0 * math.ulp(float(ref))
+
+
+def test_log_ml_asymptotic_edges():
+    # below z^(1/alpha) = 40 the series keeps its values exactly
+    for alpha, z, value in [(0.1, 1.4, 31.228050590593984),
+                            (0.3, 3.0, 40.14471120262598),
+                            (0.5, 6.3, 40.383147180559945),
+                            (1.0, 39.5, 39.50000000000001)]:
+        assert log_mittag_leffler(alpha, z) == value
+    assert log_mittag_leffler(1.0, 60.0) == 60.0
+    # the series refused this one after building rows of 2**24 terms
+    assert log_mittag_leffler(0.1, 4.4) == 4.4 ** 10 - math.log(0.1)
+    for alpha, z in [(0.1, 1e31), (0.5, 1e200)]:
+        with pytest.raises(NonConvergenceError, match="double range"):
+            log_mittag_leffler(alpha, np.array([1.0, z]))
+
+
 def _refusal_edge(alpha, cfg):
     """Largest x (to 1e-9) with E_alpha(-x) accepted; refused beyond it."""
     lo, hi = 0.0, 100.0

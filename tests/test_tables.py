@@ -23,10 +23,12 @@ from fracstep.kernels import (
     alikhanov_kernel,
     apply_discrete_derivative,
     bdf2_kernel,
+    fast_l1_kernel,
     l1_kernel,
     verify_assumptions,
 )
 from fracstep.mesh import graded_mesh, uniform_mesh
+from fracstep.soe import build_soe
 from fracstep.solver import FDProblem1D, check_stability_envelope, solve_fd1d
 from fracstep.specialfn import mittag_leffler
 
@@ -87,6 +89,9 @@ MEMORY_LIMITS = {
     "l1_kernel": 1.25,
     "alikhanov_kernel": 1.25,
     "bdf2_kernel": 1.25,
+    # the table, the N unit steps it marches and their Nq x N states; a
+    # fall back to O(N^2 Nq) scratch would take about Nq/2 units
+    "fast_l1_kernel": 3.5,
     "build_complementary": 1.25,
     "identity_residual": 1.0,
     "verify_assumptions": 1.0,
@@ -105,10 +110,12 @@ def test_scratch_memory_stays_within_one_table():
     made = {}
     bound = GronwallProblem(lambdas=np.zeros(N), g=np.ones(N), v0=1.0, Lambda=0.5)
     fd = FDProblem1D(length=1.0, M=8, kappa=1.0)
+    approx = build_soe(0.5, 1e-10, float(mesh.tau.min()), mesh.T)
     calls = {
         "l1_kernel": lambda: made.setdefault("table", l1_kernel(mesh, 0.5)),
         "alikhanov_kernel": lambda: alikhanov_kernel(mesh, 0.5),
         "bdf2_kernel": lambda: bdf2_kernel(mesh, 0.5),
+        "fast_l1_kernel": lambda: fast_l1_kernel(mesh, 0.5, approx),
         "build_complementary": lambda: made.setdefault(
             "ct", build_complementary(made["table"])),
         "identity_residual": lambda: identity_residual(made["ct"]),
