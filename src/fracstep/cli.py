@@ -87,12 +87,17 @@ def _cmd_audit(args):
     return EXIT_OK
 
 
+def _pi_A(table, mesh) -> float:
+    """The table's proven pi_A, or the measured A2 constant when it claims none."""
+    if table.pi_A is not None:
+        return table.pi_A
+    return kernels.verify_assumptions(table, mesh).a2_pi_estimate
+
+
 def _cmd_gronwall_verify(args):
     mesh = parse_mesh_spec(args.mesh)
     table = kernels.build_table(args.scheme, mesh, args.alpha, args.eps)
-    if table.pi_A is None:
-        measured = kernels.verify_assumptions(table, mesh).a2_pi_estimate
-        table = dataclasses.replace(table, pi_A=measured)
+    table = dataclasses.replace(table, pi_A=_pi_A(table, mesh))
     ctable = complementary.build_complementary(table)
     if args.Lambda is not None:
         lam_total = args.Lambda
@@ -176,9 +181,7 @@ def _cmd_solve(args):
     res = solver.solve_fd1d(problem, mesh, kernel)
     if args.scheme == "fastl1":  # the audit needs K and P
         table = kernels.fast_l1_kernel(mesh, args.alpha, kernel)
-    pi_A = table.pi_A
-    if pi_A is None:
-        pi_A = kernels.verify_assumptions(table, mesh).a2_pi_estimate
+    pi_A = _pi_A(table, mesh)
     ctable = complementary.build_complementary(table)
     stab = solver.check_stability_envelope(table, mesh, res, problem, ctable, pi_A)
     _write_solve_csv(args.out, mesh, res.l2_norms, None, None, header)

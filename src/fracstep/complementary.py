@@ -66,6 +66,14 @@ class ComplementaryTable:
         return np.diagonal(self.P)
 
 
+def _check_source(ctable: ComplementaryTable, ktable: KernelTable) -> None:
+    """Raise ValueError unless ``ctable`` inverts ``ktable``'s coefficients,
+    so no audit pairs one scheme's P with another scheme's K."""
+    if not np.array_equal(ctable.source.K, ktable.K):
+        raise ValueError("kernel table differs from the one the complementary "
+                         "table was built from")
+
+
 def build_complementary(table: KernelTable) -> ComplementaryTable:
     """Solve the triangular identity sum_j P^(n)_{n-j} A^(j)_{j-m} = 1.
 
@@ -74,7 +82,8 @@ def build_complementary(table: KernelTable) -> ComplementaryTable:
     column is K's). B's diagonal is A^(m)_0 and its off-diagonal entries
     A^(j)_{j-m} - A^(j)_{j-m-1} are <= 0 for a monotone kernel, so the
     triangular inverse adds only nonnegative terms and keeps every entry of P
-    to a few ulp relative; cumsum(K^-1), whose terms cancel, does not.
+    to a few ulp relative to the stored K; cumsum(K^-1), whose terms cancel,
+    does not.
     B is built and inverted in place, so the peak is one (N, N) array.
     """
     diag = table.diagonal()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complementary import ComplementaryTable
+from .complementary import ComplementaryTable, _check_source
 from .kernels import (KernelTable, apply_discrete_derivative, check_same_problem,
                       row_blocks)
 from .mesh import TimeMesh
@@ -99,51 +99,54 @@ def check_step_restriction(mesh: TimeMesh, alpha: float, pi_A: float,
     return mesh.max_step() <= step_restriction_threshold(alpha, pi_A, Lambda)
 
 
+def _lemma(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
+           pi_A: float, rho: float, Lambda: float, form: str, v0, g):
+    """Envelope factor, complementary sums S = P g, bound and weak term for
+    data g of shape (N,) or (trials, N) and a start value v0 that broadcasts.
+
+    Positive Lambda: B_n = 2 E_alpha(2 max(1,rho) pi_A Lambda t_n^alpha) *
+    (v0 + running max of S); requires the step restriction. Nonpositive
+    Lambda: the factor drops to 1 and no step restriction is needed (running
+    max for the quadratic form, S itself for the linear one). The weak term
+    pi_A Gamma(1-alpha) max_j t_j^alpha g^j may replace the sums S.
+    """
+    check_same_problem(ctable.source, mesh, alpha)
+    if pi_A is None or not math.isfinite(pi_A):
+        raise ValueError(f"the Gronwall bound needs a finite pi_A, got {pi_A}")
+    N = mesh.N
+    if g.shape[-1] != N:
+        raise ValueError(f"g must have N = {N} entries")
+    if Lambda > 0.0:
+        limit = step_restriction_threshold(alpha, pi_A, Lambda)
+        if not mesh.max_step() <= limit:
+            raise StepRestrictionViolatedError(
+                f"max step {mesh.max_step():.3e} exceeds {limit:.3e}")
+        factor = _ml_envelope(alpha, 2.0 * max(1.0, rho) * pi_A * Lambda,
+                              mesh.nodes[1:])
+    else:
+        factor = np.ones(N)
+    S = g @ ctable.P.T  # S_k = sum_{j=1..k} P^(k)_{k-j} g^j
+    G = S if Lambda <= 0.0 and form == "linear" else np.maximum.accumulate(S, axis=-1)
+    weak_term = pi_A * math.gamma(1.0 - alpha) * np.maximum.accumulate(
+        mesh.nodes[1:] ** alpha * g, axis=-1)
+    return factor, S, factor * (v0 + G), weak_term
+
+
 def gronwall_bound(problem: GronwallProblem, ctable: ComplementaryTable,
                    mesh: TimeMesh, alpha: float, pi_A: float,
                    rho: float) -> GronwallCertificate:
-    """Per-step bound B_n on any sequence satisfying the hypothesis.
-
-    Positive Lambda: B_n = 2 E_alpha(2 max(1,rho) pi_A Lambda t_n^alpha) *
-    (v0 + running max of the complementary sums of g); requires the step
-    restriction. Nonpositive Lambda: the envelope factor drops to 1 and the
-    bound needs no step restriction (running max for the quadratic form, the
-    plain n-th sum for the linear one). The weak variant replaces the
-    complementary sums by pi_A Gamma(1-alpha) max_j t_j^alpha g^j.
-    """
+    """Per-step bound B_n and its weak variant on any sequence satisfying the
+    hypothesis (see ``_lemma``); a mesh breaking the step restriction is refused."""
     if problem.g is None:
         raise ValueError("problem.g must be set to evaluate the bound")
-    check_same_problem(ctable.source, mesh, alpha)
-    g = problem.g
-    N = mesh.N
-    if len(g) != N:
-        raise ValueError(f"g must have N = {N} entries")
-    S = ctable.P @ g  # S_k = sum_{j=1..k} P^(k)_{k-j} g^j
-    weak_term = pi_A * math.gamma(1.0 - alpha) * np.maximum.accumulate(
-        mesh.nodes[1:] ** alpha * g)
-    restriction_ok = check_step_restriction(mesh, alpha, pi_A, problem.Lambda)
-    if problem.Lambda > 0.0:
-        if not restriction_ok:
-            raise StepRestrictionViolatedError(
-                f"max step {mesh.max_step():.3e} exceeds "
-                f"{step_restriction_threshold(alpha, pi_A, problem.Lambda):.3e}")
-        mu = 2.0 * max(1.0, rho) * pi_A * problem.Lambda
-        factor = _ml_envelope(alpha, mu, mesh.nodes[1:])
-        G = problem.v0 + np.maximum.accumulate(S)
-        bound = factor * G
-        weak = factor * (problem.v0 + weak_term)
-    else:
-        factor = np.ones(N)
-        if problem.form == "linear":
-            bound = problem.v0 + S
-        else:
-            bound = problem.v0 + np.maximum.accumulate(S)
-        weak = problem.v0 + weak_term
+    factor, _, bound, weak_term = _lemma(ctable, mesh, alpha, pi_A, rho,
+                                         problem.Lambda, problem.form,
+                                         problem.v0, problem.g)
     return GronwallCertificate(
         bound_per_step=bound,
-        weak_bound_per_step=weak,
+        weak_bound_per_step=factor * (problem.v0 + weak_term),
         envelope_factor=factor,
-        step_restriction_ok=restriction_ok,
+        step_restriction_ok=True,
         form=problem.form,
         Lambda=problem.Lambda,
     )
@@ -158,11 +161,6 @@ class TrialReport:
     weak_dominates: bool
 
 
-def _offset_combine(V: np.ndarray, theta: float) -> np.ndarray:
-    """theta-weighted combinations v^{k-theta} for k = 1..N, per trial row."""
-    return theta * V[:, :-1] + (1.0 - theta) * V[:, 1:]
-
-
 def _lambda_convolution(lambdas: np.ndarray, W: np.ndarray) -> np.ndarray:
     """C[:, n-1] = sum_{k=1..n} lambda_{n-k} W[:, k-1] for each trial row: W times
     the lower-triangular Toeplitz matrix of the lambdas, one row block at a time."""
@@ -174,55 +172,32 @@ def _lambda_convolution(lambdas: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_trials(ctable, mesh, ktable, problem, trials, rng, quadratic, tol):
+def _run_trials(ctable, mesh, ktable, problem, trials, rng, form, tol):
     check_same_problem(ktable, mesh)
-    check_same_problem(ctable.source, mesh, ktable.alpha)
+    _check_source(ctable, ktable)
     N = mesh.N
-    rho = max(1.0, mesh.max_ratio())
-    pi_A = ktable.pi_A
-    if pi_A is None or not math.isfinite(pi_A):
-        raise ValueError(f"trials need a kernel table with a finite pi_A, got {pi_A}")
-    if problem.Lambda > 0.0 and not check_step_restriction(
-            mesh, ktable.alpha, pi_A, problem.Lambda):
-        raise StepRestrictionViolatedError(
-            "mesh violates the step restriction for this Lambda")
+    if len(problem.lambdas) != N:
+        raise ValueError(
+            f"lambdas must have N = {N} entries, got {len(problem.lambdas)}")
 
-    V = rng.uniform(0.1, 2.0, size=(trials, N + 1))
-    Vth = _offset_combine(V, problem.theta)
-    if quadratic:
-        lhs = apply_discrete_derivative(ktable, (V ** 2).T).T
-        lam_term = _lambda_convolution(problem.lambdas, Vth ** 2)
-        g = np.maximum(0.0, (lhs - lam_term) / Vth)
-    else:
-        lhs = apply_discrete_derivative(ktable, V.T).T
-        lam_term = _lambda_convolution(problem.lambdas, Vth)
-        g = np.maximum(0.0, lhs - lam_term)
-
-    # bound evaluated per trial; the envelope factor is shared
-    if problem.Lambda > 0.0:
-        mu = 2.0 * rho * pi_A * problem.Lambda
-        factor = _ml_envelope(ktable.alpha, mu, mesh.nodes[1:])
-    else:
-        factor = np.ones(N)
-    S = g @ ctable.P.T
-    if problem.Lambda > 0.0 or quadratic:
-        G = V[:, :1] + np.maximum.accumulate(S, axis=1)
-    else:
-        G = V[:, :1] + S
-    B = factor[None, :] * G
+    V = np.random.default_rng(rng).uniform(0.1, 2.0, size=(trials, N + 1))
+    # v^{k-theta} for k = 1..N, per trial row
+    Vth = problem.theta * V[:, :-1] + (1.0 - problem.theta) * V[:, 1:]
+    power = 2 if form == "quadratic" else 1
+    slack = (apply_discrete_derivative(ktable, (V ** power).T).T
+             - _lambda_convolution(problem.lambdas, Vth ** power))
+    # the data g is the hypothesis slack, so the inequality binds wherever g > 0
+    g = np.maximum(0.0, slack / Vth if form == "quadratic" else slack)
+    _, S, B, weak_term = _lemma(ctable, mesh, ktable.alpha, ktable.pi_A,
+                                mesh.max_ratio(), problem.Lambda, form,
+                                V[:, :1], g)
 
     margins = (B - V[:, 1:]) / np.maximum(B, 1.0)
-    violations = int(np.sum(np.min(margins, axis=1) < -tol))
-    weak_term = pi_A * math.gamma(1.0 - ktable.alpha) * np.maximum.accumulate(
-        mesh.nodes[1:] ** ktable.alpha * g, axis=1)
     weak_ok = bool(np.all(weak_term >= S - tol * np.maximum(1.0, weak_term)))
     return TrialReport(
-        trials=trials,
-        violations=violations,
-        min_margin=float(margins.min()),
-        mean_margin=float(margins.mean()),
-        weak_dominates=weak_ok,
-    )
+        trials=trials, violations=int(np.sum(np.min(margins, axis=1) < -tol)),
+        min_margin=float(margins.min()), mean_margin=float(margins.mean()),
+        weak_dominates=weak_ok)
 
 
 def verify_gronwall_quadratic(ctable: ComplementaryTable, mesh: TimeMesh,
@@ -232,9 +207,7 @@ def verify_gronwall_quadratic(ctable: ComplementaryTable, mesh: TimeMesh,
     """Randomized sequences with the data g chosen as the exact hypothesis
     slack (so the quadratic inequality is tight wherever it binds); every
     trial must stay below its certificate."""
-    rng = np.random.default_rng(rng)
-    return _run_trials(ctable, mesh, ktable, problem, trials, rng,
-                       quadratic=True, tol=tol)
+    return _run_trials(ctable, mesh, ktable, problem, trials, rng, "quadratic", tol)
 
 
 def verify_gronwall_linear(ctable: ComplementaryTable, mesh: TimeMesh,
@@ -242,9 +215,7 @@ def verify_gronwall_linear(ctable: ComplementaryTable, mesh: TimeMesh,
                            trials: int, rng=None,
                            tol: float = 1e-9) -> TrialReport:
     """Same drill for the linear-form hypothesis."""
-    rng = np.random.default_rng(rng)
-    return _run_trials(ctable, mesh, ktable, problem, trials, rng,
-                       quadratic=False, tol=tol)
+    return _run_trials(ctable, mesh, ktable, problem, trials, rng, "linear", tol)
 
 
 def exchange_identity_residual(ctable: ComplementaryTable,
@@ -254,6 +225,7 @@ def exchange_identity_residual(ctable: ComplementaryTable,
     This telescoping identity is an exact consequence of the complementary
     construction and is the sharpest machine check of the P table.
     """
+    _check_source(ctable, ktable)
     v = np.asarray(v, dtype=float)
     D = apply_discrete_derivative(ktable, v)
     return float(np.max(np.abs(ctable.P @ D - (v[1:] - v[0]))))

@@ -228,7 +228,8 @@ def _check_certified(approx: SOEApprox, mesh, alpha: float) -> None:
 class _SOEHistory:
     """Fast L1 history: Nq exponential states per unknown, O(Nq) memory at
     any step count, with the exact L1 diagonal A^(n)_0 = omega_{2-a}(tau_n)/tau_n.
-    ``term(n)`` works out step n's decay and phi, which ``push`` then applies."""
+    ``term(n)`` decays the states over step n and returns their weighted sum;
+    ``push`` then adds step n's increment with the weight phi."""
 
     theta = 0.0
 
@@ -240,11 +241,11 @@ class _SOEHistory:
         self.H = np.zeros((approx.Nq,) + shape)
 
     def term(self, n: int):
-        self.decay, self.phi = _step_factors(self.nodes, self.tau[n - 1])
-        return self.weights @ (self.decay * self.H)
+        decay, self.phi = _step_factors(self.nodes, self.tau[n - 1])
+        self.H *= decay
+        return self.weights @ self.H
 
     def push(self, increment) -> None:
-        self.H *= self.decay
         self.H += self.phi * increment
 
 

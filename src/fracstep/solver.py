@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .complementary import ComplementaryTable
+from .complementary import ComplementaryTable, _check_source
 from .kernels import KernelTable, build_table, check_same_problem
 from .mesh import TimeMesh, graded_mesh
 from .soe import SOEApprox, _SOEHistory
@@ -385,6 +385,7 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
     """
     check_same_problem(ktable, mesh)
     check_same_problem(ctable.source, mesh, ktable.alpha)
+    _check_source(ctable, ktable)
     if not math.isfinite(pi_A):
         raise ValueError(f"the stability envelope needs a finite pi_A, got {pi_A}: "
                          "the kernel table fails A1")

@@ -245,6 +245,29 @@ def test_audit_bytes_pinned(capsys, scheme, mesh):
     assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_SHA256[scheme, mesh]
 
 
+# sha256 of `gronwall verify` bodies at alpha = 0.4 with the default 100
+# trials and seed 0; the trials and the certified bound share one evaluator,
+# which must reproduce them byte for byte
+GRONWALL_SHA256 = {
+    ("l1", "graded:64,2,1"):
+        "8b3e96d9665c979401f6e2e3b9a8b5f9ee17a3c84125daf4fd4a854e52f810ae",
+    ("alikhanov", "graded:64,2,1"):
+        "ef029b613d06c6211d36fd610f8af991a676f285a21ac8857c8758066fe53d20",
+    ("fastl1", "graded:64,2,1"):
+        "3f658eded3768a28df7e7d342a26192f77df854bfee26a9f6a239f4eb36f235b",
+    ("bdf2recombined", "graded:64,1,1"):
+        "a3f3c16fb45d310f9d7d1d287b5ce4561d29ca9ed59e6810e640a323a62f9709",
+}
+
+
+@pytest.mark.parametrize("scheme,mesh", sorted(GRONWALL_SHA256))
+def test_gronwall_verify_bytes_pinned(capsys, scheme, mesh):
+    code, out, _ = run(capsys, "gronwall", "verify", "--scheme", scheme,
+                       "--mesh", mesh, "--alpha", "0.4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRONWALL_SHA256[scheme, mesh]
+
+
 def test_gronwall_verify_leaves_built_table_alone(capsys, monkeypatch):
     # bdf2 claims no pi_A, so the command runs on the measured one
     built = []

@@ -110,6 +110,27 @@ def test_bound_rejects_oversized_steps(store):
         gronwall_bound(problem, ctable, mesh, 0.5, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("pi_A", [math.inf, math.nan])
+@pytest.mark.parametrize("Lambda", [0.0, 0.3])
+def test_bound_refuses_non_finite_pi_A(store, pi_A, Lambda):
+    # with Lambda <= 0 this used to return inf or nan weak bounds silently
+    mesh, ktable, ctable = store.ctable("l1", "uniform", 16, 0.5)
+    problem = GronwallProblem(lambdas=lambda_sequence(16, Lambda), g=np.ones(16),
+                              v0=1.0, Lambda=Lambda)
+    with pytest.raises(ValueError, match="finite pi_A"):
+        gronwall_bound(problem, ctable, mesh, 0.5, pi_A, 1.0)
+
+
+@pytest.mark.parametrize("count", [3, 17])
+def test_trials_refuse_lambdas_of_wrong_length(store, count):
+    # too few used to die in an IndexError, too many were ignored silently
+    mesh, ktable, ctable = store.ctable("l1", "uniform", 16, 0.5)
+    problem = GronwallProblem(lambdas=np.zeros(count), g=None, v0=1.0, Lambda=0.0)
+    for verify in (verify_gronwall_quadratic, verify_gronwall_linear):
+        with pytest.raises(ValueError, match="N = 16"):
+            verify(ctable, mesh, ktable, problem, trials=2, rng=0)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         GronwallProblem(lambdas=np.array([1.0]), g=None, v0=1.0, Lambda=0.5)

@@ -15,6 +15,7 @@ from fracstep.complementary import (
 )
 from fracstep.gronwall import (
     GronwallProblem,
+    exchange_identity_residual,
     gronwall_bound,
     verify_gronwall_linear,
     verify_gronwall_quadratic,
@@ -61,6 +62,8 @@ def _mismatch_calls():
     fd = FDProblem1D(length=1.0, M=4, kappa=0.0)
     run = solve_fd1d(fd, mesh, table)
     other_table = l1_kernel(other, 0.5)
+    # same mesh and alpha, but P inverts the l1 table and not this one
+    alikhanov = alikhanov_kernel(mesh, 0.5)
     return {
         "verify_assumptions": lambda: verify_assumptions(table, other, 1.0),
         "lemma21_alpha": lambda: check_lemma21(ct, mesh, 0.3, 1.0),
@@ -73,6 +76,12 @@ def _mismatch_calls():
             build_complementary(other_table), mesh, table, problem, 2, rng=0),
         "stability": lambda: check_stability_envelope(
             table, mesh, run, fd, build_complementary(other_table), 1.0),
+        "quadratic_source": lambda: verify_gronwall_quadratic(
+            ct, mesh, alikhanov, problem, 2, rng=0),
+        "exchange_source": lambda: exchange_identity_residual(
+            ct, alikhanov, np.ones(17)),
+        "stability_source": lambda: check_stability_envelope(
+            alikhanov, mesh, run, fd, ct, 1.0),
     }
 
 
