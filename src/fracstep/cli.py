@@ -230,17 +230,18 @@ def _cmd_soe_build(args):
     return EXIT_OK
 
 
-def _apply_config(args, parser_defaults):
+def _apply_config(args, argv):
+    """Fill from the --config file every flag not given in ``argv``."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
+    given = _given_flags(argv)
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ValueError(f"unknown config key {key!r}")
-        # flags explicitly given on the command line win over the file
-        if getattr(args, attr) == parser_defaults.get(attr):
+        if attr not in given:
             setattr(args, attr, value)
     return args
 
@@ -332,14 +333,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _collect_defaults(parser, out: dict) -> dict:
+def _suppress_defaults(parser) -> None:
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sp in action.choices.values():
-                _collect_defaults(sp, out)
+                _suppress_defaults(sp)
         else:
-            out.setdefault(action.dest, action.default)
-    return out
+            action.default = argparse.SUPPRESS
+
+
+def _given_flags(argv) -> set:
+    """Destinations set on the command line: parsed again with every default
+    suppressed, only the flags present in ``argv`` reach the namespace."""
+    parser = build_parser()
+    _suppress_defaults(parser)
+    return set(vars(parser.parse_args(argv)))
 
 
 def main(argv=None) -> int:
@@ -348,9 +356,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
-    defaults = _collect_defaults(parser, {})
     try:
-        args = _apply_config(args, defaults)
+        args = _apply_config(args, argv)
         return args.func(args)
     except PropertyViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)

@@ -118,29 +118,60 @@ def _check_alpha(alpha: float) -> float:
 _SERIES_SWITCH = 0.4
 _SERIES_STEPS = 16
 
+# Step j of either midpoint series adds at most x2**j times the series' first
+# term (every coefficient ratio is below 1 for alpha < 1), and each sum is at
+# least its first term. Once x2**j < 2**-55 that addend is below half an ulp
+# of the sum, so round-to-nearest returns the sum unchanged, and every later
+# addend is smaller still: an entry needs step j only if x2 >= _SERIES_CUTS[j-1].
+_SERIES_CUTS = 2.0 ** (-55.0 / np.arange(1, _SERIES_STEPS))
 
-def _series_sums(alpha: float, D, h):
+
+def _positive_series(alpha: float, t, x2, reach, m0: int, shift: int):
+    """sum_j t_j / (m0 + 2j + shift) with t_j = t_{j-1} * (alpha+m-2)(alpha+m-1)
+    / ((m-1) m) * x2 at m = m0 + 2j, over entries sorted by the number of
+    steps they need: step j runs on the first reach[j] entries. ``t`` (the
+    j = 0 terms) is overwritten."""
+    s = t / (m0 + shift)
+    addend = np.empty_like(t)
+    for j in range(1, len(reach)):
+        p = reach[j]
+        if p == 0:
+            break
+        m = m0 + 2 * j
+        tp = t[:p]
+        tp *= alpha + m - 2
+        tp *= alpha + m - 1
+        tp /= (m - 1) * m
+        tp *= x2[:p]
+        s[:p] += np.divide(tp, m + shift, out=addend[:p])
+    return s
+
+
+def _series_sums(alpha: float, D, h, moments: bool):
     """Midpoint-series values of the two singular-weight integrals.
 
     With c_m = (alpha)_m D^(-alpha-m) / (m! Gamma(1-alpha)) and x = h/(2D):
       (1/h) int omega_{1-a}  = sum over even m of c_m (h/2)^m / (m+1),
       int (s - mid) omega_{1-a} = (h^2/2) sum over odd m of c_m (h/2)^m / (m+2).
-    All terms are positive, so nothing cancels however small h/D gets.
+    All terms are positive, so nothing cancels however small h/D gets. Each
+    entry stops at the first step that cannot change its sums (_SERIES_CUTS);
+    the moment sum is None unless ``moments`` is set.
     """
-    x2 = (0.5 * h / D) ** 2
+    r = 0.5 * h / D
+    x2 = r ** 2
     base = omega(1.0 - alpha, D)
-    even = base.copy()          # m = 0 term of the average
-    t_even = base.copy()
-    odd = base * alpha * (0.5 * h / D) / 3.0   # m = 1 term of the moment sum
-    t_odd = base * alpha * (0.5 * h / D)
-    for m_e in range(2, 2 * _SERIES_STEPS, 2):
-        t_even = t_even * (alpha + m_e - 2) * (alpha + m_e - 1) \
-            / ((m_e - 1) * m_e) * x2
-        even += t_even / (m_e + 1)
-        m_o = m_e + 1
-        t_odd = t_odd * (alpha + m_o - 2) * (alpha + m_o - 1) \
-            / ((m_o - 1) * m_o) * x2
-        odd += t_odd / (m_o + 2)
+    need = np.searchsorted(_SERIES_CUTS, x2, side="right").astype(np.uint8)
+    # most steps first (a radix sort on uint8), so step j works on a prefix;
+    # an x2 that underflowed to 0 needs no step
+    order = np.argsort(np.uint8(_SERIES_STEPS) - need, kind="stable")
+    reach = np.cumsum(np.bincount(need, minlength=_SERIES_STEPS)[::-1])[::-1]
+    x2 = x2[order]
+    even = np.empty_like(base)
+    even[order] = _positive_series(alpha, base[order], x2, reach, 0, 1)
+    if not moments:
+        return even, None
+    odd = np.empty_like(base)
+    odd[order] = _positive_series(alpha, (base * alpha * r)[order], x2, reach, 1, 2)
     return even, 0.5 * h ** 2 * odd
 
 
@@ -150,38 +181,44 @@ def _omega_or_zero(beta: float, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray):
+def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray,
+                      moments: bool):
     """Average and first-moment integrals of omega_{1-a} over intervals of
     width h whose NEAR endpoint sits at distance u_lo >= 0 from the
     evaluation point (1-D arrays of one length):
       avg    = (1/h) int omega_{1-a}(dist) ds,
-      moment = int (s - mid) omega_{1-a}(dist) ds.
+      moment = int (s - mid) omega_{1-a}(dist) ds   (None unless ``moments``).
     u_lo must be the exact endpoint distance (0 for the singular interval);
     the slow power decay of the weight makes even 1e-17 of endpoint slop
     visible at the 1e-5 level.
     """
     D = u_lo + 0.5 * h
-    avg, mom = np.empty((2,) + D.shape)
+    avg = np.empty_like(D)
+    mom = np.empty_like(D) if moments else None
     near = h > _SERIES_SWITCH * D
     if np.any(near):
         u_hi = u_lo[near] + h[near]
         d2 = omega(2.0 - alpha, u_hi) - _omega_or_zero(2.0 - alpha, u_lo[near])
-        d3 = omega(3.0 - alpha, u_hi) - _omega_or_zero(3.0 - alpha, u_lo[near])
         avg[near] = d2 / h[near]
-        mom[near] = D[near] * d2 - (1.0 - alpha) * d3
+        if moments:
+            d3 = omega(3.0 - alpha, u_hi) - _omega_or_zero(3.0 - alpha, u_lo[near])
+            mom[near] = D[near] * d2 - (1.0 - alpha) * d3
     far = ~near
     if np.any(far):
-        avg[far], mom[far] = _series_sums(alpha, D[far], h[far])
+        avg[far], far_mom = _series_sums(alpha, D[far], h[far], moments)
+        if moments:
+            mom[far] = far_mom
     return avg, mom
 
 
-def _triangle(mesh: TimeMesh, alpha: float, offset: float = 0.0):
+def _triangle(mesh: TimeMesh, alpha: float, offset: float = 0.0,
+              moments: bool = False):
     """Yield (rows, avg, mom) over the kernel triangle, one row block at a time.
 
     ``avg`` and ``mom`` have shape (len(rows), rows.stop); entry [n-1-rows.start,
     k-1] holds the _weight_integrals of interval k, [t_{k-1}, min(t_k, t_eval)],
     at t_eval = t_n - offset * tau_n for k <= n (so offset > 0 cuts the closing
-    interval at t_eval), and 0 for k > n.
+    interval at t_eval), and 0 for k > n. ``mom`` is None unless ``moments``.
     """
     t = mesh.nodes
     t_eval = t[1:] - offset * mesh.tau
@@ -193,9 +230,14 @@ def _triangle(mesh: TimeMesh, alpha: float, offset: float = 0.0):
         te = t_eval[rows, None]
         hi = np.minimum(t[1 : rows.stop + 1], te)
         inside = np.arange(rows.stop) <= np.arange(rows.start, rows.stop)[:, None]
-        avg, mom = np.zeros((2,) + hi.shape)
-        avg[inside], mom[inside] = _weight_integrals(
-            alpha, (te - hi)[inside], (hi - t[: rows.stop])[inside])
+        avg_in, mom_in = _weight_integrals(
+            alpha, (te - hi)[inside], (hi - t[: rows.stop])[inside], moments)
+        avg = np.zeros(hi.shape)
+        avg[inside] = avg_in
+        mom = None
+        if moments:
+            mom = np.zeros(hi.shape)
+            mom[inside] = mom_in
         yield rows, avg, mom
 
 
@@ -221,7 +263,7 @@ def _quadratic_matrix(mesh: TimeMesh, alpha: float, offset_theta: float,
     """
     t, tau, rho = mesh.nodes, mesh.tau, mesh.rho
     K = np.zeros((mesh.N, mesh.N))
-    for rows, avg, mom in _triangle(mesh, alpha, offset_theta):
+    for rows, avg, mom in _triangle(mesh, alpha, offset_theta, moments=True):
         w = rows.stop
         n = np.arange(rows.start, w)  # 0-based row index = diagonal column
         diag = (n - rows.start, n)

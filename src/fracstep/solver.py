@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .complementary import ComplementaryTable, _check_source
 from .kernels import KernelTable, build_table, check_same_problem
@@ -145,8 +145,7 @@ def _fd_step(problem: FDProblem1D, mesh: TimeMesh, theta: float):
     u0 = np.zeros(problem.M)
     if problem.u0 is not None:
         u0[:] = problem.u0(x) if callable(problem.u0) else problem.u0
-    ab = np.zeros((3, problem.M))
-    ab[0, 1:] = ab[2, :-1] = -(1.0 - theta) / h2
+    off = np.full(problem.M - 1, -(1.0 - theta) / h2)
 
     def solve(n, a0, u_prev, hist):
         psi_n = 0.0
@@ -156,11 +155,17 @@ def _fd_step(problem: FDProblem1D, mesh: TimeMesh, theta: float):
         lap[:-1] -= u_prev[1:]
         lap[1:] -= u_prev[:-1]
         rhs = a0 * u_prev - hist - theta * (lap / h2) + psi_n
-        ab[1, :] = a0 + (1.0 - theta) * (2.0 / h2 - problem.kappa)
-        try:
-            u = solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - needs kappa >> 1
-            raise SingularSystemError(str(exc)) from exc
+        diag = a0 + (1.0 - theta) * (2.0 / h2 - problem.kappa)
+        if not (math.isfinite(diag) and np.all(np.isfinite(rhs))):
+            raise ValueError("array must not contain infs or NaNs")
+        if problem.M == 1:
+            u = rhs / diag
+        else:
+            # LAPACK tridiagonal solve; it overwrites the fresh diagonal and rhs
+            *_, u, info = dgtsv(off, np.full(problem.M, diag), off, rhs,
+                                overwrite_d=1, overwrite_b=1)
+            if info > 0:  # pragma: no cover - needs kappa >> 1
+                raise SingularSystemError("singular matrix")
         if not np.all(np.isfinite(u)):
             raise SingularSystemError(f"non-finite solve at step {n}")
         return u

@@ -179,6 +179,19 @@ def test_config_file_merges_under_flags(capsys, tmp_path):
     rows = [l for l in out.splitlines()
             if l and not l.startswith("#") and not l.startswith("n,")]
     assert len(rows) == 10
+    # a flag given on the command line wins even when it equals its default
+    cfg.write_text(json.dumps({"rho-bound": 3}))
+    code, out, _ = run(capsys, "audit", "--scheme", "l1", "--mesh",
+                       "graded:8,2,1", "--alpha", "0.5", "--rho-bound", "1.75",
+                       "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["rho_bound"] == 1.75
+    cfg.write_text(json.dumps({"trials": 5}))
+    code, out, _ = run(capsys, "gronwall", "verify", "--scheme", "l1", "--mesh",
+                       "graded:8,2,1", "--alpha", "0.5", "--trials", "100",
+                       "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["trials"] == 100
 
 
 def test_soe_build_json(capsys):

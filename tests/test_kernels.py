@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracstep import kernels
 from fracstep.kernels import (
     A1_SLACK,
     KernelTable,
@@ -421,7 +422,8 @@ def _row_by_row_audit(table, mesh, strict):
         mono = float(np.max(np.diff(row), initial=0.0))
         worst = max(worst, float(max(0.0, -row.min())), mono)
         a1 = a1 and not (row.min() <= 0.0 or mono > slack)
-        avg, _ = _weight_integrals(table.alpha, t[n] - t[1:n + 1], tau[:n])
+        avg, _ = _weight_integrals(table.alpha, t[n] - t[1:n + 1], tau[:n],
+                                   moments=False)
         l1_rows.append(avg)
         denom = tau[:n] * row[::-1]
         pi_est = math.inf if np.any(denom <= 0.0) else max(
@@ -450,6 +452,74 @@ def test_block_evaluator_matches_row_by_row(build, mesh):
         for n, row in enumerate(rows, start=1):
             assert np.array_equal(table.K[n - 1, :n], row)
 
+
+
+def _full_series_sums(alpha, D, h):
+    """The midpoint series with all 15 steps for every entry and both sums,
+    as the stopping rule's bit-for-bit reference."""
+    x2 = (0.5 * h / D) ** 2
+    base = omega(1.0 - alpha, D)
+    even = base.copy()
+    t_even = base.copy()
+    odd = base * alpha * (0.5 * h / D) / 3.0
+    t_odd = base * alpha * (0.5 * h / D)
+    for m_e in range(2, 32, 2):
+        t_even = t_even * (alpha + m_e - 2) * (alpha + m_e - 1) \
+            / ((m_e - 1) * m_e) * x2
+        even += t_even / (m_e + 1)
+        m_o = m_e + 1
+        t_odd = t_odd * (alpha + m_o - 2) * (alpha + m_o - 1) \
+            / ((m_o - 1) * m_o) * x2
+        odd += t_odd / (m_o + 2)
+    return even, 0.5 * h ** 2 * odd
+
+
+def _widths_around(x2_targets, D=1.0):
+    """Interval widths h at distance D whose (h / 2D)^2 lands on a few ulps
+    either side of each target."""
+    h0 = 2.0 * D * np.sqrt(np.asarray(x2_targets))
+    return (h0[:, None] * (1.0 + 4e-16 * np.arange(-6, 7))).ravel()
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.02, 0.5, 0.98, 1.0 - 1e-9])
+def test_shortened_series_is_bit_exact(alpha):
+    # step j may be dropped once x2 < 2^(-55/j); the largest far x2 is 0.04
+    cuts = 2.0 ** (-55.0 / np.arange(1, 16))
+    cuts = cuts[cuts < 0.04]
+    sweep = np.geomspace(1e-40, 0.04, 4001)
+    h = np.concatenate([_widths_around(cuts), 2.0 * np.sqrt(sweep),
+                        [1e-160, 1e-200, 1e-300, 5e-324]])  # x2 underflows
+    rng = np.random.default_rng(11)
+    D = np.concatenate([np.ones(h.size), rng.uniform(1e-6, 1e3, h.size)])
+    h = np.concatenate([h, h * D[h.size:]])
+    u_lo = D - 0.5 * h
+    D = u_lo + 0.5 * h  # as _weight_integrals forms it
+    x2 = (0.5 * h / D) ** 2
+    assert np.all(h <= 0.4 * D)  # every entry takes the far branch
+    assert np.any(x2 == 0.0)
+    for cut in cuts:  # each cut is met from both sides
+        assert np.any((x2 < cut) & (x2 > cut * (1 - 1e-14)))
+        assert np.any((x2 >= cut) & (x2 < cut * (1 + 1e-14)))
+    # underflow is silent by numpy's default; nothing else may be raised
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        avg, mom = _weight_integrals(alpha, u_lo, h, moments=True)
+        avg_only, none = _weight_integrals(alpha, u_lo, h, moments=False)
+    ref_avg, ref_mom = _full_series_sums(alpha, D, h)
+    assert np.array_equal(avg, ref_avg)
+    assert np.array_equal(mom, ref_mom)
+    assert np.array_equal(avg_only, ref_avg) and none is None
+
+
+@pytest.mark.parametrize("build", [l1_kernel, alikhanov_kernel, bdf2_kernel])
+@pytest.mark.parametrize("mesh", [graded_mesh(300, 3.0, 1.0),
+                                  random_mesh(300, 1.0, seed=5)],
+                         ids=["graded3", "random"])
+@pytest.mark.parametrize("alpha", [0.05, 0.95])
+def test_tables_match_full_series(build, mesh, alpha, monkeypatch):
+    table = build(mesh, alpha)
+    monkeypatch.setattr(kernels, "_series_sums",
+                        lambda a, D, h, moments: _full_series_sums(a, D, h))
+    assert np.array_equal(table.K, build(mesh, alpha).K)
 
 def test_apply_discrete_derivative_matches_loops():
     mesh = graded_mesh(11, 2.0, 1.0)

@@ -163,6 +163,21 @@ def test_fd_zero_data_zero_solution():
     assert np.all(res.trajectory == 0.0)
 
 
+@pytest.mark.parametrize("M", [1, 9])
+def test_fd_refuses_a_non_finite_forcing(M):
+    mesh = uniform_mesh(8, 1.0)
+    t_bad = mesh.nodes[5]
+
+    def psi(x, t):
+        out = np.ones_like(x)
+        out[-1] = math.nan if t == t_bad else 1.0
+        return out
+
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_fd1d(FDProblem1D(length=1.0, M=M, psi=psi), mesh,
+                   l1_kernel(mesh, 0.5))
+
+
 def _manufactured_fd(alpha, sigma=3.0, kappa=0.0):
     c = math.gamma(sigma + 1.0) / math.gamma(sigma + 1.0 - alpha)
 
