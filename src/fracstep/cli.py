@@ -230,19 +230,47 @@ def _cmd_soe_build(args):
     return EXIT_OK
 
 
-def _apply_config(args, argv):
+def _leaf_actions(parser, args) -> dict:
+    """Options of the subcommand parser that produced ``args``, by dest."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return _leaf_actions(action.choices[getattr(args, action.dest)], args)
+    return {a.dest: a for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)}
+
+
+def _config_value(action, key: str, value):
+    """A --config value converted and checked as the flag's own command-line
+    value would be: through the flag's ``type`` and ``choices``."""
+    if action.nargs == 0:  # on/off flags such as --timestamp
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        out = text if action.type is None else action.type(text)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and out not in action.choices:
+        raise ValueError(f"config key {key!r}: invalid choice {value!r} "
+                         f"(choose from {', '.join(map(str, action.choices))})")
+    return out
+
+
+def _apply_config(parser, args, argv):
     """Fill from the --config file every flag not given in ``argv``."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
+    actions = _leaf_actions(parser, args)
     given = _given_flags(argv)
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions:
             raise ValueError(f"unknown config key {key!r}")
         if attr not in given:
-            setattr(args, attr, value)
+            setattr(args, attr, _config_value(actions[attr], key, value))
     return args
 
 
@@ -357,7 +385,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
-        args = _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         return args.func(args)
     except PropertyViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)

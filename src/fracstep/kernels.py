@@ -155,23 +155,28 @@ def _series_sums(alpha: float, D, h, moments: bool):
       int (s - mid) omega_{1-a} = (h^2/2) sum over odd m of c_m (h/2)^m / (m+2).
     All terms are positive, so nothing cancels however small h/D gets. Each
     entry stops at the first step that cannot change its sums (_SERIES_CUTS);
-    the moment sum is None unless ``moments`` is set.
+    entries of the near branch (h > _SERIES_SWITCH * D) take no step, as
+    _weight_integrals overwrites them. The moment sum is None unless
+    ``moments`` is set.
     """
     r = 0.5 * h / D
-    x2 = r ** 2
-    base = omega(1.0 - alpha, D)
-    need = np.searchsorted(_SERIES_CUTS, x2, side="right").astype(np.uint8)
+    need = np.searchsorted(_SERIES_CUTS, r ** 2, side="right").astype(np.uint8)
+    need[h > _SERIES_SWITCH * D] = 0
     # most steps first (a radix sort on uint8), so step j works on a prefix;
     # an x2 that underflowed to 0 needs no step
     order = np.argsort(np.uint8(_SERIES_STEPS) - need, kind="stable")
     reach = np.cumsum(np.bincount(need, minlength=_SERIES_STEPS)[::-1])[::-1]
-    x2 = x2[order]
-    even = np.empty_like(base)
-    even[order] = _positive_series(alpha, base[order], x2, reach, 0, 1)
+    # first terms in step order; each series overwrites its first terms, so
+    # their buffer then takes the sums back in entry order
+    even = omega(1.0 - alpha, D[order])
+    r = r[order]
+    x2 = r ** 2
+    odd = even * alpha * r if moments else None
+    del r
+    even[order] = _positive_series(alpha, even, x2, reach, 0, 1)
     if not moments:
         return even, None
-    odd = np.empty_like(base)
-    odd[order] = _positive_series(alpha, (base * alpha * r)[order], x2, reach, 1, 2)
+    odd[order] = _positive_series(alpha, odd, x2, reach, 1, 2)
     return even, 0.5 * h ** 2 * odd
 
 
@@ -193,22 +198,34 @@ def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray,
     visible at the 1e-5 level.
     """
     D = u_lo + 0.5 * h
-    avg = np.empty_like(D)
-    mom = np.empty_like(D) if moments else None
-    near = h > _SERIES_SWITCH * D
-    if np.any(near):
-        u_hi = u_lo[near] + h[near]
-        d2 = omega(2.0 - alpha, u_hi) - _omega_or_zero(2.0 - alpha, u_lo[near])
-        avg[near] = d2 / h[near]
+    avg, mom = _series_sums(alpha, D, h, moments)
+    near = np.flatnonzero(h > _SERIES_SWITCH * D)
+    if len(near):
+        u_near, h_near = u_lo[near], h[near]
+        u_hi = u_near + h_near
+        d2 = omega(2.0 - alpha, u_hi) - _omega_or_zero(2.0 - alpha, u_near)
+        avg[near] = d2 / h_near
         if moments:
-            d3 = omega(3.0 - alpha, u_hi) - _omega_or_zero(3.0 - alpha, u_lo[near])
+            d3 = omega(3.0 - alpha, u_hi) - _omega_or_zero(3.0 - alpha, u_near)
             mom[near] = D[near] * d2 - (1.0 - alpha) * d3
-    far = ~near
-    if np.any(far):
-        avg[far], far_mom = _series_sums(alpha, D[far], h[far], moments)
-        if moments:
-            mom[far] = far_mom
     return avg, mom
+
+
+# Kernel-triangle blocks hold at most max(4N, _TRIANGLE_FLOOR) entries: O(N)
+# scratch on large tables, and one or two blocks on small ones, where the
+# fixed cost of a block (about 150 numpy calls) outweighs its entries.
+_TRIANGLE_FLOOR = 2 ** 12
+
+
+def _triangle_rows(N: int):
+    """Row slices of the kernel-triangle blocks, covering 0..N-1 in order:
+    each is the largest with (r1 - r0) * r1 <= max(4N, _TRIANGLE_FLOOR)."""
+    cap = max(4 * N, _TRIANGLE_FLOOR)
+    r0 = 0
+    while r0 < N:
+        r1 = min(N, max(r0 + 1, (r0 + math.isqrt(r0 * r0 + 4 * cap)) // 2))
+        yield slice(r0, r1)
+        r0 = r1
 
 
 def _triangle(mesh: TimeMesh, alpha: float, offset: float = 0.0,
@@ -219,25 +236,29 @@ def _triangle(mesh: TimeMesh, alpha: float, offset: float = 0.0,
     k-1] holds the _weight_integrals of interval k, [t_{k-1}, min(t_k, t_eval)],
     at t_eval = t_n - offset * tau_n for k <= n (so offset > 0 cuts the closing
     interval at t_eval), and 0 for k > n. ``mom`` is None unless ``moments``.
+    The values of an entry do not depend on the block it falls in.
     """
     t = mesh.nodes
     t_eval = t[1:] - offset * mesh.tau
-    r0 = 0
-    while r0 < mesh.N:
-        # largest block with (r1 - r0) * r1 <= 4N entries: O(N) scratch
-        r1 = min(mesh.N, max(r0 + 1, (r0 + math.isqrt(r0 * r0 + 16 * mesh.N)) // 2))
-        rows, r0 = slice(r0, r1), r1
+    for rows in _triangle_rows(mesh.N):
+        w = rows.stop
         te = t_eval[rows, None]
-        hi = np.minimum(t[1 : rows.stop + 1], te)
-        inside = np.arange(rows.stop) <= np.arange(rows.start, rows.stop)[:, None]
-        avg_in, mom_in = _weight_integrals(
-            alpha, (te - hi)[inside], (hi - t[: rows.stop])[inside], moments)
-        avg = np.zeros(hi.shape)
+        inside = np.arange(w) <= np.arange(rows.start, w)[:, None]
+        hi = np.minimum(t[1 : w + 1], te)
+        h = (hi - t[:w])[inside]
+        u_lo = np.subtract(te, hi, out=hi)[inside]
+        # drop each array once spent: the next block's scratch and the
+        # consumer's come on top of whatever is still alive here
+        del hi
+        avg_in, mom_in = _weight_integrals(alpha, u_lo, h, moments)
+        del u_lo, h
+        avg = np.zeros(inside.shape)
         avg[inside] = avg_in
         mom = None
         if moments:
-            mom = np.zeros(hi.shape)
+            mom = np.zeros(inside.shape)
             mom[inside] = mom_in
+        del avg_in, mom_in
         yield rows, avg, mom
 
 

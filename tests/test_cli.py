@@ -194,6 +194,42 @@ def test_config_file_merges_under_flags(capsys, tmp_path):
     assert json.loads(out)["trials"] == 100
 
 
+def test_config_values_go_through_the_flag_type(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    verify = ["gronwall", "verify", "--scheme", "l1", "--mesh", "graded:8,2,1",
+              "--alpha", "0.5", "--config", str(cfg)]
+    # a string is converted as the command line would convert it
+    cfg.write_text(json.dumps({"trials": "5"}))
+    code, out, _ = run(capsys, *verify)
+    assert code == 0
+    assert json.loads(out)["trials"] == 5
+    # an int for a float flag is echoed as the float the flag gives
+    cfg.write_text(json.dumps({"rho-bound": 3}))
+    code, out, _ = run(capsys, "audit", "--scheme", "l1", "--mesh",
+                       "graded:8,2,1", "--alpha", "0.5", "--config", str(cfg))
+    assert code == 0
+    assert '"rho_bound": 3.0' in out
+
+
+@pytest.mark.parametrize("cfg_body, key", [
+    ({"trials": "five"}, "trials"),
+    ({"trials": 5.5}, "trials"),
+    ({"seed": True}, "seed"),
+    ({"form": "cubic"}, "form"),
+    ({"timestamp": "yes"}, "timestamp"),
+    ({"func": 1}, "func"),
+])
+def test_config_refuses_a_value_its_flag_refuses(capsys, tmp_path, cfg_body, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_body))
+    code, out, err = run(capsys, "gronwall", "verify", "--scheme", "l1",
+                         "--mesh", "graded:8,2,1", "--alpha", "0.5",
+                         "--config", str(cfg))
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert f"config key {key!r}" in err
+
+
 def test_soe_build_json(capsys):
     code, out, _ = run(capsys, "soe", "build", "--alpha", "0.5",
                        "--eps", "1e-7", "--delta-t", "1e-2", "--T", "1")

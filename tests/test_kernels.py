@@ -521,6 +521,55 @@ def test_tables_match_full_series(build, mesh, alpha, monkeypatch):
                         lambda a, D, h, moments: _full_series_sums(a, D, h))
     assert np.array_equal(table.K, build(mesh, alpha).K)
 
+
+def test_triangle_blocks_cover_every_row_once():
+    for N in range(1, 601):
+        cap = max(4 * N, kernels._TRIANGLE_FLOOR)
+        blocks = list(kernels._triangle_rows(N))
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == N
+        # each block is the largest within the entry cap, and never empty
+        for b in blocks:
+            assert b.stop > b.start
+            assert (b.stop - b.start) * b.stop <= cap or b.stop == b.start + 1
+            assert b.stop == N or (b.stop + 1 - b.start) * (b.stop + 1) > cap
+    mesh = graded_mesh(300, 2.0, 1.0)
+    assert ([rows for rows, _, _ in kernels._triangle(mesh, 0.5)]
+            == list(kernels._triangle_rows(300)))
+
+
+def _tables_and_audits(mesh, alpha):
+    tables, reports = [], []
+    for build in (l1_kernel, alikhanov_kernel, bdf2_kernel):
+        table = build(mesh, alpha)
+        tables.append(table.K)
+        reports += [verify_assumptions(table, mesh, table.pi_A, strict=strict)
+                    for strict in (False, True)]
+    return tables, reports
+
+
+@pytest.mark.parametrize("N", [1, 17, 64, 300])
+@pytest.mark.parametrize("family", ["uniform", "graded3", "random"])
+def test_block_layout_cannot_move_a_bit(N, family, monkeypatch):
+    # every entry's arithmetic is elementwise, so a table and its audit come
+    # out the same whether each block holds one row or the whole triangle
+    mesh = {"uniform": uniform_mesh(N, 1.0), "graded3": graded_mesh(N, 3.0, 1.0),
+            "random": random_mesh(N, 1.0, seed=N)}[family]
+    for alpha in (0.05, 0.95):
+        tables, reports = _tables_and_audits(mesh, alpha)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_triangle_rows",
+                      lambda n: (slice(r, r + 1) for r in range(n)))
+            one_row = _tables_and_audits(mesh, alpha)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_TRIANGLE_FLOOR", N * N)
+            assert len(list(kernels._triangle_rows(N))) == 1
+            whole = _tables_and_audits(mesh, alpha)
+        for other_tables, other_reports in (one_row, whole):
+            assert all(np.array_equal(a, b) for a, b in zip(other_tables, tables))
+            assert other_reports == reports
+
+
 def test_apply_discrete_derivative_matches_loops():
     mesh = graded_mesh(11, 2.0, 1.0)
     table = alikhanov_kernel(mesh, 0.6)

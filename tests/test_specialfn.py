@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
 from fracstep.specialfn import (
     MLEvalConfig,
@@ -284,3 +285,38 @@ def test_log_ml_array_agrees_with_scalar_loop():
                               [log_mittag_leffler(alpha, float(v)) for v in z.ravel()])
     with pytest.raises(ValueError):
         log_mittag_leffler(0.5, np.array([1.0, -1.0]))
+
+
+def _log_ml_first_width_1025(alpha, z):
+    """log E_alpha(z) as the series once took it: rows of 1,025 terms
+    (k = 0..1024), doubled until the last lies 45 below the largest. Returns
+    the value and the last k of the row that ended the doubling."""
+    k_hi = 1024
+    while True:
+        k = np.arange(k_hi + 1, dtype=float)
+        ln_t = k * xlogy(1.0, z) - gammaln(1.0 + alpha * k)
+        m = ln_t.max()
+        if ln_t[-1] < m - 45.0:
+            return m + xlogy(1.0, np.exp(ln_t - m).sum()), k_hi
+        k_hi *= 2
+
+
+def test_log_ml_first_width_drift_is_bounded():
+    # the series now starts at 65 terms; a shorter row drops terms below
+    # exp(-45) of the sum and sums in another order, so a value may move by
+    # an ulp or two, and a row that still doubles past 1,024 terms ends at the
+    # width it had and keeps its bits
+    sweep = [(alpha, np.geomspace(1e-6, 39.99, 300) ** alpha)
+             for alpha in np.linspace(0.1, 1.0, 19)]
+    sweep += [(alpha, np.linspace(30.0, 39.99, 40) ** alpha)
+              for alpha in (0.1, 0.11, 0.12)]
+    long_rows = 0
+    for alpha, z in sweep:
+        got = log_mittag_leffler(alpha, z)
+        for zi, value in zip(z, got):
+            ref, k_hi = _log_ml_first_width_1025(alpha, zi)
+            assert abs(value - ref) <= 2.0 * np.spacing(abs(ref)), (alpha, zi)
+            if k_hi > 1024:
+                long_rows += 1
+                assert value == ref, (alpha, zi)
+    assert long_rows >= 20
