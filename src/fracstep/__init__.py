@@ -55,7 +55,6 @@ from .soe import (
     ToleranceUnreachableError,
     build_soe,
     fast_l1_apply,
-    history_update,
     soe_eval,
 )
 from .solver import (

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtri
 from scipy.special import logsumexp
 
-from .kernels import KernelTable, check_same_problem, lag_rows, row_blocks
+from .kernels import KernelTable, _blocks, _LowerTable, check_same_problem
 from .mesh import TimeMesh
 from .specialfn import log_mittag_leffler, omega
 
@@ -35,35 +35,14 @@ class ZeroDiagonalError(ValueError):
 
 
 @dataclass
-class ComplementaryTable:
-    """P^(n)_j tied to the kernel table it inverts.
+class ComplementaryTable(_LowerTable):
+    """P^(n)_j tied to the kernel table it inverts: ``P[n-1, j-1]`` holds
+    P^(n)_{n-j}, and its diagonal P^(n)_0 = 1/A^(n)_0 (see ``_LowerTable``)."""
 
-    ``P[n-1, j-1]`` holds P^(n)_{n-j} for j <= n and 0 above the diagonal, in
-    one read-only (N, N) array; ``row(n)``, ``rows`` and ``diagonal()`` are
-    views of it.
-    """
+    _array = "P"
 
     P: np.ndarray
     source: KernelTable
-
-    def __post_init__(self):
-        self.P.setflags(write=False)
-
-    @property
-    def N(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def rows(self) -> tuple:
-        """Row n-1 holds P^(n)_j for the lags j = 0..n-1."""
-        return lag_rows(self.P)
-
-    def row(self, n: int) -> np.ndarray:
-        return self.P[n - 1, n - 1::-1]
-
-    def diagonal(self) -> np.ndarray:
-        """P^(n)_0 = 1/A^(n)_0 for n = 1..N."""
-        return np.diagonal(self.P)
 
 
 def _check_source(ctable: ComplementaryTable, ktable: KernelTable) -> None:
@@ -104,10 +83,10 @@ def identity_residual(ctable: ComplementaryTable, seed=None) -> float:
     """
     K = ctable.source.K
     worst = 0.0
-    for rows in row_blocks(ctable.N):
+    for rows, lag in _blocks(ctable.N):
         stop = rows.stop  # P and K vanish beyond the block's last column
         S = ctable.P[rows, :stop] @ K[:stop, :stop]
-        S -= np.arange(stop) <= np.arange(rows.start, stop)[:, None]
+        S -= lag >= 0
         worst = max(worst, float(np.max(np.abs(S))))
     return worst
 
@@ -133,10 +112,10 @@ def check_lemma21(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
     w = omega(1.0 - alpha, mesh.nodes[1:])
     min_entry = math.inf
     entry_excess = -math.inf
-    for rows in row_blocks(ctable.N):
+    for rows, lag in _blocks(ctable.N):
         stop = rows.stop
         P = ctable.P[rows, :stop]
-        lower = np.arange(stop) <= np.arange(rows.start, stop)[:, None]
+        lower = lag >= 0
         min_entry = min(min_entry, float(np.min(P, where=lower, initial=math.inf)))
         entry_excess = max(entry_excess, float(np.max(
             P - C * tau_pow[:stop], where=lower, initial=-math.inf)))
@@ -187,10 +166,9 @@ def check_lemma22_23(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
     power_excess = -math.inf
     log_margin = math.inf
     # the sums run over j < n: the strict lower part, and row 1 has none
-    for rows in row_blocks(ctable.N):
+    for rows, lag in _blocks(ctable.N):
         stop = rows.stop
-        strict = np.arange(stop) < np.arange(rows.start, stop)[:, None]
-        P = np.where(strict, ctable.P[rows, :stop], 0.0)
+        P = np.where(lag > 0, ctable.P[rows, :stop], 0.0)
         tail = slice(1 if rows.start == 0 else 0, None)
         rel = (P @ lhs_w[:stop] - rhs_w[rows]) / np.maximum(1.0, rhs_w[rows])
         power_excess = max(power_excess, float(np.max(rel[tail], initial=-math.inf)))

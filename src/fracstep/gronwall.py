@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complementary import ComplementaryTable, _check_source
-from .kernels import (KernelTable, apply_discrete_derivative, check_same_problem,
-                      row_blocks)
+from .kernels import (KernelTable, _blocks, apply_discrete_derivative,
+                      check_same_problem)
 from .mesh import TimeMesh
 from .specialfn import _ml_envelope
 
@@ -58,8 +58,12 @@ class GronwallProblem:
         self.lambdas = np.asarray(self.lambdas, dtype=float)
         if self.g is not None:
             self.g = np.asarray(self.g, dtype=float)
-            if np.any(self.g < 0.0):
-                raise ValueError("g must be nonnegative")
+        for name in ("Lambda", "v0", "lambdas", "g"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.g is not None and np.any(self.g < 0.0):
+            raise ValueError("g must be nonnegative")
         if self.v0 < 0.0:
             raise ValueError("v0 must be nonnegative")
         if not 0.0 <= self.theta < 1.0:
@@ -165,14 +169,15 @@ def _lambda_convolution(lambdas: np.ndarray, W: np.ndarray) -> np.ndarray:
     """C[:, n-1] = sum_{k=1..n} lambda_{n-k} W[:, k-1] for each trial row: W times
     the lower-triangular Toeplitz matrix of the lambdas, one row block at a time."""
     out = np.empty_like(W)
-    for rows in row_blocks(W.shape[1]):
-        lag = np.arange(rows.start, rows.stop)[:, None] - np.arange(rows.stop)
+    for rows, lag in _blocks(W.shape[1]):
         T = np.where(lag >= 0, lambdas[np.maximum(lag, 0)], 0.0)
         out[:, rows] = W[:, : rows.stop] @ T.T
     return out
 
 
 def _run_trials(ctable, mesh, ktable, problem, trials, rng, form, tol):
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     check_same_problem(ktable, mesh)
     _check_source(ctable, ktable)
     N = mesh.N

@@ -42,31 +42,70 @@ class NonUniformMeshError(ValueError):
     """The operation is only defined on uniform meshes."""
 
 
-# Consumers of the (N, N) tables work on this many rows at a time, so their
-# scratch stays O(ROW_BLOCK * N) however large the table is.
-ROW_BLOCK = 32
+# Row blocks of an (N, N) table hold at most max(width * N, _BLOCK_FLOOR)
+# entries: O(width * N) scratch on large tables, and one or two blocks on small
+# ones, where the fixed numpy cost of a block outweighs its entries. A block of
+# the kernel triangle holds about 13 block-sized temporaries and one of a table
+# consumer about 3, hence the two widths.
+_BLOCK_FLOOR = 2 ** 12
+_BLOCK_WIDTH = {"triangle": 4, "table": 32}
 
 
-def row_blocks(N: int):
-    """Row slices of at most ROW_BLOCK rows covering 0..N-1."""
-    return [slice(r0, min(N, r0 + ROW_BLOCK)) for r0 in range(0, N, ROW_BLOCK)]
+def _blocks(N: int, kind: str = "table"):
+    """Yield (rows, lag) over the row blocks of a lower-triangular (N, N)
+    table, covering rows 0..N-1 in order. Each block rows = r0..r1-1 is the
+    largest with (r1 - r0) * r1 <= max(_BLOCK_WIDTH[kind] * N, _BLOCK_FLOOR),
+    and never empty; lag[i, k] = r0 + i - k is the lag n - k of the entry in
+    row r0 + i and column k < r1, negative above the diagonal."""
+    budget = max(_BLOCK_WIDTH[kind] * N, _BLOCK_FLOOR)
+    r0 = 0
+    while r0 < N:
+        r1 = min(N, max(r0 + 1, (r0 + math.isqrt(r0 * r0 + 4 * budget)) // 2))
+        yield slice(r0, r1), np.arange(r0, r1)[:, None] - np.arange(r1)
+        r0 = r1
 
 
-def lag_rows(M: np.ndarray) -> tuple:
-    """Rows of a lower-triangular (N, N) table as lag-ordered views:
-    entry j of row n is M[n-1, n-1-j]."""
-    return tuple(M[n, n::-1] for n in range(M.shape[0]))
+class _LowerTable:
+    """A dense lower-triangular (N, N) float64 table, read-only once built.
+
+    Entry [n-1, k-1] holds the value of step n at lag n-k for k <= n and 0
+    above the diagonal; ``row(n)``, ``rows`` and ``diagonal()`` are views of
+    it. Subclasses are dataclasses that name their array field in ``_array``.
+    Finished tables are immutable and safe to share between threads.
+    """
+
+    def __post_init__(self):
+        self._matrix.setflags(write=False)
+
+    @property
+    def _matrix(self) -> np.ndarray:
+        return getattr(self, self._array)
+
+    @property
+    def N(self) -> int:
+        return self._matrix.shape[0]
+
+    @property
+    def rows(self) -> tuple:
+        """Row n-1 holds the values of step n for the lags j = 0..n-1."""
+        M = self._matrix
+        return tuple(M[n, n::-1] for n in range(self.N))
+
+    def row(self, n: int) -> np.ndarray:
+        """Values of step n (1-based), indexed by lag."""
+        return self._matrix[n - 1, n - 1::-1]
+
+    def diagonal(self) -> np.ndarray:
+        """The lag-0 values for n = 1..N."""
+        return np.diagonal(self._matrix)
 
 
 @dataclass
-class KernelTable:
-    """Coefficients of a discrete memory derivative.
+class KernelTable(_LowerTable):
+    """Coefficients of a discrete memory derivative: ``K[n-1, k-1]`` holds
+    A^(n)_{n-k} (see ``_LowerTable``)."""
 
-    ``K[n-1, k-1]`` holds A^(n)_{n-k} for k <= n and 0 above the diagonal, in
-    one read-only (N, N) array; ``row(n)``, ``rows`` and ``diagonal()`` are
-    views of it. Finished tables are immutable and safe to share between
-    threads.
-    """
+    _array = "K"
 
     K: np.ndarray
     theta: float
@@ -74,26 +113,6 @@ class KernelTable:
     scheme_id: str
     pi_A: float | None
     mesh: TimeMesh
-
-    def __post_init__(self):
-        self.K.setflags(write=False)
-
-    @property
-    def N(self) -> int:
-        return self.K.shape[0]
-
-    @property
-    def rows(self) -> tuple:
-        """Row n-1 holds A^(n)_j for the lags j = 0..n-1."""
-        return lag_rows(self.K)
-
-    def row(self, n: int) -> np.ndarray:
-        """Coefficient row for step n (1-based), indexed by lag."""
-        return self.K[n - 1, n - 1::-1]
-
-    def diagonal(self) -> np.ndarray:
-        """A^(n)_0 for n = 1..N."""
-        return np.diagonal(self.K)
 
 
 @dataclass(frozen=True)
@@ -211,26 +230,10 @@ def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray,
     return avg, mom
 
 
-# Kernel-triangle blocks hold at most max(4N, _TRIANGLE_FLOOR) entries: O(N)
-# scratch on large tables, and one or two blocks on small ones, where the
-# fixed cost of a block (about 150 numpy calls) outweighs its entries.
-_TRIANGLE_FLOOR = 2 ** 12
-
-
-def _triangle_rows(N: int):
-    """Row slices of the kernel-triangle blocks, covering 0..N-1 in order:
-    each is the largest with (r1 - r0) * r1 <= max(4N, _TRIANGLE_FLOOR)."""
-    cap = max(4 * N, _TRIANGLE_FLOOR)
-    r0 = 0
-    while r0 < N:
-        r1 = min(N, max(r0 + 1, (r0 + math.isqrt(r0 * r0 + 4 * cap)) // 2))
-        yield slice(r0, r1)
-        r0 = r1
-
-
 def _triangle(mesh: TimeMesh, alpha: float, offset: float = 0.0,
               moments: bool = False):
-    """Yield (rows, avg, mom) over the kernel triangle, one row block at a time.
+    """Yield (rows, inside, avg, mom) over the kernel triangle, one row block
+    of ``_blocks(N, "triangle")`` at a time; ``inside`` masks its entries k <= n.
 
     ``avg`` and ``mom`` have shape (len(rows), rows.stop); entry [n-1-rows.start,
     k-1] holds the _weight_integrals of interval k, [t_{k-1}, min(t_k, t_eval)],
@@ -240,10 +243,11 @@ def _triangle(mesh: TimeMesh, alpha: float, offset: float = 0.0,
     """
     t = mesh.nodes
     t_eval = t[1:] - offset * mesh.tau
-    for rows in _triangle_rows(mesh.N):
+    for rows, lag in _blocks(mesh.N, "triangle"):
         w = rows.stop
         te = t_eval[rows, None]
-        inside = np.arange(w) <= np.arange(rows.start, w)[:, None]
+        inside = lag >= 0
+        del lag
         hi = np.minimum(t[1 : w + 1], te)
         h = (hi - t[:w])[inside]
         u_lo = np.subtract(te, hi, out=hi)[inside]
@@ -259,7 +263,7 @@ def _triangle(mesh: TimeMesh, alpha: float, offset: float = 0.0,
             mom = np.zeros(inside.shape)
             mom[inside] = mom_in
         del avg_in, mom_in
-        yield rows, avg, mom
+        yield rows, inside, avg, mom
 
 
 def l1_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
@@ -267,7 +271,7 @@ def l1_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
     alpha = _check_alpha(alpha)
     K = np.zeros((mesh.N, mesh.N))
     # a^(n)_{n-k} = (1/tau_k) int_{t_{k-1}}^{t_k} omega_{1-a}(t_n - s) ds
-    for rows, avg, _ in _triangle(mesh, alpha):
+    for rows, _, avg, _ in _triangle(mesh, alpha):
         K[rows, : rows.stop] = avg
     return KernelTable(K, 0.0, alpha, "l1", 1.0, mesh)
 
@@ -284,7 +288,7 @@ def _quadratic_matrix(mesh: TimeMesh, alpha: float, offset_theta: float,
     """
     t, tau, rho = mesh.nodes, mesh.tau, mesh.rho
     K = np.zeros((mesh.N, mesh.N))
-    for rows, avg, mom in _triangle(mesh, alpha, offset_theta, moments=True):
+    for rows, _, avg, mom in _triangle(mesh, alpha, offset_theta, moments=True):
         w = rows.stop
         n = np.arange(rows.start, w)  # 0-based row index = diagonal column
         diag = (n - rows.start, n)
@@ -412,11 +416,12 @@ def verify_assumptions(table: KernelTable, mesh: TimeMesh,
     ``strict`` is set. A non-positive entry makes the constant infinite.
     """
     check_same_problem(table, mesh)
+    if pi_A_claim is not None and not math.isfinite(pi_A_claim):
+        raise ValueError(f"pi_A_claim must be finite, got {pi_A_claim}")
     worst, a1, pi_est = 0.0, True, 0.0
-    for rows, avg, _ in _triangle(mesh, table.alpha):
+    for rows, inside, avg, _ in _triangle(mesh, table.alpha):
         w = rows.stop
         Kb = table.K[rows, :w]
-        inside = np.arange(w) <= np.arange(rows.start, w)[:, None]
         low = Kb.min(axis=1, where=inside, initial=np.inf)
         # lag differences A_{j+1} - A_j of each row, as column differences
         rise = np.max(Kb[:, :-1] - Kb[:, 1:], axis=1, where=inside[:, 1:], initial=0.0)

@@ -164,8 +164,8 @@ def random_mesh(N: int, T: float, rho_bound: float = 1.75, seed=None) -> TimeMes
 
 def check_A3(mesh: TimeMesh, rho_bound: float) -> MeshReport:
     """Check the bounded step-ratio assumption rho_k <= rho_bound for all k."""
-    if rho_bound <= 0.0:
-        raise ValueError(f"rho_bound must be positive, got {rho_bound}")
+    if not 0.0 < rho_bound < np.inf:
+        raise ValueError(f"rho_bound must be positive and finite, got {rho_bound}")
     max_ratio = mesh.max_ratio()
     return MeshReport(
         max_step=mesh.max_step(),

@@ -25,7 +25,6 @@ __all__ = [
     "OutOfWindowError",
     "build_soe",
     "soe_eval",
-    "history_update",
     "fast_l1_apply",
 ]
 
@@ -114,10 +113,10 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if not 0.0 < delta_t < T:
-        raise ValueError("need 0 < delta_t < T")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not 0.0 < delta_t < T < math.inf:
+        raise ValueError(f"need 0 < delta_t < T < inf, got delta_t={delta_t}, T={T}")
 
     pref = math.sin(math.pi * alpha) / math.pi
     theta0 = 1.0 / T
@@ -176,32 +175,9 @@ def soe_eval(approx: SOEApprox, t: float) -> float:
 
 
 def _soe_for_mesh(alpha: float, eps: float, mesh) -> SOEApprox:
-    """Fast L1's approximation on ``mesh``, certified on [min tau_n, T]."""
-    return build_soe(alpha, eps, float(mesh.tau.min()), mesh.T)
-
-
-def _step_factors(nodes, tau: float):
-    """Per node theta, the decay exp(-theta tau) of a state over a step of
-    length tau and the weight (1 - exp(-theta tau))/(theta tau) of its increment."""
-    x = nodes * tau
-    return np.exp(-x), -np.expm1(-x) / x
-
-
-def history_update(approx: SOEApprox, H_prev, u_incr, tau_k: float) -> np.ndarray:
-    """One step of the per-node history recurrence
-    H(t_k) = exp(-theta tau_k) H(t_{k-1}) + (1 - exp(-theta tau_k))/(theta tau_k) * incr,
-    with H(t_0) = 0. The state is (Nq,), or (Nq, M) for M unknowns whose
-    increments ``u_incr`` have shape (M,).
-    """
-    H_prev = np.asarray(H_prev, dtype=float)
-    if H_prev.shape[:1] != approx.nodes.shape:
-        raise ValueError(
-            f"history shape {H_prev.shape} does not match Nq={approx.Nq}")
-    if tau_k <= 0.0:
-        raise ValueError("tau_k must be positive")
-    nodes = approx.nodes.reshape((-1,) + (1,) * (H_prev.ndim - 1))
-    decay, phi = _step_factors(nodes, tau_k)
-    return decay * H_prev + phi * u_incr
+    """Fast L1's approximation on ``mesh``, certified on [min(min tau_n, T/2), T]:
+    min tau_n <= T/2 whenever N >= 2, and a one-step mesh still gets a window."""
+    return build_soe(alpha, eps, min(float(mesh.tau.min()), 0.5 * mesh.T), mesh.T)
 
 
 def _check_certified(approx: SOEApprox, mesh, alpha: float) -> None:
@@ -228,6 +204,9 @@ def _check_certified(approx: SOEApprox, mesh, alpha: float) -> None:
 class _SOEHistory:
     """Fast L1 history: Nq exponential states per unknown, O(Nq) memory at
     any step count, with the exact L1 diagonal A^(n)_0 = omega_{2-a}(tau_n)/tau_n.
+    Per node theta the states follow, from H(t_0) = 0,
+        H(t_n) = exp(-theta tau_n) H(t_{n-1}) + phi * incr_n,
+        phi = (1 - exp(-theta tau_n)) / (theta tau_n).
     ``term(n)`` decays the states over step n and returns their weighted sum;
     ``push`` then adds step n's increment with the weight phi."""
 
@@ -241,8 +220,9 @@ class _SOEHistory:
         self.H = np.zeros((approx.Nq,) + shape)
 
     def term(self, n: int):
-        decay, self.phi = _step_factors(self.nodes, self.tau[n - 1])
-        self.H *= decay
+        x = self.nodes * self.tau[n - 1]
+        self.phi = -np.expm1(-x) / x
+        self.H *= np.exp(-x)
         return self.weights @ self.H
 
     def push(self, increment) -> None:

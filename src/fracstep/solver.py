@@ -71,10 +71,10 @@ class SingleModeProblem:
     u0: float = 1.0
 
     def __post_init__(self):
-        if self.lambda_L < 0.0:
-            raise ValueError("lambda_L must be nonnegative")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative")
+        for name in ("lambda_L", "kappa"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -96,6 +96,8 @@ class FDProblem1D:
             raise ValueError("need at least one interior point")
         if self.length <= 0.0:
             raise ValueError("domain length must be positive")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa}")
 
     @property
     def h(self) -> float:

@@ -19,6 +19,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def loads(body, allow=()):
+    """Parse a CLI JSON body; a NaN or Infinity token in it fails the test
+    unless the test names it in ``allow``."""
+    return json.loads(body, parse_constant=lambda name: float(name)
+                      if name in allow else _refuse_constant(name))
+
+
 def test_kernels_dump_row_count(capsys):
     code, out, _ = run(capsys, "kernels", "dump", "--scheme", "l1",
                        "--mesh", "graded:30,2,1", "--alpha", "0.4")
@@ -52,7 +63,7 @@ def test_audit_json(capsys):
     code, out, _ = run(capsys, "audit", "--scheme", "alikhanov",
                        "--mesh", "graded:64,3,1", "--alpha", "0.5")
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["a1_holds"] is True
     assert payload["a2_pi_estimate"] <= 2.75
     assert payload["a2_holds_for_claim"] is True
@@ -63,7 +74,12 @@ def test_audit_reports_bdf2_failure(capsys):
     code, out, _ = run(capsys, "audit", "--scheme", "bdf2",
                        "--mesh", "graded:32,1,1", "--alpha", "0.9")
     assert code == 0
-    assert json.loads(out)["a1_holds"] is False
+    # a non-positive entry makes the A2 constant infinite, and the body
+    # prints it as the non-JSON token Infinity, as the bdf2 body pinned in
+    # AUDIT_SHA256 does
+    payload = loads(out, allow=("Infinity",))
+    assert payload["a1_holds"] is False
+    assert payload["a2_pi_estimate"] == math.inf
 
 
 def test_gronwall_verify_ok(capsys):
@@ -71,7 +87,7 @@ def test_gronwall_verify_ok(capsys):
                        "--mesh", "graded:24,2,1", "--alpha", "0.5",
                        "--trials", "20", "--seed", "7")
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["results"]["quadratic"]["violations"] == 0
     assert payload["results"]["linear"]["violations"] == 0
     assert payload["seed"] == 7
@@ -185,13 +201,13 @@ def test_config_file_merges_under_flags(capsys, tmp_path):
                        "graded:8,2,1", "--alpha", "0.5", "--rho-bound", "1.75",
                        "--config", str(cfg))
     assert code == 0
-    assert json.loads(out)["rho_bound"] == 1.75
+    assert loads(out)["rho_bound"] == 1.75
     cfg.write_text(json.dumps({"trials": 5}))
     code, out, _ = run(capsys, "gronwall", "verify", "--scheme", "l1", "--mesh",
                        "graded:8,2,1", "--alpha", "0.5", "--trials", "100",
                        "--config", str(cfg))
     assert code == 0
-    assert json.loads(out)["trials"] == 100
+    assert loads(out)["trials"] == 100
 
 
 def test_config_values_go_through_the_flag_type(capsys, tmp_path):
@@ -202,7 +218,7 @@ def test_config_values_go_through_the_flag_type(capsys, tmp_path):
     cfg.write_text(json.dumps({"trials": "5"}))
     code, out, _ = run(capsys, *verify)
     assert code == 0
-    assert json.loads(out)["trials"] == 5
+    assert loads(out)["trials"] == 5
     # an int for a float flag is echoed as the float the flag gives
     cfg.write_text(json.dumps({"rho-bound": 3}))
     code, out, _ = run(capsys, "audit", "--scheme", "l1", "--mesh",
@@ -234,7 +250,7 @@ def test_soe_build_json(capsys):
     code, out, _ = run(capsys, "soe", "build", "--alpha", "0.5",
                        "--eps", "1e-7", "--delta-t", "1e-2", "--T", "1")
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["Nq"] == len(payload["nodes"])
     assert payload["cert_residual"] <= 1e-7
     assert all(w > 0 for w in payload["weights"])
@@ -332,7 +348,7 @@ def test_gronwall_verify_leaves_built_table_alone(capsys, monkeypatch):
                        "--trials", "5")
     assert code == 0
     assert built[0].pi_A is None
-    assert json.loads(out)["pi_A"] > 0.0
+    assert loads(out)["pi_A"] > 0.0
 
 
 def test_gronwall_verify_refuses_table_failing_a1(capsys):
@@ -409,3 +425,75 @@ def test_solve_fastl1_refuses_tolerance_above_kernel_cap(capsys):
                          "--eps", "0.5")
     assert code == 2
     assert "kernel condition" in err
+
+
+def test_strict_parser_refuses_non_json_constants():
+    for token in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match="not JSON"):
+            loads(f'{{"Lambda": {token}}}')
+
+
+# non-finite or out-of-range numbers are refused as invalid input (exit 2)
+# before any body is written, instead of reaching a certificate as NaN or
+# Infinity or failing later as a numerical error (exit 4)
+REFUSED = {
+    "gronwall_Lambda_nan": (["gronwall", "verify", "--scheme", "l1",
+                             "--mesh", "graded:16,2,1", "--alpha", "0.5",
+                             "--Lambda", "nan"], "Lambda"),
+    "gronwall_Lambda_inf": (["gronwall", "verify", "--scheme", "l1",
+                             "--mesh", "graded:16,2,1", "--alpha", "0.5",
+                             "--Lambda", "inf"], "Lambda"),
+    "gronwall_trials_0": (["gronwall", "verify", "--scheme", "l1",
+                           "--mesh", "graded:16,2,1", "--alpha", "0.5",
+                           "--trials", "0"], "trials"),
+    "audit_pi_a_inf": (["audit", "--scheme", "l1", "--mesh", "graded:16,2,1",
+                        "--alpha", "0.5", "--pi-a", "inf"], "pi_A_claim"),
+    "audit_pi_a_nan": (["audit", "--scheme", "l1", "--mesh", "graded:16,2,1",
+                        "--alpha", "0.5", "--pi-a", "nan"], "pi_A_claim"),
+    "audit_rho_bound_inf": (["audit", "--scheme", "l1", "--mesh", "graded:16,2,1",
+                             "--alpha", "0.5", "--rho-bound", "inf"], "rho_bound"),
+    "audit_rho_bound_nan": (["audit", "--scheme", "l1", "--mesh", "graded:16,2,1",
+                             "--alpha", "0.5", "--rho-bound", "nan"], "rho_bound"),
+    "solve_lambda_nan": (["solve", "--scheme", "l1", "--mesh", "graded:16,2,1",
+                          "--alpha", "0.5", "--lambda", "nan"], "lambda_L"),
+    "solve_lambda_inf": (["solve", "--scheme", "l1", "--mesh", "graded:16,2,1",
+                          "--alpha", "0.5", "--lambda", "inf"], "lambda_L"),
+    "solve_kappa_inf": (["solve", "--scheme", "l1", "--mesh", "graded:16,2,1",
+                         "--alpha", "0.5", "--kappa", "inf"], "kappa"),
+    "solve_fd1d_kappa_nan": (["solve", "--problem", "fd1d", "--scheme", "l1",
+                              "--mesh", "graded:16,2,1", "--alpha", "0.5",
+                              "--M", "8", "--kappa", "nan"], "kappa"),
+    "soe_eps_nan": (["soe", "build", "--alpha", "0.5", "--eps", "nan",
+                     "--delta-t", "0.1", "--T", "1"], "eps"),
+    "soe_eps_inf": (["soe", "build", "--alpha", "0.5", "--eps", "inf",
+                     "--delta-t", "0.1", "--T", "1"], "eps"),
+    "soe_T_inf": (["soe", "build", "--alpha", "0.5", "--eps", "1e-8",
+                   "--delta-t", "0.1", "--T", "inf"], "T=inf"),
+    "soe_delta_t_nan": (["soe", "build", "--alpha", "0.5", "--eps", "1e-8",
+                         "--delta-t", "nan", "--T", "1"], "delta_t=nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_invalid_numbers_exit_2_with_empty_stdout(capsys, case):
+    argv, name = REFUSED[case]
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("validation error:") and name in err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["kernels", "dump"], ["gronwall", "verify", "--trials", "3"]])
+def test_fastl1_runs_on_a_one_step_mesh(capsys, command):
+    # the fast L1 approximation is certified on [T/2, T] when the only step
+    # is the whole horizon, so a mesh l1 accepts is not refused
+    argv = command + ["--mesh", "graded:1,1,1", "--alpha", "0.5"]
+    code, fast, _ = run(capsys, *argv, "--scheme", "fastl1")
+    assert code == 0
+    code, l1, _ = run(capsys, *argv, "--scheme", "l1")
+    assert code == 0
+    if command[0] == "gronwall":  # the two schemes claim different pi_A
+        assert loads(fast)["results"]["quadratic"]["violations"] == 0
+    else:
+        assert fast.replace("fastl1", "l1") == l1

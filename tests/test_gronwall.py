@@ -146,6 +146,26 @@ def test_problem_validation():
                         form="cubic")
 
 
+@pytest.mark.parametrize("name", ["Lambda", "v0", "lambdas", "g"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_problem_refuses_non_finite_data(name, bad):
+    # NaN used to pass every sign check and reach the certificate
+    data = dict(lambdas=np.array([0.3, 0.2]), g=np.array([0.1, 0.0]), v0=1.0,
+                Lambda=0.5)
+    data[name] = np.array([0.3, bad]) if name in ("lambdas", "g") else bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GronwallProblem(**data)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_refuse_fewer_than_one(store, trials):
+    mesh, ktable, ctable = store.ctable("l1", "uniform", 16, 0.5)
+    problem = GronwallProblem(lambdas=np.zeros(16), g=None, v0=1.0, Lambda=0.0)
+    for verify in (verify_gronwall_quadratic, verify_gronwall_linear):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            verify(ctable, mesh, ktable, problem, trials=trials, rng=0)
+
+
 @pytest.mark.parametrize("scheme,family,alpha", [
     ("l1", "graded2", 0.3), ("l1", "graded2", 0.7),
     ("alikhanov", "uniform", 0.5), ("fastl1", "randquasi", 0.5)])

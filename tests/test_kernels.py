@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,18 @@ import pytest
 from scipy.integrate import quad
 
 from fracstep import kernels
+from fracstep.complementary import (
+    build_complementary,
+    check_lemma21,
+    check_lemma22_23,
+    identity_residual,
+)
+from fracstep.gronwall import (
+    GronwallProblem,
+    gronwall_bound,
+    verify_gronwall_linear,
+    verify_gronwall_quadratic,
+)
 from fracstep.kernels import (
     A1_SLACK,
     KernelTable,
@@ -523,51 +536,101 @@ def test_tables_match_full_series(build, mesh, alpha, monkeypatch):
 
 
 def test_triangle_blocks_cover_every_row_once():
-    for N in range(1, 601):
-        cap = max(4 * N, kernels._TRIANGLE_FLOOR)
-        blocks = list(kernels._triangle_rows(N))
-        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
-        assert blocks[-1].stop == N
+    for kind, N in itertools.product(kernels._BLOCK_WIDTH, range(1, 601)):
+        cap = max(kernels._BLOCK_WIDTH[kind] * N, kernels._BLOCK_FLOOR)
+        blocks = list(kernels._blocks(N, kind))
+        starts = [b.start for b, _ in blocks]
+        assert starts == [0] + [b.stop for b, _ in blocks[:-1]]
+        assert blocks[-1][0].stop == N
         # each block is the largest within the entry cap, and never empty
-        for b in blocks:
+        for b, lag in blocks:
             assert b.stop > b.start
             assert (b.stop - b.start) * b.stop <= cap or b.stop == b.start + 1
             assert b.stop == N or (b.stop + 1 - b.start) * (b.stop + 1) > cap
+            assert np.array_equal(lag, np.subtract.outer(np.arange(b.start, b.stop),
+                                                         np.arange(b.stop)))
     mesh = graded_mesh(300, 2.0, 1.0)
-    assert ([rows for rows, _, _ in kernels._triangle(mesh, 0.5)]
-            == list(kernels._triangle_rows(300)))
+    assert ([rows for rows, _, _, _ in kernels._triangle(mesh, 0.5)]
+            == [rows for rows, _ in kernels._blocks(300, "triangle")])
 
 
-def _tables_and_audits(mesh, alpha):
-    tables, reports = [], []
+def _one_row_blocks(m):
+    m.setattr(kernels, "_BLOCK_FLOOR", 1)
+    for kind in kernels._BLOCK_WIDTH:
+        m.setitem(kernels._BLOCK_WIDTH, kind, 0)
+
+
+def _layout_results(mesh, alpha):
+    """Tables and audits, which must keep every bit whatever the blocks, and
+    the two block sums whose rounding follows the block width."""
+    exact, rounded = [], []
     for build in (l1_kernel, alikhanov_kernel, bdf2_kernel):
         table = build(mesh, alpha)
-        tables.append(table.K)
-        reports += [verify_assumptions(table, mesh, table.pi_A, strict=strict)
-                    for strict in (False, True)]
-    return tables, reports
+        exact.append(table.K)
+        exact += [verify_assumptions(table, mesh, table.pi_A, strict=strict)
+                  for strict in (False, True)]
+        if table.pi_A is None:
+            continue
+        ct = build_complementary(table)
+        lemma22 = check_lemma22_23(ct, mesh, alpha, table.pi_A, mesh.max_ratio())
+        rounded += [identity_residual(ct), lemma22.ml_log_min_margin]
+        lam = np.random.default_rng(mesh.N).uniform(size=mesh.N)
+        Lambda = 0.5 * min(1.0, mesh.max_step() ** -alpha
+                           / (2.0 * table.pi_A * math.gamma(2.0 - alpha)))
+        problem = GronwallProblem(lambdas=lam * Lambda / lam.sum(),
+                                  g=lam, v0=1.0, Lambda=Lambda, theta=table.theta)
+        bound = gronwall_bound(problem, ct, mesh, alpha, table.pi_A, 1.0)
+        exact += [check_lemma21(ct, mesh, alpha, table.pi_A),
+                  lemma22.powerlaw_max_excess, bound.bound_per_step,
+                  bound.weak_bound_per_step,
+                  verify_gronwall_quadratic(ct, mesh, table, problem, 5, rng=1),
+                  verify_gronwall_linear(ct, mesh, table, problem, 5, rng=1)]
+    return exact, rounded
+
+
+# identity_residual and ml_log_min_margin sum each block row in an order set
+# by the block width (the GEMM of P K, numpy's pairwise sum in logsumexp);
+# one-row and whole-table walks have moved them by at most 4 ulp of
+# max(1, |value|), at 1 and 2 OpenBLAS threads
+LAYOUT_ULPS = 8
 
 
 @pytest.mark.parametrize("N", [1, 17, 64, 300])
 @pytest.mark.parametrize("family", ["uniform", "graded3", "random"])
 def test_block_layout_cannot_move_a_bit(N, family, monkeypatch):
-    # every entry's arithmetic is elementwise, so a table and its audit come
-    # out the same whether each block holds one row or the whole triangle
+    # every entry's arithmetic is elementwise, so a table, its audit and the
+    # checks and trials on it come out the same whether each block holds one
+    # row or the whole triangle
     mesh = {"uniform": uniform_mesh(N, 1.0), "graded3": graded_mesh(N, 3.0, 1.0),
             "random": random_mesh(N, 1.0, seed=N)}[family]
     for alpha in (0.05, 0.95):
-        tables, reports = _tables_and_audits(mesh, alpha)
+        exact, rounded = _layout_results(mesh, alpha)
         with monkeypatch.context() as m:
-            m.setattr(kernels, "_triangle_rows",
-                      lambda n: (slice(r, r + 1) for r in range(n)))
-            one_row = _tables_and_audits(mesh, alpha)
+            _one_row_blocks(m)
+            assert all(len(list(kernels._blocks(N, kind))) == N
+                       for kind in kernels._BLOCK_WIDTH)
+            one_row = _layout_results(mesh, alpha)
         with monkeypatch.context() as m:
-            m.setattr(kernels, "_TRIANGLE_FLOOR", N * N)
-            assert len(list(kernels._triangle_rows(N))) == 1
-            whole = _tables_and_audits(mesh, alpha)
-        for other_tables, other_reports in (one_row, whole):
-            assert all(np.array_equal(a, b) for a, b in zip(other_tables, tables))
-            assert other_reports == reports
+            m.setattr(kernels, "_BLOCK_FLOOR", N * N)
+            assert all(len(list(kernels._blocks(N, kind))) == 1
+                       for kind in kernels._BLOCK_WIDTH)
+            whole = _layout_results(mesh, alpha)
+        for other_exact, other_rounded in (one_row, whole):
+            assert len(other_exact) == len(exact)
+            for a, b in zip(other_exact, exact):
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(other_rounded, rounded):
+                tol = LAYOUT_ULPS * 2.0 ** -52 * max(1.0, abs(b))
+                assert a == b or abs(a - b) <= tol
+
+
+def test_fastl1_one_step_table_is_l1():
+    # a one-step mesh has no history to compress, and fast L1's diagonal is
+    # the exact L1 one
+    for mesh in (graded_mesh(1, 1.0, 1.0), uniform_mesh(1, 0.3)):
+        for alpha in (0.05, 0.5, 0.95):
+            fast = kernels.build_table("fastl1", mesh, alpha, 1e-8)
+            assert np.array_equal(fast.K, l1_kernel(mesh, alpha).K)
 
 
 def test_apply_discrete_derivative_matches_loops():

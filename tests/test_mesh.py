@@ -76,6 +76,12 @@ def test_check_a3_graded():
     assert rep.satisfies_A3
 
 
+@pytest.mark.parametrize("rho_bound", [0.0, -1.0, float("inf"), float("nan")])
+def test_check_a3_refuses_bound_outside_open_half_line(rho_bound):
+    with pytest.raises(ValueError, match="rho_bound"):
+        check_A3(uniform_mesh(8, 1.0), rho_bound)
+
+
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 3.0, 5.0])
 def test_graded_steps_nondecreasing(gamma):
     m = graded_mesh(40, gamma, 1.0)

@@ -12,7 +12,6 @@ from fracstep.soe import (
     _SOEHistory,
     build_soe,
     fast_l1_apply,
-    history_update,
     soe_eval,
     soe_from_json,
 )
@@ -56,6 +55,16 @@ def test_unreachable_tolerance_raises():
         build_soe(0.5, 1e-30, 1e-6, 1.0)
 
 
+@pytest.mark.parametrize("eps,delta_t,T", [
+    (math.nan, 0.1, 1.0), (math.inf, 0.1, 1.0), (0.0, 0.1, 1.0),
+    (1e-8, math.nan, 1.0), (1e-8, 0.1, math.nan), (1e-8, 0.1, math.inf),
+    (1e-8, 1.0, 1.0)])
+def test_build_refuses_invalid_window_or_tolerance(eps, delta_t, T):
+    # NaN and infinity used to fail late, as a numerical error
+    with pytest.raises(ValueError):
+        build_soe(0.5, eps, delta_t, T)
+
+
 def test_eval_endpoints_and_window(store):
     approx = store.soe(**STD)
     assert abs(soe_eval(approx, 1e-3) - omega(0.5, 1e-3)) <= approx.eps
@@ -73,49 +82,64 @@ def test_eval_monotone_decreasing(store):
     assert np.all(np.diff(vals) < 0.0)
 
 
+def _one_node(node):
+    # a one-term approximation that passes fast L1's certification checks
+    return SOEApprox(nodes=np.array([node]), weights=np.array([1.0]),
+                     eps=0.1, delta_t=0.1, T=1.0, alpha=0.5,
+                     cert_residual=0.0, meets_kernel_condition=False)
+
+
 def test_history_zero_stays_zero(store):
     approx = store.soe(**STD)
-    H = np.zeros(approx.Nq)
-    assert np.array_equal(history_update(approx, H, 0.0, 0.1), H)
+    history = _SOEHistory(approx, uniform_mesh(10, 1.0), 0.5)
+    for n in (1, 2):
+        assert history.term(n) == 0.0
+        history.push(0.0)
+    assert np.array_equal(history.H, np.zeros(approx.Nq))
 
 
 def test_history_single_node_closed_form():
-    one = SOEApprox(nodes=np.array([1.0]), weights=np.array([1.0]),
-                    eps=1.0, delta_t=0.1, T=1.0, alpha=0.5,
-                    cert_residual=0.0, meets_kernel_condition=False)
-    H = history_update(one, np.zeros(1), 1.0, 1.0)
-    assert H[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
+    history = _SOEHistory(_one_node(1.0), uniform_mesh(1, 1.0), 0.5)
+    history.term(1)
+    history.push(1.0)
+    assert history.H[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
 
 
 def test_history_decays_without_increments():
-    one = SOEApprox(nodes=np.array([2.0]), weights=np.array([1.0]),
-                    eps=1.0, delta_t=0.1, T=1.0, alpha=0.5,
-                    cert_residual=0.0, meets_kernel_condition=False)
-    H = np.array([1.0])
-    for _ in range(3):
-        H_next = history_update(one, H, 0.0, 0.25)
-        assert H_next[0] == pytest.approx(H[0] * math.exp(-0.5), rel=1e-15)
-        H = H_next
+    history = _SOEHistory(_one_node(2.0), uniform_mesh(3, 0.75), 0.5)
+    history.H[:] = 1.0
+    for n in range(1, 4):
+        before = history.H[0]
+        assert history.term(n) == pytest.approx(before * math.exp(-0.5), rel=1e-15)
+        history.push(0.0)
+        assert history.H[0] == pytest.approx(before * math.exp(-0.5), rel=1e-15)
 
 
 def test_history_length_mismatch(store):
-    approx = store.soe(**STD)
+    # the states are sized by the approximation, so only an increment that
+    # does not match the unknowns can disagree with them
+    history = _SOEHistory(store.soe(**STD), uniform_mesh(10, 1.0), 0.5, (3,))
+    history.term(1)
     with pytest.raises(ValueError):
-        history_update(approx, np.zeros(approx.Nq + 1), 1.0, 0.1)
+        history.push(np.ones(4))
 
 
 def test_history_matrix_state_updates_each_column(store):
     approx = store.soe(**STD)
+    mesh = graded_mesh(12, 2.0, 1.0)
     rng = np.random.default_rng(5)
-    H = rng.uniform(size=(approx.Nq, 3))
-    incr = rng.standard_normal(3)
-    out = history_update(approx, H, incr, 0.01)
-    assert out.shape == H.shape
-    for j in range(3):
-        assert np.array_equal(out[:, j],
-                              history_update(approx, H[:, j], incr[j], 0.01))
-    with pytest.raises(ValueError):
-        history_update(approx, np.zeros((approx.Nq + 1, 3)), incr, 0.01)
+    incr = rng.standard_normal((mesh.N, 3))
+    block = _SOEHistory(approx, mesh, 0.5, (3,))
+    columns = [_SOEHistory(approx, mesh, 0.5) for _ in range(3)]
+    for n in range(1, mesh.N + 1):
+        terms = block.term(n)
+        assert terms.shape == (3,)
+        for j, history in enumerate(columns):
+            assert terms[j] == pytest.approx(history.term(n), rel=1e-14)
+            history.push(incr[n - 1, j])
+        block.push(incr[n - 1])
+        for j, history in enumerate(columns):
+            assert np.array_equal(block.H[:, j], history.H)
 
 
 @pytest.mark.parametrize("family,alpha", [("uniform", 0.5), ("graded2", 0.3),

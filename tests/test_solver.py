@@ -53,6 +53,18 @@ def test_caputo_power_domain():
         caputo_of_power(0.5, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_problems_refuse_non_finite_coefficients(bad):
+    # these used to pass the sign checks and stop at a zero pivot
+    for name in ("lambda_L", "kappa"):
+        data = dict(alpha=0.5, lambda_L=1.0, kappa=0.0)
+        data[name] = bad
+        with pytest.raises(ValueError, match=name):
+            SingleModeProblem(**data)
+    with pytest.raises(ValueError, match="kappa"):
+        FDProblem1D(length=1.0, M=4, kappa=bad)
+
+
 def test_identity_evolution_when_operator_vanishes():
     mesh = uniform_mesh(12, 1.0)
     table = l1_kernel(mesh, 0.5)
