@@ -73,7 +73,6 @@ from .solver import (
     solve_single_mode_fast,
 )
 from .specialfn import (
-    MLEvalConfig,
     NonConvergenceError,
     log_mittag_leffler,
     mittag_leffler,

@@ -50,6 +50,16 @@ def _emit(text: str, out_path):
         fh.write(text)
 
 
+def _emit_json(payload: dict, out_path):
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", out_path)
+
+
+def _finite_or_null(value: float):
+    """``value``, or None (JSON null) for an infinite step threshold or A2
+    constant: no step restriction applies, or the table fails A1."""
+    return None if value == math.inf else value
+
+
 def _cmd_dump(args):
     """``kernels dump`` or ``complementary dump``: the table's (n, lag, value) CSV."""
     mesh = parse_mesh_spec(args.mesh)
@@ -79,11 +89,11 @@ def _cmd_audit(args):
         "rho_bound": args.rho_bound,
         "a1_holds": report.a1_holds,
         "a1_worst_violation": report.a1_worst_violation,
-        "a2_pi_estimate": report.a2_pi_estimate,
+        "a2_pi_estimate": _finite_or_null(report.a2_pi_estimate),
         "pi_A_claim": report.pi_A_claim,
         "a2_holds_for_claim": report.a2_holds_for_claim,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
@@ -137,11 +147,11 @@ def _cmd_gronwall_verify(args):
         "Lambda": lam_total,
         "pi_A": table.pi_A,
         "max_ratio": mesh.max_ratio(),
-        "step_restriction_threshold": gronwall.step_restriction_threshold(
-            args.alpha, table.pi_A, lam_total),
+        "step_restriction_threshold": _finite_or_null(
+            gronwall.step_restriction_threshold(args.alpha, table.pi_A, lam_total)),
         "results": results,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out)
     if violations:
         raise PropertyViolation(f"{violations} Gronwall bound violations")
     return EXIT_OK
@@ -230,13 +240,12 @@ def _cmd_soe_build(args):
     return EXIT_OK
 
 
-def _leaf_actions(parser, args) -> dict:
-    """Options of the subcommand parser that produced ``args``, by dest."""
+def _leaf_parser(parser, args) -> argparse.ArgumentParser:
+    """The subcommand parser that produced ``args``."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return _leaf_actions(action.choices[getattr(args, action.dest)], args)
-    return {a.dest: a for a in parser._actions
-            if a.option_strings and not isinstance(a, argparse._HelpAction)}
+            return _leaf_parser(action.choices[getattr(args, action.dest)], args)
+    return parser
 
 
 def _config_value(action, key: str, value):
@@ -258,20 +267,23 @@ def _config_value(action, key: str, value):
 
 
 def _apply_config(parser, args, argv):
-    """Fill from the --config file every flag not given in ``argv``."""
+    """``argv`` parsed again with the --config file's values as the defaults
+    of its subcommand, so every flag given in ``argv`` wins."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
-    actions = _leaf_actions(parser, args)
-    given = _given_flags(argv)
+    leaf = _leaf_parser(parser, args)
+    actions = {a.dest: a for a in leaf._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)}
+    defaults = {}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if attr not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        if attr not in given:
-            setattr(args, attr, _config_value(actions[attr], key, value))
-    return args
+        defaults[attr] = _config_value(actions[attr], key, value)
+    leaf.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,23 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.set_defaults(func=_cmd_soe_build)
 
     return p
-
-
-def _suppress_defaults(parser) -> None:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                _suppress_defaults(sp)
-        else:
-            action.default = argparse.SUPPRESS
-
-
-def _given_flags(argv) -> set:
-    """Destinations set on the command line: parsed again with every default
-    suppressed, only the flags present in ``argv`` reach the namespace."""
-    parser = build_parser()
-    _suppress_defaults(parser)
-    return set(vars(parser.parse_args(argv)))
 
 
 def main(argv=None) -> int:

@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# Rounding allowance of the Lemma 2.1-2.3 checks, relative to each bound's scale.
+_LEMMA_SLACK = 1e-10
+
+
 class ZeroDiagonalError(ValueError):
     """A source row has a non-positive leading coefficient."""
 
@@ -102,9 +106,10 @@ class Lemma21Report:
 
 
 def check_lemma21(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
-                  pi_A: float, slack: float = 1e-10) -> Lemma21Report:
+                  pi_A: float) -> Lemma21Report:
     """Nonnegativity, the per-entry bound P^(n)_{n-k} <= pi_A Gamma(2-a) tau_k^a
-    (the per-k form), and sum_j P^(n)_{n-j} omega_{1-a}(t_j) <= pi_A.
+    (the per-k form), and sum_j P^(n)_{n-j} omega_{1-a}(t_j) <= pi_A, each
+    allowed 1e-10 times its scale for rounding.
     """
     check_same_problem(ctable.source, mesh, alpha)
     C = pi_A * math.gamma(2.0 - alpha)
@@ -123,11 +128,11 @@ def check_lemma21(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
     scale = max(1.0, C * mesh.max_step() ** alpha)
     return Lemma21Report(
         min_entry=min_entry,
-        nonnegative=bool(min_entry >= -slack * scale),
+        nonnegative=bool(min_entry >= -_LEMMA_SLACK * scale),
         entry_bound_excess=entry_excess,
-        entry_bound_holds=bool(entry_excess <= slack * scale),
+        entry_bound_holds=bool(entry_excess <= _LEMMA_SLACK * scale),
         weighted_sum_excess=sum_excess,
-        weighted_sum_holds=bool(sum_excess <= slack * max(1.0, pi_A)),
+        weighted_sum_holds=bool(sum_excess <= _LEMMA_SLACK * max(1.0, pi_A)),
     )
 
 
@@ -143,7 +148,7 @@ class Lemma22Report:
 
 def check_lemma22_23(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
                      pi_A: float, rho: float, k_max: int = 5,
-                     mus=(0.5, 2.0, 10.0), slack: float = 1e-10) -> Lemma22Report:
+                     mus=(0.5, 2.0, 10.0)) -> Lemma22Report:
     """History-sum inequalities against power-law and Mittag-Leffler data.
 
     Power laws: for v = omega_{1+k*alpha} (whose memory derivative is exactly
@@ -152,6 +157,8 @@ def check_lemma22_23(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
     Mittag-Leffler: for mu > 0,
         sum_{j<n} P^(n)_{n-j} E_a(mu t_j^a) <= max(1,rho) pi_A (E_a(mu t_n^a) - 1)/mu,
     evaluated in the log domain since E_a overflows doubles for small alpha.
+    Both are allowed 1e-10 for rounding: relative to max(1, rhs) for the power
+    laws, absolute on the log margin for Mittag-Leffler.
     """
     check_same_problem(ctable.source, mesh, alpha)
     fac = max(1.0, rho) * pi_A
@@ -182,9 +189,9 @@ def check_lemma22_23(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
 
     return Lemma22Report(
         powerlaw_max_excess=power_excess,
-        powerlaw_holds=bool(power_excess <= slack),
+        powerlaw_holds=bool(power_excess <= _LEMMA_SLACK),
         ml_log_min_margin=log_margin,
-        ml_holds=bool(log_margin >= -slack),
+        ml_holds=bool(log_margin >= -_LEMMA_SLACK),
         k_range=(1, k_max),
         mus=tuple(mus),
     )

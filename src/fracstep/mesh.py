@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass, field
 
@@ -48,10 +47,6 @@ class TimeMesh:
         """Node t_n."""
         return float(self.nodes[n])
 
-    def step(self, n: int) -> float:
-        """Step tau_n = t_n - t_{n-1}, 1-based like the math."""
-        return float(self.tau[n - 1])
-
     def offset_nodes(self, theta: float) -> np.ndarray:
         """Points t_{n-theta} = theta*t_{n-1} + (1-theta)*t_n for n = 1..N."""
         return theta * self.nodes[:-1] + (1.0 - theta) * self.nodes[1:]
@@ -62,11 +57,6 @@ class TimeMesh:
     def max_ratio(self) -> float:
         """Largest step ratio; 0 for a single-step mesh."""
         return float(self.rho.max()) if len(self.rho) else 0.0
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(list(map(float, self.nodes)))
 
     def save_txt(self, path) -> None:
         with open(path, "w") as fh:
@@ -138,10 +128,6 @@ def load_txt(path) -> TimeMesh:
     with open(path) as fh:
         vals = [float(line) for line in fh if line.strip()]
     return mesh_from_nodes(vals)
-
-
-def from_json(text: str) -> TimeMesh:
-    return mesh_from_nodes(json.loads(text))
 
 
 def random_mesh(N: int, T: float, rho_bound: float = 1.75, seed=None) -> TimeMesh:

@@ -72,18 +72,7 @@ class SOEApprox:
             "meets_kernel_condition": self.meets_kernel_condition,
             "nodes": [float(x) for x in self.nodes],
             "weights": [float(x) for x in self.weights],
-        }, indent=2)
-
-
-def soe_from_json(text: str) -> SOEApprox:
-    d = json.loads(text)
-    return SOEApprox(
-        nodes=np.asarray(d["nodes"], dtype=float),
-        weights=np.asarray(d["weights"], dtype=float),
-        eps=d["eps"], delta_t=d["delta_t"], T=d["T"], alpha=d["alpha"],
-        cert_residual=d["cert_residual"],
-        meets_kernel_condition=d["meets_kernel_condition"],
-    )
+        }, indent=2, allow_nan=False)
 
 
 def _certification_grid(delta_t: float, T: float) -> np.ndarray:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -12,30 +11,18 @@ __all__ = [
     "omega",
     "mittag_leffler",
     "log_mittag_leffler",
-    "MLEvalConfig",
     "NonConvergenceError",
 ]
 
 
 class NonConvergenceError(ArithmeticError):
-    """The series cannot be summed to the requested accuracy."""
+    """The series cannot be summed to the certified accuracy."""
 
 
-@dataclass(frozen=True)
-class MLEvalConfig:
-    """Accuracy knobs for the Mittag-Leffler series."""
-
-    abs_tol: float = 1e-14
-    max_terms: int = 2000
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-_DEFAULT_CFG = MLEvalConfig()
+# Certified absolute accuracy of mittag_leffler on alternating arguments, and
+# the longest series it sums.
+_ABS_TOL = 1e-14
+_MAX_TERMS = 2000
 
 # Term matrices are built at most this many entries at a time, so scratch
 # stays bounded however many arguments one call evaluates.
@@ -45,12 +32,10 @@ _BLOCK_ENTRIES = 1 << 15
 # for the Bromwich integral of s^(alpha-1) / (s^alpha + x) at t = 1
 # (Weideman & Trefethen, Math. Comp. 76, 2007). The nodes u = kh, k = -n..n,
 # come in conjugate pairs, so k >= 0 with doubled weights suffices.
+# Against the mpmath series oracle, over alpha in [0.1, 1] and x up to well
+# past the refusal edge, the contour sum errs by at most 5.4e-15, within
+# _ABS_TOL. It is rounding, not truncation: n = 16 and n = 20 do no better.
 _CONTOUR_N = 18
-# Certified absolute accuracy of the contour sum. The worst error seen against
-# the mpmath series oracle, over alpha in [0.1, 1] and x up to the refusal
-# edge at abs_tol 1e-14 and 1e-5, is 5.4e-15. It is rounding, not
-# truncation: n = 16 and n = 20 do no better.
-_CONTOUR_ABS_TOL = 1e-14
 
 
 def _contour_nodes(n: int):
@@ -133,7 +118,7 @@ def _ml_envelope(alpha: float, mu: float, t) -> np.ndarray:
     return 2.0 * mittag_leffler(alpha, mu * np.asarray(t, dtype=float) ** alpha)
 
 
-def mittag_leffler(alpha: float, z, cfg: MLEvalConfig = _DEFAULT_CFG):
+def mittag_leffler(alpha: float, z):
     """E_alpha(z) = sum_k z**k / Gamma(1 + k*alpha) for alpha in (0, 1].
 
     ``z`` may be a scalar (a float is returned) or an array (an array of the
@@ -142,14 +127,15 @@ def mittag_leffler(alpha: float, z, cfg: MLEvalConfig = _DEFAULT_CFG):
     what the first failing element in C order would raise.
 
     Positive arguments, and negative ones whose alternating series keeps its
-    rounding noise below abs_tol, are summed as series. In the band where
-    the series cancels, E_alpha(-x) is a trapezoid sum on a parabolic
-    Bromwich contour, certified to 1e-14 absolute; a smaller abs_tol raises
-    there. Beyond the band (where the series would need more than ~31 digits:
-    exp(|z|**(1/alpha)) * 1e-28 > abs_tol) arguments raise
-    NonConvergenceError rather than return unverified digits, as do large
-    positive arguments whose value would overflow a double; see
-    log_mittag_leffler for those.
+    rounding noise below 1e-14 absolute, are summed as series of at most
+    2000 terms. In the band where the series cancels, E_alpha(-x) is a
+    trapezoid sum on a parabolic Bromwich contour, certified to 1e-14
+    absolute. These settings are fixed. Beyond the band (where the series
+    would need more than ~31 digits: exp(|z|**(1/alpha)) * 1e-28 > 1e-14)
+    arguments raise NonConvergenceError rather than return unverified
+    digits, as do arguments that need more terms and large positive
+    arguments whose value would overflow a double; see log_mittag_leffler
+    for those.
     """
     alpha = _check_alpha(alpha)
     z_arr = np.asarray(z, dtype=float)
@@ -162,13 +148,13 @@ def mittag_leffler(alpha: float, z, cfg: MLEvalConfig = _DEFAULT_CFG):
         errors.append((i, ValueError(f"z must be finite, got {float(flat[i])}")))
     todo = np.flatnonzero(np.isfinite(flat) & (flat != 0.0))
     zs = flat[todo]
-    cut = math.log(cfg.abs_tol) - 45.0
+    cut = math.log(_ABS_TOL) - 45.0
 
     def finish(rows, ln_t):
         # the first term past the peak that lies far below both the tolerance
         # and the largest term ends the series; past the peak the terms only
         # fall, so a row whose end lies within w terms has its whole profile
-        # there, and the others widen up to max_terms
+        # there, and the others widen up to _MAX_TERMS
         w = ln_t.shape[1]
         peak = ln_t.argmax(axis=1)
         past = (ln_t < cut) & (np.arange(w) > peak[:, None])
@@ -178,24 +164,19 @@ def mittag_leffler(alpha: float, z, cfg: MLEvalConfig = _DEFAULT_CFG):
         z = zs[rows]
         overflow = ln_max + np.log(k_need) > 708.0
         # Alternating series: rounding noise scales with the largest term
-        # times a random-walk factor in the term count. Past what the default
-        # tolerance allows, term rounding (eps |k ln|z||) outgrows that model,
-        # so a looser tolerance does not widen the series band.
+        # times a random-walk factor in the term count.
         with np.errstate(over="ignore"):  # only on rows refused for overflow
             big = np.exp(ln_max) * np.maximum(3.0, np.sqrt(k_need))
-        series = found & ~overflow & (
-            (z > 0.0) | (big * 5e-16 <= 0.5 * min(cfg.abs_tol, _CONTOUR_ABS_TOL)))
+        series = found & ~overflow & ((z > 0.0) | (big * 5e-16 <= 0.5 * _ABS_TOL))
         # the contour serves the rest of the accepted domain, which ends where
         # ~31 digits would no longer do (the former double-double range)
-        contour = (found & ~overflow & ~series
-                   & (big * 2e-29 <= 0.5 * cfg.abs_tol)
-                   & (cfg.abs_tol >= _CONTOUR_ABS_TOL))
-        done = found | (w == cfg.max_terms)
+        contour = found & ~overflow & ~series & (big * 2e-29 <= 0.5 * _ABS_TOL)
+        done = found | (w == _MAX_TERMS)
         bad = np.flatnonzero(done & ~(series | contour))
         if len(bad):
             i = bad[0]
             errors.append((todo[rows[i]], _ml_error(
-                alpha, float(z[i]), cfg, found[i], overflow[i], big[i])))
+                alpha, float(z[i]), found[i], overflow[i], big[i])))
         if series.any():
             take = np.arange(w) < k_need[series, None]
             terms = np.exp(np.where(take, ln_t[series], -np.inf))
@@ -206,28 +187,22 @@ def mittag_leffler(alpha: float, z, cfg: MLEvalConfig = _DEFAULT_CFG):
         return done
 
     _term_logs(alpha, _log(np.abs(zs)), np.arange(len(zs)), 1,
-               _doubling(64, cfg.max_terms), finish)
+               _doubling(64, _MAX_TERMS), finish)
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
-def _ml_error(alpha, z, cfg, found, overflow, big) -> NonConvergenceError:
+def _ml_error(alpha, z, found, overflow, big) -> NonConvergenceError:
     if not found:
         return NonConvergenceError(
-            f"more than max_terms={cfg.max_terms} terms needed for alpha={alpha}, z={z}")
+            f"more than max_terms={_MAX_TERMS} terms needed for alpha={alpha}, z={z}")
     if overflow:
         return NonConvergenceError(
             f"intermediate terms overflow for alpha={alpha}, z={z}")
-    noise = big * 2e-29
-    if noise <= 0.5 * cfg.abs_tol:
-        return NonConvergenceError(
-            f"cancellation for alpha={alpha}, z={z} needs abs_tol >= "
-            f"{_CONTOUR_ABS_TOL:.0e}, the contour's certified accuracy; "
-            f"got {cfg.abs_tol:.2e}")
     return NonConvergenceError(
         f"cancellation for alpha={alpha}, z={z} exceeds the certified precision: "
-        f"estimated noise {noise:.2e} > abs_tol {cfg.abs_tol:.2e}")
+        f"estimated noise {big * 2e-29:.2e} > abs_tol {_ABS_TOL:.2e}")
 
 
 def log_mittag_leffler(alpha: float, z):

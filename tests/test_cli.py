@@ -23,11 +23,9 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def loads(body, allow=()):
-    """Parse a CLI JSON body; a NaN or Infinity token in it fails the test
-    unless the test names it in ``allow``."""
-    return json.loads(body, parse_constant=lambda name: float(name)
-                      if name in allow else _refuse_constant(name))
+def loads(body):
+    """Parse a CLI JSON body; a NaN or Infinity token in it fails the test."""
+    return json.loads(body, parse_constant=_refuse_constant)
 
 
 def test_kernels_dump_row_count(capsys):
@@ -75,11 +73,10 @@ def test_audit_reports_bdf2_failure(capsys):
                        "--mesh", "graded:32,1,1", "--alpha", "0.9")
     assert code == 0
     # a non-positive entry makes the A2 constant infinite, and the body
-    # prints it as the non-JSON token Infinity, as the bdf2 body pinned in
-    # AUDIT_SHA256 does
-    payload = loads(out, allow=("Infinity",))
+    # prints it as null, as the bdf2 body pinned in AUDIT_SHA256 does
+    payload = loads(out)
     assert payload["a1_holds"] is False
-    assert payload["a2_pi_estimate"] == math.inf
+    assert payload["a2_pi_estimate"] is None
 
 
 def test_gronwall_verify_ok(capsys):
@@ -91,6 +88,20 @@ def test_gronwall_verify_ok(capsys):
     assert payload["results"]["quadratic"]["violations"] == 0
     assert payload["results"]["linear"]["violations"] == 0
     assert payload["seed"] == 7
+
+
+@pytest.mark.parametrize("Lambda", ["0", "1e-320"])
+def test_gronwall_verify_without_step_restriction(capsys, Lambda):
+    # Lambda = 0 needs no step restriction, and for Lambda = 1e-320 the
+    # admissible step overflows a double: both print a null threshold
+    code, out, _ = run(capsys, "gronwall", "verify", "--scheme", "l1",
+                       "--mesh", "graded:16,2,1", "--alpha", "0.5",
+                       "--trials", "10", "--Lambda", Lambda)
+    assert code == 0
+    payload = loads(out)
+    assert payload["step_restriction_threshold"] is None
+    assert payload["Lambda"] == float(Lambda)
+    assert payload["results"]["quadratic"]["violations"] == 0
 
 
 def test_gronwall_verify_violation_exit_code(capsys, monkeypatch):
@@ -287,7 +298,8 @@ def test_kernels_dump_bytes_pinned(capsys, scheme, mesh):
     assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[scheme, mesh]
 
 
-# sha256 of `audit` bodies at alpha = 0.4 and N = 300 (bdf2 fails A1 there)
+# sha256 of `audit` bodies at alpha = 0.4 and N = 300 (bdf2 fails A1 there,
+# so its body prints a2_pi_estimate as null)
 AUDIT_SHA256 = {
     ("l1", "graded:300,3,1"):
         "788add39b8f30ca30209ab161acd7ca4a57ea1af26a06d77838dde36498d8288",
@@ -296,7 +308,7 @@ AUDIT_SHA256 = {
     ("alikhanov", "graded:300,3,1"):
         "0577ca9603129a8de670ce1041181e95facaa848acdbccf7f78cd47c591a822c",
     ("bdf2", "graded:300,3,1"):
-        "72cc361b6b68be11d6e7d8259517f2fe4724c6d5ded1ddf9b7c334c9fc216b48",
+        "a57f42ad84fcafd540ce273449ae0bf43d174c2ea7ebcd3e737a019799516299",
     ("bdf2recombined", "graded:300,1,1"):
         "3728d8ff80b0865a0947d22731fe4384b793413524e1290cc85f429a8de72ff5",
 }

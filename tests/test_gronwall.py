@@ -29,6 +29,9 @@ def test_restriction_vacuous_for_nonpositive_constant():
     assert check_step_restriction(mesh, 0.5, 1.0, 0.0)
     assert check_step_restriction(mesh, 0.5, 1.0, -3.0)
     assert step_restriction_threshold(0.5, 1.0, 0.0) == math.inf
+    # a tiny positive Lambda: the power overflows, or its base rounds to 0
+    assert step_restriction_threshold(0.5, 1.0, 1e-320) == math.inf
+    assert step_restriction_threshold(0.5, 0.1, 5e-324) == math.inf
 
 
 def test_restriction_comparison():

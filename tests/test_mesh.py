@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from fracstep.mesh import (
     InvalidMeshError,
     check_A3,
-    from_json,
     graded_mesh,
     load_txt,
     mesh_from_nodes,
@@ -96,13 +93,11 @@ def test_roundtrip_is_bitwise():
     assert np.array_equal(src.rho, back.rho)
 
 
-def test_txt_and_json_roundtrip(tmp_path):
+def test_txt_roundtrip(tmp_path):
     src = graded_mesh(9, 3.0, 2.0)
     path = tmp_path / "nodes.txt"
     src.save_txt(path)
     assert np.array_equal(load_txt(path).nodes, src.nodes)
-    assert np.array_equal(from_json(src.to_json()).nodes, src.nodes)
-    assert json.loads(src.to_json())[0] == 0.0
 
 
 def test_parse_mesh_spec(tmp_path):
