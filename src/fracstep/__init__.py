@@ -54,7 +54,6 @@ from .soe import (
     SOENotCertifiedError,
     ToleranceUnreachableError,
     build_soe,
-    fast_l1_apply,
     soe_eval,
 )
 from .solver import (

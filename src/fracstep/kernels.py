@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import TimeMesh
-from .soe import SOEApprox, _check_certified, _soe_for_mesh, fast_l1_apply
+from .soe import SOEApprox, _SOEHistory, _soe_for_mesh
 from .specialfn import omega
 
 __all__ = [
@@ -273,6 +273,7 @@ def l1_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
     # a^(n)_{n-k} = (1/tau_k) int_{t_{k-1}}^{t_k} omega_{1-a}(t_n - s) ds
     for rows, _, avg, _ in _triangle(mesh, alpha):
         K[rows, : rows.stop] = avg
+        del avg  # spent before _triangle builds the next block
     return KernelTable(K, 0.0, alpha, "l1", 1.0, mesh)
 
 
@@ -311,6 +312,8 @@ def _quadratic_matrix(mesh: TimeMesh, alpha: float, offset_theta: float,
             width = (t[n + 1] - offset_theta * tau[n]) - t[n]
             Kb[diag] += avg[diag] * width / tau[n]
         K[rows, :w] = Kb
+        # spent before _triangle builds the next block
+        del avg, mom, b, Kb
     return K
 
 
@@ -340,16 +343,21 @@ def bdf2_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
 def fast_l1_kernel(mesh: TimeMesh, alpha: float, soe: SOEApprox) -> KernelTable:
     """L1 kernels with the history part compressed by decaying exponentials.
 
-    Column k is the SOE march of ``soe.fast_l1_apply`` on the unit step at
-    t_k, so row n holds the coefficients that march applies at step n. The
-    approximation must be certified on a window covering every gap t_n - s
-    that occurs, and its tolerance must satisfy
+    Column k of the (Nq, N) SOE states holds the history of the unit step at
+    t_k, so row n holds the coefficients the fast L1 march applies at step n.
+    The approximation must be certified on a window covering every gap
+    t_n - s that occurs, and its tolerance must satisfy
     eps <= min(omega_{1-a}(T)/3, a * omega_{2-a}(1)) for the 3/2 lower-bound
     constant to hold.
     """
     alpha = _check_alpha(alpha)
-    _check_certified(soe, mesh, alpha)
-    K = fast_l1_apply(soe, mesh, np.tri(mesh.N + 1, mesh.N, -1))
+    history = _SOEHistory(soe, mesh, alpha, (mesh.N,))
+    K = np.empty((mesh.N, mesh.N))
+    for n in range(1, mesh.N + 1):
+        K[n - 1] = history.term(n)  # 0 from column n-1 on, not yet started
+        K[n - 1, n - 1] = history.diagonal[n - 1]
+        # pushing the unit step at t_n adds phi to column n-1, 0 to the rest
+        history.H[:, n - 1 : n] = history.phi
     return KernelTable(K, 0.0, alpha, "fastl1", 1.5, mesh)
 
 
@@ -407,13 +415,12 @@ def check_same_problem(table: KernelTable, mesh: TimeMesh,
 
 
 def verify_assumptions(table: KernelTable, mesh: TimeMesh,
-                       pi_A_claim: float | None = None,
-                       strict: bool = False) -> AssumptionReport:
+                       pi_A_claim: float | None = None) -> AssumptionReport:
     """Scan positivity/monotonicity and measure the sharpest lower-bound
     constant sup over (k, n) of integral / (tau_k * A^(n)_{n-k}).
 
-    Monotonicity tolerates rounding of size A1_SLACK * A^(n)_0 per row unless
-    ``strict`` is set. A non-positive entry makes the constant infinite.
+    Monotonicity tolerates rounding of size A1_SLACK * A^(n)_0 per row. A
+    non-positive entry makes the constant infinite.
     """
     check_same_problem(table, mesh)
     if pi_A_claim is not None and not math.isfinite(pi_A_claim):
@@ -425,7 +432,7 @@ def verify_assumptions(table: KernelTable, mesh: TimeMesh,
         low = Kb.min(axis=1, where=inside, initial=np.inf)
         # lag differences A_{j+1} - A_j of each row, as column differences
         rise = np.max(Kb[:, :-1] - Kb[:, 1:], axis=1, where=inside[:, 1:], initial=0.0)
-        slack = 0.0 if strict else A1_SLACK * np.abs(np.diagonal(Kb, rows.start))
+        slack = A1_SLACK * np.abs(np.diagonal(Kb, rows.start))
         worst = max(worst, float(-low.min()), float(rise.max()))
         a1 = a1 and not (np.any(low <= 0.0) or np.any(rise > slack))
         # integral over [t_{k-1}, t_k] / (tau_k A^(n)_{n-k}), infinite if A <= 0

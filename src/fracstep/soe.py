@@ -25,7 +25,6 @@ __all__ = [
     "OutOfWindowError",
     "build_soe",
     "soe_eval",
-    "fast_l1_apply",
 ]
 
 NODE_BUDGET = 512
@@ -97,6 +96,12 @@ def _tail_cutoff(alpha: float, eps: float, delta_t: float) -> float:
     return x / delta_t
 
 
+def _kernel_cap(alpha: float, T: float) -> float:
+    """The largest tolerance fast L1 accepts on a horizon T, the kernel
+    condition eps <= min(omega_{1-a}(T)/3, a * omega_{2-a}(1))."""
+    return min(omega(1.0 - alpha, T) / 3.0, alpha * omega(2.0 - alpha, 1.0))
+
+
 def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
     """Grow quadrature nodes until the uniform error on [delta_t, T] is <= eps."""
     alpha = float(alpha)
@@ -113,7 +118,6 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
     n_dyadic = math.ceil(math.log2(theta_max / theta0))
     grid = _certification_grid(delta_t, T)
     cap = min(eps / 3.0, omega(1.0 - alpha, T))
-    kernel_cap = min(omega(1.0 - alpha, T) / 3.0, alpha * omega(2.0 - alpha, 1.0))
 
     for m in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24):
         if m * (n_dyadic + 1) + m > NODE_BUDGET:
@@ -148,7 +152,7 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
                 nodes=nodes[order], weights=weights[order], eps=float(eps),
                 delta_t=float(delta_t), T=float(T), alpha=alpha,
                 cert_residual=res,
-                meets_kernel_condition=bool(eps <= kernel_cap),
+                meets_kernel_condition=bool(eps <= _kernel_cap(alpha, T)),
             )
     raise ToleranceUnreachableError(
         f"could not certify eps={eps} on [{delta_t}, {T}] within {NODE_BUDGET} nodes")
@@ -181,7 +185,7 @@ def _check_certified(approx: SOEApprox, mesh, alpha: float) -> None:
     if approx.T < mesh.T * (1.0 - 1e-12):
         raise SOENotCertifiedError(
             f"certified horizon {approx.T} is shorter than the mesh horizon {mesh.T}")
-    eps_cap = min(omega(1.0 - alpha, mesh.T) / 3.0, alpha * omega(2.0 - alpha, 1.0))
+    eps_cap = _kernel_cap(alpha, mesh.T)
     if approx.eps > eps_cap:
         raise SOENotCertifiedError(
             f"tolerance {approx.eps} violates the kernel condition eps <= {eps_cap:.3e}")
@@ -216,23 +220,3 @@ class _SOEHistory:
 
     def push(self, increment) -> None:
         self.H += self.phi * increment
-
-
-def fast_l1_apply(approx: SOEApprox, mesh, v) -> np.ndarray:
-    """Memory derivative of a sequence of shape (N+1,) or (N+1, d) via
-    histories, O(Nq) state per column.
-
-    Matches the direct L1 convolution to within a small multiple of eps times
-    the total variation of the sequence.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[0] != mesh.N + 1:
-        raise ValueError(
-            f"sequence must have shape (N+1,) or (N+1, d) with N+1 = {mesh.N + 1}")
-    history = _SOEHistory(approx, mesh, approx.alpha, v.shape[1:])
-    out = np.empty((mesh.N,) + v.shape[1:])
-    for n in range(1, mesh.N + 1):
-        incr = v[n] - v[n - 1]
-        out[n - 1] = history.diagonal[n - 1] * incr + history.term(n)
-        history.push(incr)
-    return out

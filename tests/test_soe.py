@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fracstep.kernels import apply_discrete_derivative, l1_kernel
+from fracstep.kernels import apply_discrete_derivative, fast_l1_kernel, l1_kernel
 from fracstep.mesh import graded_mesh, uniform_mesh
 from fracstep.soe import (
     OutOfWindowError,
@@ -12,7 +12,6 @@ from fracstep.soe import (
     ToleranceUnreachableError,
     _SOEHistory,
     build_soe,
-    fast_l1_apply,
     soe_eval,
 )
 from fracstep.specialfn import omega
@@ -152,35 +151,10 @@ def test_fast_apply_matches_direct_convolution(store, family, alpha):
     approx = store.soe(alpha, eps, float(mesh.tau.min()), mesh.T)
     rng = np.random.default_rng(42)
     v = np.cumsum(rng.standard_normal(N + 1) * 0.1)
-    fast = fast_l1_apply(approx, mesh, v)
+    fast = apply_discrete_derivative(fast_l1_kernel(mesh, alpha, approx), v)
     direct = apply_discrete_derivative(l1_kernel(mesh, alpha), v)
     tv = float(np.sum(np.abs(np.diff(v))))
     assert np.max(np.abs(fast - direct)) <= 2.0 * eps * tv
-
-
-def test_fast_apply_on_columns_matches_column_calls(store):
-    N, d = 96, 5
-    mesh = graded_mesh(N, 2.0, 1.0)
-    approx = store.soe(0.5, 1e-9, float(mesh.tau.min()), mesh.T)
-    V = np.cumsum(np.random.default_rng(3).standard_normal((N + 1, d)) * 0.1, axis=0)
-    wide = fast_l1_apply(approx, mesh, V)
-    cols = np.stack([fast_l1_apply(approx, mesh, V[:, j]) for j in range(d)], axis=1)
-    assert wide.shape == (N, d)
-    # The states of every column evolve bit for bit alike. Their weighted sum
-    # over the nodes is a BLAS dot for one column and a matrix-vector product
-    # for d, and OpenBLAS accumulates the two in different orders.
-    assert np.max(np.abs(wide - cols)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(cols))
-    states = _SOEHistory(approx, mesh, 0.5, (d,))
-    columns = [_SOEHistory(approx, mesh, 0.5) for _ in range(d)]
-    for n in range(1, N + 1):
-        incr = V[n] - V[n - 1]
-        for history, step in [(states, incr)] + list(zip(columns, incr)):
-            history.term(n)
-            history.push(step)
-    for j in range(d):
-        assert np.array_equal(states.H[:, j], columns[j].H)
-    with pytest.raises(ValueError):
-        fast_l1_apply(approx, mesh, np.zeros((N + 1, 2, 2)))
 
 
 def test_json_roundtrip(store):

@@ -98,9 +98,10 @@ MEMORY_LIMITS = {
     "l1_kernel": 1.25,
     "alikhanov_kernel": 1.25,
     "bdf2_kernel": 1.25,
-    # the table, the N unit steps it marches and their Nq x N states; a
-    # fall back to O(N^2 Nq) scratch would take about Nq/2 units
-    "fast_l1_kernel": 3.5,
+    # the table and the Nq x N states of its N columns (Nq = 240 at
+    # N = 512: about half a table); a fall back to O(N^2 Nq) scratch would
+    # take about Nq/2 units
+    "fast_l1_kernel": 2.0,
     "build_complementary": 1.25,
     "identity_residual": 1.0,
     "verify_assumptions": 1.0,
