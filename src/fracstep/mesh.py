@@ -131,10 +131,15 @@ def load_txt(path) -> TimeMesh:
 
 
 def random_mesh(N: int, T: float, rho_bound: float = 1.75, seed=None) -> TimeMesh:
-    """Random quasi-uniform mesh whose step ratios stay strictly below rho_bound.
+    """Random mesh whose step ratios stay strictly below rho_bound.
 
     Consecutive step factors tau_{k+1}/tau_k are drawn from
     [1.02/rho_bound, 1.5], so rho_k = tau_k/tau_{k+1} <= rho_bound/1.02.
+    The mesh is not quasi-uniform: only neighbouring steps are tied, and
+    log tau does a random walk, so the spread of the steps grows with N.
+    ``random_mesh(513, 1.0, seed=513)`` has steps from 2.4e-9 to 1.9e-2, and
+    fast L1 at eps = 1e-10 may refuse such a mesh, because ``build_soe``
+    cannot certify down to its smallest step within the node budget.
     """
     N = _check_steps(N)
     if rho_bound <= 1.02 / 1.5:

@@ -4,7 +4,10 @@ omega_{1-a}(t) = sin(pi a)/pi * int_0^inf exp(-theta t) theta^(a-1) dtheta
 is discretized with a Gauss-Jacobi rule on the singular band [0, 1/T] and
 Gauss-Legendre rules on dyadic intervals up to a tail cutoff; the node count
 grows until a dense-grid certification of the uniform error on [delta_t, T]
-passes. All nodes and weights are strictly positive.
+passes. The grid starts at delta_t, so a rung whose error there alone
+exceeds 2 eps is rejected before the dense check: the two sums at delta_t
+differ only by rounding, and the dense check would reject it too. All nodes
+and weights are strictly positive.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -29,6 +33,7 @@ __all__ = [
 
 NODE_BUDGET = 512
 CERT_POINTS_PER_OCTAVE = 40
+STEP_BLOCK = 64  # steps whose decay factors _SOEHistory forms in one call
 
 
 class SOENotCertifiedError(ValueError):
@@ -79,9 +84,19 @@ def _certification_grid(delta_t: float, T: float) -> np.ndarray:
     return np.geomspace(delta_t, T, CERT_POINTS_PER_OCTAVE * octaves)
 
 
-def _residual(nodes, weights, alpha, grid) -> float:
+def _residual(nodes, weights, target, grid) -> float:
     approx = weights @ np.exp(-np.outer(nodes, grid))
-    return float(np.max(np.abs(omega(1.0 - alpha, grid) - approx)))
+    return float(np.max(np.abs(target - approx)))
+
+
+@lru_cache(maxsize=128)
+def _gauss_rule(m: int, alpha: float | None = None):
+    """Read-only Gauss-Legendre (alpha None) or Gauss-Jacobi(0, alpha - 1)
+    nodes and weights on [-1, 1]."""
+    rule = roots_legendre(m) if alpha is None else roots_jacobi(m, 0.0, alpha - 1.0)
+    for x in rule:
+        x.flags.writeable = False
+    return rule
 
 
 def _tail_cutoff(alpha: float, eps: float, delta_t: float) -> float:
@@ -117,34 +132,34 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
     theta_max = max(_tail_cutoff(alpha, eps, delta_t), 4.0 * theta0)
     n_dyadic = math.ceil(math.log2(theta_max / theta0))
     grid = _certification_grid(delta_t, T)
+    target = omega(1.0 - alpha, grid)
     cap = min(eps / 3.0, omega(1.0 - alpha, T))
+    # dyadic panels [lo, 2 lo] from theta0; scaling by 2 is exact
+    lo = (theta0 * 2.0 ** np.arange(n_dyadic))[:, None]
+    hi = 2.0 * lo
 
     for m in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24):
         if m * (n_dyadic + 1) + m > NODE_BUDGET:
             break
-        #, singular band [0, theta0] with weight theta^(alpha-1)
-        xj, wj = roots_jacobi(max(2, m), 0.0, alpha - 1.0)
-        nodes = [theta0 * 0.5 * (1.0 + xj)]
-        weights = [pref * (theta0 * 0.5) ** alpha * wj]
-        # dyadic Gauss-Legendre panels [theta0 2^i, theta0 2^(i+1)]
-        xl, wl = roots_legendre(m)
-        lo = theta0
-        for _ in range(n_dyadic):
-            hi = 2.0 * lo
-            th = 0.5 * (hi - lo) * xl + 0.5 * (hi + lo)
-            nodes.append(th)
-            weights.append(pref * 0.5 * (hi - lo) * wl * th ** (alpha - 1.0))
-            lo = hi
-        nodes = np.concatenate(nodes)
-        weights = np.concatenate(weights)
-        res = _residual(nodes, weights, alpha, grid)
+        # singular band [0, theta0] with weight theta^(alpha-1), then the
+        # dyadic Gauss-Legendre panels, one row per panel
+        xj, wj = _gauss_rule(max(2, m), alpha)
+        xl, wl = _gauss_rule(m)
+        th = 0.5 * (hi - lo) * xl + 0.5 * (hi + lo)
+        wth = pref * 0.5 * (hi - lo) * wl * th ** (alpha - 1.0)
+        nodes = np.concatenate([theta0 * 0.5 * (1.0 + xj), th.ravel()])
+        weights = np.concatenate([pref * (theta0 * 0.5) ** alpha * wj, wth.ravel()])
+        at_dt = weights * np.exp(-nodes * delta_t)
+        if abs(target[0] - np.sum(at_dt)) > 2.0 * eps:
+            continue
+        res = _residual(nodes, weights, target, grid)
         if res <= eps:
             # prune terms whose whole contribution on the window is negligible
-            keep = weights * np.exp(-nodes * delta_t) > cap * 1e-4 / len(nodes)
+            keep = at_dt > cap * 1e-4 / len(nodes)
             if not np.any(keep):
-                keep[np.argmax(weights * np.exp(-nodes * delta_t))] = True
+                keep[np.argmax(at_dt)] = True
             if not np.all(keep):
-                pruned_res = _residual(nodes[keep], weights[keep], alpha, grid)
+                pruned_res = _residual(nodes[keep], weights[keep], target, grid)
                 if pruned_res <= eps:
                     nodes, weights, res = nodes[keep], weights[keep], pruned_res
             order = np.argsort(nodes)
@@ -211,11 +226,16 @@ class _SOEHistory:
         self.diagonal = omega(2.0 - alpha, mesh.tau) / mesh.tau
         self.nodes = approx.nodes.reshape((-1,) + (1,) * len(shape))
         self.H = np.zeros((approx.Nq,) + shape)
+        self._block = -1
 
     def term(self, n: int):
-        x = self.nodes * self.tau[n - 1]
-        self.phi = -np.expm1(-x) / x
-        self.H *= np.exp(-x)
+        block, j = divmod(n - 1, STEP_BLOCK)
+        if block != self._block:  # decay factors and phi of STEP_BLOCK steps
+            tau = self.tau[block * STEP_BLOCK:(block + 1) * STEP_BLOCK]
+            nx = -(tau.reshape((-1,) + (1,) * self.nodes.ndim) * self.nodes)
+            self._block, self._decay, self._phi = block, np.exp(nx), np.expm1(nx) / nx
+        self.phi = self._phi[j]
+        self.H *= self._decay[j]
         return self.weights @ self.H
 
     def push(self, increment) -> None:

@@ -267,6 +267,36 @@ def test_soe_build_json(capsys):
     assert all(w > 0 for w in payload["weights"])
 
 
+# sha256 of `soe build` bodies at eps = 1e-10 and T = 1: every node, weight,
+# Nq and certification residual of the ladder's chosen rung
+SOE_SHA256 = {
+    ("0.3", "1e-9"):
+        "ceddbf28e23b4e2354bf84f537e0b0047bb55b4bcc3bbaccab12dedd085aa38c",
+    ("0.3", "1e-4"):
+        "573cc9c290baf2f21f51ecc15b910776419840ca1865ea772b41b6ded0625eca",
+    ("0.7", "1e-4"):
+        "10b66d4c60ecdf525865c15d34d7d3d2ec367abc7df9c16a525df10237af8b75",
+}
+
+
+@pytest.mark.parametrize("alpha,delta_t", sorted(SOE_SHA256))
+def test_soe_build_bytes_pinned(capsys, alpha, delta_t):
+    code, out, _ = run(capsys, "soe", "build", "--alpha", alpha, "--eps",
+                       "1e-10", "--delta-t", delta_t, "--T", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SOE_SHA256[alpha, delta_t]
+
+
+def test_soe_build_refusal_pinned(capsys):
+    # alpha = 0.7 needs more than the node budget down to delta_t = 1e-9
+    code, out, err = run(capsys, "soe", "build", "--alpha", "0.7", "--eps",
+                         "1e-10", "--delta-t", "1e-9", "--T", "1")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err == ("numerical failure: could not certify eps=1e-10 on "
+                   "[1e-09, 1.0] within 512 nodes\n")
+
+
 # sha256 of the `kernels dump` body per scheme at alpha = 0.4; recombination
 # exists only on uniform meshes, so bdf2recombined is pinned on graded:64,1,1.
 # The N = 300 tables span many row blocks of the kernel evaluator.
@@ -399,6 +429,10 @@ SOLVE_SHA256 = {
         "35b2a19e812a144a3b837c354a8bfb70a5c79243564313fc3e5f65a87eb2bc3f",
     ("fd1d", "alikhanov", "graded:64,2,1"):
         "ea8a26f2a99cbf2a5c2fb95243698069842476a2b3864ff137dd9cf0fc4652e1",
+    ("single-mode", "fastl1", "graded:64,2,1"):
+        "478e3576b8fd121c0a644480e9e04fbd6964300a2cd7aba986c8c922cd6d6fac",
+    ("fd1d", "fastl1", "graded:64,2,1"):
+        "9e46b6ffc986fb532ff5d436ad66ebf6b1f05bda276b2fc22a2a1091a2d3d91a",
 }
 
 

@@ -118,6 +118,19 @@ def test_random_mesh_respects_ratio_bound():
         assert m.nodes[0] == 0.0
 
 
+@pytest.mark.parametrize("N,rho_bound", [(2, 1.75), (50, 1.2), (513, 1.75)])
+def test_random_mesh_ratio_bound_is_rho_bound_over_1_02(N, rho_bound):
+    for seed in range(5):
+        m = random_mesh(N, 1.0, rho_bound=rho_bound, seed=seed)
+        assert m.max_ratio() <= rho_bound / 1.02
+
+
+def test_random_mesh_steps_spread_with_N():
+    # only neighbouring steps are tied: log tau does a random walk
+    m = random_mesh(513, 1.0, seed=513)
+    assert m.tau.min() < 3e-9 and m.tau.max() > 1.8e-2
+
+
 @pytest.mark.parametrize("make", [lambda N: graded_mesh(N, 2.0, 1.0),
                                   lambda N: random_mesh(N, 1.0, seed=0)],
                          ids=["graded", "random"])

@@ -1,16 +1,24 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
 from fracstep.kernels import apply_discrete_derivative, fast_l1_kernel, l1_kernel
 from fracstep.mesh import graded_mesh, uniform_mesh
 from fracstep.soe import (
+    NODE_BUDGET,
+    STEP_BLOCK,
     OutOfWindowError,
     SOEApprox,
     ToleranceUnreachableError,
+    _certification_grid,
+    _gauss_rule,
     _SOEHistory,
+    _soe_for_mesh,
+    _tail_cutoff,
     build_soe,
     soe_eval,
 )
@@ -165,3 +173,121 @@ def test_json_roundtrip(store):
     assert np.array_equal(back["weights"], approx.weights)
     assert back["eps"] == approx.eps
     assert back["meets_kernel_condition"] is approx.meets_kernel_condition
+
+
+def _plain_ladder(alpha, eps, delta_t, T):
+    """The node ladder with every rung checked on the whole certification grid
+    and every Gauss rule recomputed: the reference for ``build_soe``."""
+    pref = math.sin(math.pi * alpha) / math.pi
+    theta0 = 1.0 / T
+    theta_max = max(_tail_cutoff(alpha, eps, delta_t), 4.0 * theta0)
+    n_dyadic = math.ceil(math.log2(theta_max / theta0))
+    grid = _certification_grid(delta_t, T)
+    cap = min(eps / 3.0, omega(1.0 - alpha, T))
+
+    def residual(nodes, weights):
+        approx = weights @ np.exp(-np.outer(nodes, grid))
+        return float(np.max(np.abs(omega(1.0 - alpha, grid) - approx)))
+
+    for m in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24):
+        if m * (n_dyadic + 1) + m > NODE_BUDGET:
+            break
+        xj, wj = roots_jacobi(max(2, m), 0.0, alpha - 1.0)
+        nodes = [theta0 * 0.5 * (1.0 + xj)]
+        weights = [pref * (theta0 * 0.5) ** alpha * wj]
+        xl, wl = roots_legendre(m)
+        lo = theta0
+        for _ in range(n_dyadic):
+            hi = 2.0 * lo
+            th = 0.5 * (hi - lo) * xl + 0.5 * (hi + lo)
+            nodes.append(th)
+            weights.append(pref * 0.5 * (hi - lo) * wl * th ** (alpha - 1.0))
+            lo = hi
+        nodes = np.concatenate(nodes)
+        weights = np.concatenate(weights)
+        res = residual(nodes, weights)
+        if res <= eps:
+            keep = weights * np.exp(-nodes * delta_t) > cap * 1e-4 / len(nodes)
+            if not np.any(keep):
+                keep[np.argmax(weights * np.exp(-nodes * delta_t))] = True
+            if not np.all(keep):
+                pruned_res = residual(nodes[keep], weights[keep])
+                if pruned_res <= eps:
+                    nodes, weights, res = nodes[keep], weights[keep], pruned_res
+            order = np.argsort(nodes)
+            return nodes[order], weights[order], res
+    raise ToleranceUnreachableError(
+        f"could not certify eps={eps} on [{delta_t}, {T}] within {NODE_BUDGET} nodes")
+
+
+def _outcome(build, *args):
+    try:
+        nodes, weights, res = build(*args)
+    except ToleranceUnreachableError as exc:
+        return str(exc)
+    return nodes.tobytes(), weights.tobytes(), res, len(nodes)
+
+
+def _built(*args):
+    approx = build_soe(*args)
+    return approx.nodes, approx.weights, approx.cert_residual
+
+
+def test_ladder_matches_plain_ladder():
+    # the delta_t probe may only reject rungs the whole grid rejects too, and
+    # the cached rules and broadcast panels give the same bits
+    refused = 0
+    for args in itertools.product((0.05, 0.3, 0.7, 0.99), (1e-6, 1e-10, 1e-12),
+                                  (1e-12, 1e-6, 1e-2), (1.0, 10.0)):
+        expected = _outcome(_plain_ladder, *args)
+        assert _outcome(_built, *args) == expected, args
+        refused += isinstance(expected, str)
+    assert 0 < refused < 72
+
+
+def _per_step_march(approx, mesh, increments):
+    """Terms, phis and final states of the recurrence, one step at a time."""
+    nodes = approx.nodes.reshape((-1,) + (1,) * (increments.ndim - 1))
+    H = np.zeros((approx.Nq,) + increments.shape[1:])
+    terms, phis = [], []
+    for n in range(1, mesh.N + 1):
+        x = nodes * mesh.tau[n - 1]
+        phi = -np.expm1(-x) / x
+        H *= np.exp(-x)
+        terms.append(approx.weights @ H)
+        phis.append(phi)
+        H += phi * increments[n - 1]
+    return terms, phis, H
+
+
+@pytest.mark.parametrize("N", [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1,
+                               2 * STEP_BLOCK + 3])
+@pytest.mark.parametrize("state", ["scalar", "M", "N"])
+def test_blocked_history_matches_per_step_recurrence(store, N, state):
+    mesh = graded_mesh(N, 2.0, 1.0)
+    approx = store.soe(0.4, 1e-8, min(float(mesh.tau.min()), 0.5 * mesh.T), mesh.T)
+    shape = {"scalar": (), "M": (3,), "N": (N,)}[state]
+    increments = np.random.default_rng(N).standard_normal((N,) + shape)
+    terms, phis, H = _per_step_march(approx, mesh, increments)
+    history = _SOEHistory(approx, mesh, 0.4, shape)
+    for n in range(1, N + 1):
+        assert np.array_equal(history.term(n), terms[n - 1])
+        assert np.array_equal(history.phi, phis[n - 1])
+        history.push(increments[n - 1])
+    assert np.array_equal(history.H, H)
+
+
+def test_cached_gauss_rules_are_read_only_and_unshared():
+    mesh = graded_mesh(64, 2.0, 1.0)
+    approxes = [_soe_for_mesh(alpha, 1e-10, mesh) for alpha in (0.3, 0.7)]
+    rules = [_gauss_rule(m) for m in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24)]
+    rules += [_gauss_rule(max(2, m), a.alpha) for a in approxes
+              for m in (1, 2, 3, 4, 6, 8, 10, 12, 16)]
+    assert _gauss_rule.cache_info().maxsize is not None
+    for array in (x for rule in rules for x in rule):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+        for approx in approxes:
+            assert not np.shares_memory(array, approx.nodes)
+            assert not np.shares_memory(array, approx.weights)
