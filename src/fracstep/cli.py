@@ -290,19 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fracstep", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, mesh=True):
-        if mesh:
-            sp.add_argument("--mesh", required=True,
-                            help="graded:N,gamma,T or file:<path>")
-        sp.add_argument("--alpha", type=float, required=True)
-        sp.add_argument("--eps", type=float, default=1e-8,
-                        help="compression tolerance for fastl1")
+    def output(sp):
         sp.add_argument("--out", default=None)
         sp.add_argument("--config", default=None,
                         help="JSON file with flat key=value defaults")
         sp.add_argument("--timestamp", action="store_true",
                         help="include a timestamp header line (off for "
                              "byte-reproducible output)")
+
+    def common(sp):
+        sp.add_argument("--mesh", required=True,
+                        help="graded:N,gamma,T or file:<path>")
+        sp.add_argument("--alpha", type=float, required=True)
+        sp.add_argument("--eps", type=float, default=1e-8,
+                        help="compression tolerance for fastl1")
+        output(sp)
 
     for name, noun in (("kernels", "kernel"), ("complementary", "complementary")):
         tsub = sub.add_parser(name, help=f"{noun} table utilities").add_subparsers(
@@ -348,9 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--singular", action="store_true")
     cv.add_argument("--gamma", default="auto",
                     help="mesh grading for --singular; auto = (2-alpha)/alpha")
-    cv.add_argument("--out", default=None)
-    cv.add_argument("--config", default=None)
-    cv.add_argument("--timestamp", action="store_true")
+    output(cv)
     cv.set_defaults(func=_cmd_converge)
 
     m = sub.add_parser("mlf", help="evaluate the Mittag-Leffler function")
@@ -365,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--eps", type=float, required=True)
     sb.add_argument("--delta-t", dest="delta_t", type=float, required=True)
     sb.add_argument("--T", type=float, required=True)
-    sb.add_argument("--out", default=None)
-    sb.add_argument("--config", default=None)
-    sb.add_argument("--timestamp", action="store_true")
+    output(sb)
     sb.set_defaults(func=_cmd_soe_build)
 
     return p

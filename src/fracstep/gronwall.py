@@ -85,6 +85,8 @@ class GronwallProblem:
 
 @dataclass(frozen=True)
 class GronwallCertificate:
+    """``step_restriction_ok`` is always True: ``gronwall_bound`` raises on a
+    mesh that breaks the step restriction."""
     bound_per_step: np.ndarray
     weak_bound_per_step: np.ndarray
     envelope_factor: np.ndarray
@@ -221,14 +223,16 @@ def verify_gronwall_quadratic(ctable: ComplementaryTable, mesh: TimeMesh,
     slack (so the quadratic inequality is tight wherever it binds); every
     trial must stay below its certificate up to 1e-9 relative to
     max(1, bound), and the weak term above the sums S up to 1e-9 relative to
-    max(1, weak term)."""
+    max(1, weak term). The form is the function's own: ``problem.form`` is
+    read only by ``gronwall_bound``."""
     return _run_trials(ctable, mesh, ktable, problem, trials, rng, "quadratic")
 
 
 def verify_gronwall_linear(ctable: ComplementaryTable, mesh: TimeMesh,
                            ktable: KernelTable, problem: GronwallProblem,
                            trials: int, rng=None) -> TrialReport:
-    """Same drill, and the same 1e-9 tolerances, for the linear-form hypothesis."""
+    """Same drill, and the same 1e-9 tolerances, for the linear-form
+    hypothesis; ``problem.form`` is not read here either."""
     return _run_trials(ctable, mesh, ktable, problem, trials, rng, "linear")
 
 

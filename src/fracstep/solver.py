@@ -391,8 +391,10 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
         sum_k A^(n)_{n-k} d(|u^k|^2) <= 2 kappa |u^{n-th}|^2 + 2 |u^{n-th}| |psi_n|
     (asserted only when theta <= theta^(n) for all rows) and the closed-form
     envelope
-        |u^n| <= 2 E_alpha(4 max(1,rho) pi_A kappa t_n^alpha)
-                 (|u^0| + 2 max_k sum_j P^(k)_{k-j} |psi_j|).
+        |u^n| <= 2 E_alpha(4 max(1,rho) pi_A max(kappa, 0) t_n^alpha)
+                 (|u^0| + 2 max_k sum_j P^(k)_{k-j} |psi_j|),
+    which is the kappa = 0 envelope for kappa < 0: that hypothesis implies
+    the kappa = 0 one, and the Gronwall lemma gives no factor below 1.
     Both are allowed 1e-9 relative for rounding: the hypothesis against
     max(1, |lhs|, rhs), the envelope against max(1, envelope).
     """
@@ -428,7 +430,7 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
     hyp_ok = bool(worst >= -_STABILITY_TOL)
 
     rho = max(1.0, mesh.max_ratio())
-    mu = 4.0 * rho * pi_A * problem.kappa
+    mu = 4.0 * rho * pi_A * max(problem.kappa, 0.0)
     factor = _ml_envelope(alpha, mu, mesh.nodes[1:])
     S = ctable.P @ psi_norms
     norms = math.sqrt(h) * np.linalg.norm(traj, axis=1)

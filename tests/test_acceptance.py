@@ -82,8 +82,7 @@ def test_criterion3_lemma_suite(store):
         assert rep1.weighted_sum_holds, (scheme, family, N, alpha)
         worst_entry = max(worst_entry, rep1.entry_bound_excess)
         rep2 = check_lemma22_23(ctable, mesh, alpha, pi_A,
-                                rho=max(1.0, mesh.max_ratio()),
-                                k_max=5, mus=(0.5, 2.0, 10.0))
+                                rho=max(1.0, mesh.max_ratio()))
         assert rep2.powerlaw_holds, (scheme, family, N, alpha)
         assert rep2.ml_holds, (scheme, family, N, alpha)
         worst_power = max(worst_power, rep2.powerlaw_max_excess)

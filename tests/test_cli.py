@@ -166,6 +166,20 @@ def test_solve_fd1d_stability_exit(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("scheme,mesh,alpha,M,kappa", [
+    ("l1", "graded:64,1,1", "0.99", "16", "-2"),  # was a false violation, exit 3
+    ("l1", "graded:64,2,1", "0.5", "16", "-5"),  # were Mittag-Leffler refusals, exit 4
+    ("alikhanov", "graded:32,2,1", "0.5", "8", "-1"),
+])
+def test_solve_fd1d_damped_run_passes_its_audit(capsys, scheme, mesh, alpha, M,
+                                                kappa):
+    code, out, err = run(capsys, "solve", "--problem", "fd1d", "--scheme", scheme,
+                         "--mesh", mesh, "--alpha", alpha, "--M", M,
+                         "--kappa", kappa)
+    assert (code, err) == (0, "")
+    assert out
+
+
 def test_solve_fd1d_breach_maps_to_exit_three(capsys, monkeypatch):
     from fracstep.solver import StabilityReport
 

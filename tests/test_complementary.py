@@ -3,16 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from fracstep.complementary import (
+    ComplementaryTable,
     ZeroDiagonalError,
     build_complementary,
     check_lemma21,
     check_lemma22_23,
     identity_residual,
 )
-from fracstep.kernels import KernelTable, alikhanov_kernel, kernel_rows_csv, l1_kernel
+from fracstep.kernels import (
+    KernelTable,
+    _blocks,
+    alikhanov_kernel,
+    build_table,
+    kernel_rows_csv,
+    l1_kernel,
+)
 from fracstep.mesh import graded_mesh, mesh_from_nodes, random_mesh, uniform_mesh
+from fracstep.specialfn import log_mittag_leffler, omega
 
 from conftest import make_mesh
 
@@ -92,7 +102,7 @@ def test_lemma21_flags_corrupted_source():
 
 def test_lemma22_23_l1_uniform(store):
     mesh, table, ct = store.ctable("l1", "uniform", 64, 0.5)
-    rep = check_lemma22_23(ct, mesh, 0.5, 1.0, rho=1.0, mus=(2.0,))
+    rep = check_lemma22_23(ct, mesh, 0.5, 1.0, rho=1.0)
     assert rep.powerlaw_holds
     assert rep.ml_holds
     assert rep.ml_log_min_margin > 0.0
@@ -100,9 +110,82 @@ def test_lemma22_23_l1_uniform(store):
 
 def test_lemma22_23_alikhanov_strong_grading(store):
     mesh, table, ct = store.ctable("alikhanov", "graded3", 48, 0.5)
-    rep = check_lemma22_23(ct, mesh, 0.5, 2.75, rho=mesh.max_ratio(),
-                           mus=(10.0,))
+    rep = check_lemma22_23(ct, mesh, 0.5, 2.75, rho=mesh.max_ratio())
     assert rep.powerlaw_holds and rep.ml_holds
+
+
+def _lemma22_23_by_logsumexp(ct, mesh, alpha, pi_A, rho):
+    """The Lemma 2.2/2.3 check with the Mittag-Leffler half undivided: the log
+    of every P entry plus log E_a(mu t_j^a), summed by scipy's logsumexp."""
+    fac = max(1.0, rho) * pi_A
+    t = mesh.nodes[1:]
+    W = np.stack([omega(1.0 + k * alpha, t) for k in range(6)], axis=1)
+    lhs_w, rhs_w = W[:, :-1], fac * W[:, 1:]
+    mus = np.array([0.5, 2.0, 10.0])
+    logE = log_mittag_leffler(alpha, np.float_power(t, alpha)[:, None] * mus)
+    rhs_log = math.log(fac) + logE + np.log1p(-np.exp(-logE)) - np.log(mus)
+    power_excess, log_margin = -math.inf, math.inf
+    for rows, lag in _blocks(ct.N):
+        stop = rows.stop
+        P = np.where(lag > 0, ct.P[rows, :stop], 0.0)
+        tail = slice(1 if rows.start == 0 else 0, None)
+        rel = (P @ lhs_w[:stop] - rhs_w[rows]) / np.maximum(1.0, rhs_w[rows])
+        power_excess = max(power_excess, float(np.max(rel[tail], initial=-math.inf)))
+        with np.errstate(divide="ignore"):
+            logP = np.log(np.maximum(P, 0.0))
+        for i in range(len(mus)):
+            margin = rhs_log[rows, i] - logsumexp(logP + logE[:stop, i], axis=1)
+            log_margin = min(log_margin, float(np.min(margin[tail], initial=math.inf)))
+    return (power_excess, power_excess <= 1e-10, log_margin, log_margin >= -1e-10)
+
+
+def _lemma22_23_tuple(rep):
+    return (rep.powerlaw_max_excess, rep.powerlaw_holds, rep.ml_log_min_margin,
+            rep.ml_holds)
+
+
+def _assert_matches_logsumexp(ct, mesh, alpha, pi_A, rho):
+    want = _lemma22_23_by_logsumexp(ct, mesh, alpha, pi_A, rho)
+    got = _lemma22_23_tuple(check_lemma22_23(ct, mesh, alpha, pi_A, rho))
+    assert got[:2] == want[:2] and got[3] == want[3]
+    margin, ref = got[2], want[2]
+    assert margin == ref or abs(margin - ref) <= 1e-12 * max(1.0, abs(ref))
+    return got
+
+
+@pytest.mark.parametrize("scheme,N", [
+    (scheme, N) for scheme in ("l1", "alikhanov", "fastl1", "bdf2recombined")
+    for N in (1, 2, 17, 64, 300)
+    if scheme != "bdf2recombined" or N > 1])  # recombination needs two rows
+def test_lemma22_23_matches_logsumexp_form(scheme, N):
+    # dividing by E_a(mu t_n^a) moves only the rounding of the log margin;
+    # at alpha = 0.05 and mu = 10 whole rows of ratios underflow to 0
+    families = {"uniform": uniform_mesh(N, 1.0)}
+    if scheme != "bdf2recombined":
+        families.update(graded2=graded_mesh(N, 2.0, 1.0),
+                        graded3=graded_mesh(N, 3.0, 1.0),
+                        random=random_mesh(N, 1.0, seed=N))
+    verdicts = set()
+    for mesh in families.values():
+        for alpha in (0.05, 0.5, 0.95):
+            table = build_table(scheme, mesh, alpha, 1e-8)
+            ct = build_complementary(table)
+            pi_A = 1.0 if table.pi_A is None else table.pi_A
+            for scale in (1.0, 0.125):  # a small constant makes bounds fail
+                got = _assert_matches_logsumexp(ct, mesh, alpha, scale * pi_A,
+                                                mesh.max_ratio())
+                verdicts.add((got[1], got[3]))
+    assert N < 17 or len(verdicts) > 1  # the verdicts compared are not all alike
+
+
+def test_lemma22_23_sees_one_inflated_entry(store):
+    mesh, table, ct = store.ctable("l1", "uniform", 64, 0.5)
+    assert check_lemma22_23(ct, mesh, 0.5, 1.0, rho=1.0).ml_holds
+    P = ct.P.copy()
+    P[40, 20] *= 1e3  # P^(41)_{20}, strictly below the diagonal
+    bad = ComplementaryTable(P=P, source=table)
+    assert not check_lemma22_23(bad, mesh, 0.5, 1.0, rho=1.0).ml_holds
+    assert not _assert_matches_logsumexp(bad, mesh, 0.5, 1.0, 1.0)[3]
 
 
 def test_lemma22_power_k1_reduces_to_plain_sum(store):

@@ -620,7 +620,8 @@ def _layout_results(mesh, alpha):
 
 
 # identity_residual and ml_log_min_margin sum each block row in an order set
-# by the block width (the GEMM of P K, numpy's pairwise sum in logsumexp);
+# by the block width (the GEMM of P K, the row-wise einsum of P and the
+# Mittag-Leffler ratios);
 # one-row and whole-table walks have moved them by at most 4 ulp of
 # max(1, |value|), at 1 and 2 OpenBLAS threads
 LAYOUT_ULPS = 8

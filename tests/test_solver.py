@@ -283,6 +283,26 @@ def test_estimate_order_examples():
         estimate_order([0.1])
 
 
+def test_damped_stability_envelope_is_the_kappa_zero_one():
+    # kappa < 0 gives no factor below 1: the envelope is 2 (|u^0| + 2 max_k S_k)
+    mesh = graded_mesh(32, 2.0, 1.0)
+    table = l1_kernel(mesh, 0.5)
+    ctable = build_complementary(table)
+    problem = FDProblem1D(
+        length=1.0, M=16, kappa=-3.0,
+        psi=lambda x, t: np.sin(math.pi * x) * (1.0 + t),
+        u0=lambda x: np.sin(math.pi * x))
+    res = solve_fd1d(problem, mesh, table)
+    rep = check_stability_envelope(table, mesh, res, problem, ctable, pi_A=1.0)
+    t_off = mesh.offset_nodes(table.theta)
+    psi_norms = np.array([math.sqrt(res.h) * np.linalg.norm(problem.psi(res.x, t))
+                          for t in t_off])
+    u0_norm = math.sqrt(res.h) * np.linalg.norm(res.trajectory[0])
+    expected = 2.0 * (u0_norm + 2.0 * np.maximum.accumulate(ctable.P @ psi_norms))
+    assert np.array_equal(rep.envelope, expected)
+    assert rep.envelope_ok and rep.hypothesis_ok
+
+
 def test_stability_envelope_fd(store):
     alpha = 0.5
     mesh = uniform_mesh(64, 1.0)
