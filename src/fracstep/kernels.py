@@ -463,9 +463,12 @@ def kernel_rows_csv(rows, fh, header_lines=()) -> int:
     for line in header_lines:
         fh.write(f"# {line}\n")
     fh.write("n,lag,value\n")
-    count = 0
+    count, lags = 0, []
     for n, row in enumerate(rows, start=1):
+        values = row.tolist()
+        lags += [f",{lag}," for lag in range(len(lags), len(values))]
+        prefix = str(n)
         # one write per row, not N^2/2 small strings held by an in-memory sink
-        fh.write("".join(f"{n},{lag},{v!r}\n" for lag, v in enumerate(row.tolist())))
-        count += len(row)
+        fh.write("".join([f"{prefix}{lag}{v!r}\n" for lag, v in zip(lags, values)]))
+        count += len(values)
     return count

@@ -133,8 +133,9 @@ def load_txt(path) -> TimeMesh:
 def random_mesh(N: int, T: float, rho_bound: float = 1.75, seed=None) -> TimeMesh:
     """Random mesh whose step ratios stay strictly below rho_bound.
 
-    Consecutive step factors tau_{k+1}/tau_k are drawn from
-    [1.02/rho_bound, 1.5], so rho_k = tau_k/tau_{k+1} <= rho_bound/1.02.
+    Consecutive step factors tau_{k+1}/tau_k are drawn from [lo, max(1.5, h*)],
+    lo = 1.02/rho_bound, so rho_k = tau_k/tau_{k+1} <= rho_bound/1.02; h* gives
+    log factors of mean 0, and h* < 1.5 while rho_bound <= 1.78.
     The mesh is not quasi-uniform: only neighbouring steps are tied, and
     log tau does a random walk, so the spread of the steps grows with N.
     ``random_mesh(513, 1.0, seed=513)`` has steps from 2.4e-9 to 1.9e-2, and
@@ -144,8 +145,14 @@ def random_mesh(N: int, T: float, rho_bound: float = 1.75, seed=None) -> TimeMes
     N = _check_steps(N)
     if rho_bound <= 1.02 / 1.5:
         raise InvalidMeshError("rho_bound too small for the factor window")
+    lo = 1.02 / rho_bound
+    # bisect for h* in (1, e) with h* ln h* - h* = lo ln lo - lo
+    a, b, target = 1.0, np.e, lo * np.log(lo) - lo
+    for _ in range(40):
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if mid * np.log(mid) - mid < target else (a, mid)
     rng = np.random.default_rng(seed)
-    factors = rng.uniform(1.02 / rho_bound, 1.5, size=N - 1) if N > 1 else np.empty(0)
+    factors = rng.uniform(lo, max(1.5, b), size=N - 1) if N > 1 else np.empty(0)
     tau = np.concatenate([[1.0], np.cumprod(factors)])
     nodes = np.concatenate([[0.0], np.cumsum(tau)])
     nodes *= T / nodes[-1]

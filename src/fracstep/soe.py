@@ -210,7 +210,7 @@ def _check_certified(approx: SOEApprox, mesh, alpha: float) -> None:
 
 
 class _SOEHistory:
-    """Fast L1 history: Nq exponential states per unknown, O(Nq) memory at
+    """Fast L1 history: Nq exponential states per mode, O(Nq) memory at
     any step count, with the exact L1 diagonal A^(n)_0 = omega_{2-a}(tau_n)/tau_n.
     Per node theta the states follow, from H(t_0) = 0,
         H(t_n) = exp(-theta tau_n) H(t_{n-1}) + phi * incr_n,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .complementary import ComplementaryTable, _check_source
 from .kernels import KernelTable, build_table, check_same_problem
@@ -112,85 +111,38 @@ class _DenseHistory:
 
     def __init__(self, ktable: KernelTable, mesh: TimeMesh, alpha, shape):
         check_same_problem(ktable, mesh, alpha)
-        self.ktable, self.theta = ktable, ktable.theta
+        self.K, self.theta = ktable.K, ktable.theta
         self.diagonal = ktable.diagonal()
         self.dU = np.empty((ktable.N,) + shape)
         self.count = 0
 
     def term(self, n: int):
         """sum_{k<n} A^(n)_{n-k} (u^k - u^{k-1}), zero at n = 1."""
-        return np.tensordot(self.ktable.row(n)[1:], self.dU[: n - 1][::-1],
-                            axes=(0, 0))
+        return self.K[n - 1, : n - 1] @ self.dU[: n - 1]
 
     def push(self, increment) -> None:
         self.dU[self.count] = increment
         self.count += 1
 
 
-def _scalar_step(problem: SingleModeProblem, mesh: TimeMesh, theta: float):
-    shift = problem.lambda_L - problem.kappa
-
-    def solve(n, a0, u_prev, hist):
-        psi_n = 0.0 if problem.psi is None else float(problem.psi[n - 1])
-        denom = a0 + (1.0 - theta) * shift
-        if not math.isfinite(denom) or abs(denom) < 1e-300:
-            raise SingularSystemError(f"zero pivot at step {n}")
-        return (a0 * u_prev - hist - theta * shift * u_prev + psi_n) / denom
-
-    return problem.u0, solve
-
-
-def _fd_step(problem: FDProblem1D, mesh: TimeMesh, theta: float):
-    h2 = problem.h ** 2
-    x = problem.grid()
-    t_off = mesh.offset_nodes(theta)
-    u0 = np.zeros(problem.M)
-    if problem.u0 is not None:
-        u0[:] = problem.u0(x) if callable(problem.u0) else problem.u0
-    off = np.full(problem.M - 1, -(1.0 - theta) / h2)
-
-    def solve(n, a0, u_prev, hist):
-        psi_n = 0.0
-        if problem.psi is not None:
-            psi_n = np.asarray(problem.psi(x, t_off[n - 1]), dtype=float)
-        lap = 2.0 * u_prev - problem.kappa * h2 * u_prev  # h^2 (L - kappa) u
-        lap[:-1] -= u_prev[1:]
-        lap[1:] -= u_prev[:-1]
-        rhs = a0 * u_prev - hist - theta * (lap / h2) + psi_n
-        diag = a0 + (1.0 - theta) * (2.0 / h2 - problem.kappa)
-        if not (math.isfinite(diag) and np.all(np.isfinite(rhs))):
-            raise ValueError("array must not contain infs or NaNs")
-        if problem.M == 1:
-            u = rhs / diag
-        else:
-            # LAPACK tridiagonal solve; it overwrites the fresh diagonal and rhs
-            *_, u, info = dgtsv(off, np.full(problem.M, diag), off, rhs,
-                                overwrite_d=1, overwrite_b=1)
-            if info > 0:  # pragma: no cover - needs kappa >> 1
-                raise SingularSystemError("singular matrix")
-        if not np.all(np.isfinite(u)):
-            raise SingularSystemError(f"non-finite solve at step {n}")
-        return u
-
-    return u0, solve
-
-
-def _march(problem, mesh: TimeMesh, kernel) -> np.ndarray:
-    """u^0..u^N, step n solving [A^(n)_0 + (1-theta)(L - kappa)] u^n =
-    A^(n)_0 u^{n-1} - hist - theta (L - kappa) u^{n-1} + psi(t_{n-theta}), with
-    A^(n)_0 and hist from a KernelTable (dense) or an SOEApprox (fast L1 states),
-    refused if built for another mesh or alpha. Pivots are nonzero while
-    kappa <= smallest eigenvalue of L + A^(n)_0 / (1 - theta)."""
-    fd = isinstance(problem, FDProblem1D)
+def _march(u0, shift, psi, mesh: TimeMesh, kernel, alpha) -> np.ndarray:
+    """u^0..u^N solving, per entry of ``shift`` (a scalar or one per mode),
+        sum_k A^(n)_{n-k} d(u^k) + shift (th u^{n-1} + (1-th) u^n) = psi_n
+    by one division by the pivot A^(n)_0 + (1-th) shift, all pivots checked
+    before step 1. A^(n)_0 and the history come from a KernelTable (dense) or
+    an SOEApprox (fast L1 states), refused if built for another mesh or alpha."""
     backend = _SOEHistory if isinstance(kernel, SOEApprox) else _DenseHistory
-    # FD problems carry no alpha: the kernel's own is checked against the mesh
-    history = backend(kernel, mesh, kernel.alpha if fd else problem.alpha,
-                      (problem.M,) if fd else ())
-    u0, solve = (_fd_step if fd else _scalar_step)(problem, mesh, history.theta)
-    U = np.empty((mesh.N + 1,) + np.shape(u0))
+    history = backend(kernel, mesh, alpha, np.shape(shift))
+    theta, a0 = history.theta, history.diagonal
+    pivots = a0.reshape((-1,) + (1,) * np.ndim(shift)) + (1.0 - theta) * shift
+    bad = ~np.isfinite(pivots) | (np.abs(pivots) < 1e-300)
+    if np.any(bad):
+        raise SingularSystemError(f"zero pivot at step {np.nonzero(bad)[0][0] + 1}")
+    U = np.empty((mesh.N + 1,) + np.shape(shift))
     U[0] = u0
     for n in range(1, mesh.N + 1):
-        U[n] = solve(n, history.diagonal[n - 1], U[n - 1], history.term(n))
+        U[n] = (a0[n - 1] * U[n - 1] - history.term(n) - theta * shift * U[n - 1]
+                + psi[n - 1]) / pivots[n - 1]
         history.push(U[n] - U[n - 1])
     return U
 
@@ -233,7 +185,9 @@ def solve_single_mode(problem: SingleModeProblem, mesh: TimeMesh,
     (fast L1 with O(Nq) history memory). Errors are reported against
     ``exact(t)`` or, for the homogeneous decaying problem, against the
     Mittag-Leffler solution."""
-    us = _march(problem, mesh, kernel)
+    psi = np.zeros(mesh.N) if problem.psi is None else np.asarray(problem.psi, float)
+    us = _march(problem.u0, problem.lambda_L - problem.kappa, psi, mesh, kernel,
+                problem.alpha)
     reference = None
     if exact is not None:
         reference = np.array([exact(t) for t in mesh.nodes])
@@ -261,13 +215,41 @@ class FDResult:
     max_errors: np.ndarray | None
 
 
+def _dst1(v):
+    """sum_m v_m sin(pi j m / (M+1)), j = 1..M, over the last axis, from the FFT
+    of the odd extension of v; applied twice it is (M+1)/2 times the identity."""
+    zero = np.zeros(v.shape[:-1] + (1,))
+    odd = np.concatenate([zero, v, zero, -v[..., ::-1]], axis=-1)
+    return -0.5 * np.fft.rfft(odd)[..., 1:-1].imag
+
+
 def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh,
                kernel: KernelTable | SOEApprox, exact=None) -> FDResult:
     """March the finite-difference scheme on a kernel table or an SOE
-    approximation (fast L1, Nq x M states); discrete L2 norms carry weight h."""
-    traj = _march(problem, mesh, kernel)
-    x = problem.grid()
-    h = problem.h
+    approximation (fast L1, Nq x M states); discrete L2 norms carry weight h.
+    u0 and psi(x, t_{n-theta}) are projected onto the grid sine modes
+    sin(j pi x / length), exact eigenvectors of the 3-point operator with
+    eigenvalues lambda_j = (4/h^2) sin^2(j pi h / (2 length)); each mode takes
+    the single-mode step with shift lambda_j - kappa, then the grid is rebuilt."""
+    x, h, M = problem.grid(), problem.h, problem.M
+    theta = _SOEHistory.theta if isinstance(kernel, SOEApprox) else kernel.theta
+    data = np.zeros((mesh.N + 1, M))  # u0, then psi at the offset nodes
+    if problem.u0 is not None:
+        data[0] = problem.u0(x) if callable(problem.u0) else problem.u0
+    if problem.psi is not None:
+        for n, t in enumerate(mesh.offset_nodes(theta), start=1):
+            data[n] = problem.psi(x, t)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("array must not contain infs or NaNs")
+    data = _dst1(data) * (2.0 / (M + 1))
+    j = np.arange(1, M + 1)
+    lam = 4.0 * np.sin(0.5 * np.pi * j * h / problem.length) ** 2 / h ** 2
+    modes = _march(data[0], lam - problem.kappa, data[1:], mesh, kernel,
+                   kernel.alpha)
+    blown = ~np.all(np.isfinite(modes), axis=1)
+    if np.any(blown):
+        raise SingularSystemError(f"non-finite solve at step {np.argmax(blown)}")
+    traj = _dst1(modes)
     l2 = math.sqrt(h) * np.linalg.norm(traj, axis=1)
     mx = np.abs(traj).max(axis=1)
     l2_err = max_err = None

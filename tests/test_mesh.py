@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,20 @@ def test_random_mesh_steps_spread_with_N():
     # only neighbouring steps are tied: log tau does a random walk
     m = random_mesh(513, 1.0, seed=513)
     assert m.tau.min() < 3e-9 and m.tau.max() > 1.8e-2
+
+
+def test_random_mesh_builds_at_a_large_ratio_bound():
+    # factors from [1.02/3, 1.5] used to shrink the steps below rounding
+    for seed in range(20):
+        m = random_mesh(513, 1.0, rho_bound=3.0, seed=seed)
+        assert m.max_ratio() <= 3.0 / 1.02
+
+
+def test_random_mesh_nodes_pinned():
+    # the factor window is still [1.02/rho_bound, 1.5] at rho_bound <= 1.78
+    nodes = random_mesh(513, 1.0, seed=513).nodes
+    assert hashlib.sha256(nodes.tobytes()).hexdigest() == \
+        "dd5c2fade43cf80ebbf7f4232ee57a879d55a31a302e59fb6171f264ae38e999"
 
 
 @pytest.mark.parametrize("make", [lambda N: graded_mesh(N, 2.0, 1.0),

@@ -190,6 +190,37 @@ def test_fd_refuses_a_non_finite_forcing(M):
                    l1_kernel(mesh, 0.5))
 
 
+@pytest.mark.parametrize("scheme", ["l1", "alikhanov", "fastl1"])
+@pytest.mark.parametrize("M", [1, 2, 17])
+@pytest.mark.parametrize("kappa", [-2.0, 0.0, 0.5, 30.0])
+def test_fd_trajectory_solves_the_three_point_scheme(store, scheme, M, kappa):
+    # sum_k A^(n)_{n-k} (u^k - u^{k-1}) + (L_h - kappa)(th u^{n-1} + (1-th) u^n)
+    # = psi(t_{n-th}) at every step, with L_h the explicit 3-point matrix
+    alpha = 0.4
+    mesh = graded_mesh(40, 2.0, 1.0)
+    if scheme == "fastl1":
+        kernel = store.soe(alpha, 1e-10, float(mesh.tau.min()), mesh.T)
+        table = fast_l1_kernel(mesh, alpha, kernel)
+    else:
+        kernel = table = (l1_kernel if scheme == "l1" else alikhanov_kernel)(
+            mesh, alpha)
+    problem = FDProblem1D(
+        length=2.0, M=M, kappa=kappa,
+        psi=lambda x, t: np.cos(3.0 * x) * (1.0 + t) + x * t ** 0.5,
+        u0=lambda x: x * (2.0 - x) + np.sin(5.0 * x))
+    u = solve_fd1d(problem, mesh, kernel).trajectory
+    h, th = problem.h, table.theta
+    L = (2.0 * np.eye(M) - np.eye(M, k=1) - np.eye(M, k=-1)) / h ** 2
+    op = L - kappa * np.eye(M)
+    du = np.diff(u, axis=0)
+    u_th = th * u[:-1] + (1.0 - th) * u[1:]
+    psi = np.stack([problem.psi(problem.grid(), t)
+                    for t in mesh.offset_nodes(th)])
+    resid = table.K @ du + u_th @ op.T - psi
+    scale = np.abs(table.K) @ np.abs(du) + np.abs(u_th) @ np.abs(op).T + np.abs(psi)
+    assert np.all(np.abs(resid) <= 1e-13 * scale)
+
+
 def _manufactured_fd(alpha, sigma=3.0, kappa=0.0):
     c = math.gamma(sigma + 1.0) / math.gamma(sigma + 1.0 - alpha)
 
