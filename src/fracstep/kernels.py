@@ -131,52 +131,28 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-# Intervals much shorter than their distance to the evaluation point switch
-# from antiderivative differences (which cancel catastrophically there) to a
-# positive-term midpoint series; see _weight_integrals.
+# Far intervals (h <= _SERIES_SWITCH * D) take their first moment from a
+# positive-term midpoint series, where the antiderivative differences would
+# cancel catastrophically; see _weight_integrals.
 _SERIES_SWITCH = 0.4
 _SERIES_STEPS = 16
 
-# Step j of either midpoint series adds at most x2**j times the series' first
-# term (every coefficient ratio is below 1 for alpha < 1), and each sum is at
-# least its first term. Once x2**j < 2**-55 that addend is below half an ulp
-# of the sum, so round-to-nearest returns the sum unchanged, and every later
-# addend is smaller still: an entry needs step j only if x2 >= _SERIES_CUTS[j-1].
+# Step j of the moment series adds at most x2**j times its first term (every
+# coefficient ratio is below 1 for alpha < 1), and the sum is at least its
+# first term. Once x2**j < 2**-55 that addend is below half an ulp of the sum,
+# so round-to-nearest returns the sum unchanged, and every later addend is
+# smaller still: an entry needs step j only if x2 >= _SERIES_CUTS[j-1].
 _SERIES_CUTS = 2.0 ** (-55.0 / np.arange(1, _SERIES_STEPS))
 
 
-def _positive_series(alpha: float, t, x2, reach, m0: int, shift: int):
-    """sum_j t_j / (m0 + 2j + shift) with t_j = t_{j-1} * (alpha+m-2)(alpha+m-1)
-    / ((m-1) m) * x2 at m = m0 + 2j, over entries sorted by the number of
-    steps they need: step j runs on the first reach[j] entries. ``t`` (the
-    j = 0 terms) is overwritten."""
-    s = t / (m0 + shift)
-    addend = np.empty_like(t)
-    for j in range(1, len(reach)):
-        p = reach[j]
-        if p == 0:
-            break
-        m = m0 + 2 * j
-        tp = t[:p]
-        tp *= alpha + m - 2
-        tp *= alpha + m - 1
-        tp /= (m - 1) * m
-        tp *= x2[:p]
-        s[:p] += np.divide(tp, m + shift, out=addend[:p])
-    return s
-
-
-def _series_sums(alpha: float, D, h, moments: bool):
-    """Midpoint-series values of the two singular-weight integrals.
-
-    With c_m = (alpha)_m D^(-alpha-m) / (m! Gamma(1-alpha)) and x = h/(2D):
-      (1/h) int omega_{1-a}  = sum over even m of c_m (h/2)^m / (m+1),
-      int (s - mid) omega_{1-a} = (h^2/2) sum over odd m of c_m (h/2)^m / (m+2).
+def _series_sums(alpha: float, D, h):
+    """Midpoint-series value of the first-moment integral
+      int (s - mid) omega_{1-a} = (h^2/2) sum over odd m of c_m (h/2)^m / (m+2),
+    with c_m = (alpha)_m D^(-alpha-m) / (m! Gamma(1-alpha)) and x = h/(2D).
     All terms are positive, so nothing cancels however small h/D gets. Each
-    entry stops at the first step that cannot change its sums (_SERIES_CUTS);
+    entry stops at the first step that cannot change its sum (_SERIES_CUTS);
     entries of the near branch (h > _SERIES_SWITCH * D) take no step, as
-    _weight_integrals overwrites them. The moment sum is None unless
-    ``moments`` is set.
+    _weight_integrals overwrites them.
     """
     r = 0.5 * h / D
     need = np.searchsorted(_SERIES_CUTS, r ** 2, side="right").astype(np.uint8)
@@ -185,24 +161,25 @@ def _series_sums(alpha: float, D, h, moments: bool):
     # an x2 that underflowed to 0 needs no step
     order = np.argsort(np.uint8(_SERIES_STEPS) - need, kind="stable")
     reach = np.cumsum(np.bincount(need, minlength=_SERIES_STEPS)[::-1])[::-1]
-    # first terms in step order; each series overwrites its first terms, so
-    # their buffer then takes the sums back in entry order
-    even = omega(1.0 - alpha, D[order])
     r = r[order]
     x2 = r ** 2
-    odd = even * alpha * r if moments else None
+    t = omega(1.0 - alpha, D[order]) * alpha * r  # the m = 1 terms
     del r
-    even[order] = _positive_series(alpha, even, x2, reach, 0, 1)
-    if not moments:
-        return even, None
-    odd[order] = _positive_series(alpha, odd, x2, reach, 1, 2)
-    return even, 0.5 * h ** 2 * odd
-
-
-def _omega_or_zero(beta: float, u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    out[u > 0] = omega(beta, u[u > 0])
-    return out
+    s = t / 3.0
+    addend = np.empty_like(t)
+    for j in range(1, len(reach)):
+        p, m = reach[j], 2 * j + 1
+        if p == 0:
+            break
+        # t_j = t_{j-1} (alpha+m-2)(alpha+m-1) / ((m-1) m) x2
+        tp = t[:p]
+        tp *= alpha + m - 2
+        tp *= alpha + m - 1
+        tp /= (m - 1) * m
+        tp *= x2[:p]
+        s[:p] += np.divide(tp, m + 2, out=addend[:p])
+    t[order] = s  # the sums, back in entry order
+    return 0.5 * h ** 2 * t
 
 
 def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray,
@@ -212,21 +189,35 @@ def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray,
     evaluation point (1-D arrays of one length):
       avg    = (1/h) int omega_{1-a}(dist) ds,
       moment = int (s - mid) omega_{1-a}(dist) ds   (None unless ``moments``).
-    u_lo must be the exact endpoint distance (0 for the singular interval);
+    avg = (omega_{2-a}(u_hi) - omega_{2-a}(u_lo)) / h, u_hi = u_lo + h, is
+    formed without cancellation as u_hi^(1-a) (-expm1(-(1-a) log1p(h/u_lo)))
+    / (h Gamma(2-a)); it is omega_{2-a}(h)/h at u_lo = 0, and omega_{1-a}(D),
+    D = u_lo + h/2, where (h/2D)^2 < 2^-55 (the two agree there to half an
+    ulp). The moment takes the midpoint series on far intervals and the
+    antiderivative differences D h avg - (1-a) (omega_{3-a}(u_hi) -
+    omega_{3-a}(u_lo)) on near ones (h > _SERIES_SWITCH * D).
+    u_lo must be the exact endpoint distance (0 for the singular interval):
     the slow power decay of the weight makes even 1e-17 of endpoint slop
     visible at the 1e-5 level.
     """
+    u_hi = u_lo + h
+    with np.errstate(divide="ignore"):  # u_lo = 0, overwritten below
+        x = h / u_lo
+    avg = np.expm1((alpha - 1.0) * np.log1p(x, out=x), out=x)
+    avg *= u_hi ** -alpha * u_hi  # u_hi^(1-a) with no rounding of 1 - a
+    avg /= h * -math.gamma(2.0 - alpha)
+    singular = np.flatnonzero(u_lo == 0.0)
+    avg[singular] = omega(2.0 - alpha, h[singular]) / h[singular]
     D = u_lo + 0.5 * h
-    avg, mom = _series_sums(alpha, D, h, moments)
+    flat = np.flatnonzero((0.5 * h / D) ** 2 < 2.0 ** -55)
+    avg[flat] = omega(1.0 - alpha, D[flat])
+    if not moments:
+        return avg, None
+    mom = _series_sums(alpha, D, h)
     near = np.flatnonzero(h > _SERIES_SWITCH * D)
-    if len(near):
-        u_near, h_near = u_lo[near], h[near]
-        u_hi = u_near + h_near
-        d2 = omega(2.0 - alpha, u_hi) - _omega_or_zero(2.0 - alpha, u_near)
-        avg[near] = d2 / h_near
-        if moments:
-            d3 = omega(3.0 - alpha, u_hi) - _omega_or_zero(3.0 - alpha, u_near)
-            mom[near] = D[near] * d2 - (1.0 - alpha) * d3
+    d3 = u_hi[near] ** (2.0 - alpha) - u_lo[near] ** (2.0 - alpha)
+    d3 *= (1.0 - alpha) / math.gamma(3.0 - alpha)
+    mom[near] = D[near] * (h[near] * avg[near]) - d3
     return avg, mom
 
 

@@ -138,6 +138,7 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
     lo = (theta0 * 2.0 ** np.arange(n_dyadic))[:, None]
     hi = 2.0 * lo
 
+    nq = n_dyadic + 2  # the first rung's node count
     for m in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24):
         if m * (n_dyadic + 1) + m > NODE_BUDGET:
             break
@@ -149,6 +150,7 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
         wth = pref * 0.5 * (hi - lo) * wl * th ** (alpha - 1.0)
         nodes = np.concatenate([theta0 * 0.5 * (1.0 + xj), th.ravel()])
         weights = np.concatenate([pref * (theta0 * 0.5) ** alpha * wj, wth.ravel()])
+        nq = len(nodes)
         at_dt = weights * np.exp(-nodes * delta_t)
         if abs(target[0] - np.sum(at_dt)) > 2.0 * eps:
             continue
@@ -169,8 +171,12 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
                 cert_residual=res,
                 meets_kernel_condition=bool(eps <= _kernel_cap(alpha, T)),
             )
+    # an Nq-term sum near omega_{1-a}(delta_t) rounds by up to about this
+    floor = nq * 2.0 ** -53 * target[0]
     raise ToleranceUnreachableError(
-        f"could not certify eps={eps} on [{delta_t}, {T}] within {NODE_BUDGET} nodes")
+        f"could not certify eps={eps} on [{delta_t}, {T}] within {NODE_BUDGET} "
+        f"nodes; eps is {'below' if eps < floor else 'above'} the rounding floor "
+        f"Nq*2^-53*omega_(1-alpha)(delta_t) = {floor:.1e} (Nq = {nq})")
 
 
 def soe_eval(approx: SOEApprox, t: float) -> float:

@@ -308,7 +308,21 @@ def test_soe_build_refusal_pinned(capsys):
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
     assert err == ("numerical failure: could not certify eps=1e-10 on "
-                   "[1e-09, 1.0] within 512 nodes\n")
+                   "[1e-09, 1.0] within 512 nodes; eps is below the rounding "
+                   "floor Nq*2^-53*omega_(1-alpha)(delta_t) = 3.3e-08 (Nq = 444)\n")
+
+
+def test_fastl1_refusal_names_the_rounding_floor(capsys):
+    # tau_1 = 300^-3 on this mesh, and omega_0.05(tau_1) is about 6e5: an SOE
+    # sum there rounds by more than eps = 1e-10, whatever its node count
+    code, out, err = run(capsys, "kernels", "dump", "--scheme", "fastl1", "--mesh",
+                         "graded:300,3,1", "--alpha", "0.95", "--eps", "1e-10")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("numerical failure: could not certify eps=1e-10 on "
+                          "[3.703703703703704e-08, 1.0] within 512 nodes; ")
+    floor = float(err.split("omega_(1-alpha)(delta_t) = ")[1].split()[0])
+    assert "eps is below the rounding floor" in err and floor > 1e-10
 
 
 # sha256 of the `kernels dump` body per scheme at alpha = 0.4; recombination
@@ -316,21 +330,21 @@ def test_soe_build_refusal_pinned(capsys):
 # The N = 300 tables span many row blocks of the kernel evaluator.
 DUMP_SHA256 = {
     ("l1", "graded:64,2,1"):
-        "3a9525124a89552f75f4301ecdfcdabfc92d41aad9eef0ee17e37c9ae98c63ad",
+        "e69aaa0ded0df4f0df6989b0a721c9a98d2a752ead48e46df39da4cb1afd2292",
     ("fastl1", "graded:64,2,1"):
         "98153d3c01fbab00b5926cfbc6f9642e26e9376c8eaad36b1ce8ce36e7e6c488",
     ("alikhanov", "graded:64,2,1"):
-        "fbd55e9ec94de01c3a703bb80bbebea99a29e9b2856c3c3f60445e7bd501e6ec",
+        "8667ea7a7f59bdb90823a18a1aaf1f6db8dfc45ecb1bd045bf2199a2ac6dc3ea",
     ("bdf2", "graded:64,2,1"):
-        "e154b6dc52150a057e80c3d35804103ed0a9e816fa5b60924a7bd32e805f2c11",
+        "61f2517a90ed01189deb1967375ccd6a11488c4c33ad7ef1118e36aa288aa405",
     ("bdf2recombined", "graded:64,1,1"):
-        "67469d09490b6aba443350f070f6e7b7c4133ece41786eed04d44f1ea3425300",
+        "f79283177827446582422b3a191acfc248e148a9a58f58ccc0827aaeac461418",
     ("l1", "graded:300,3,1"):
-        "5fdb6d7e16a4f7abf86a56e3573ef766ee4a30f0cd17b2ea6f8b4544a65cd16e",
+        "a4b14b7a3bcd4397ac2c3cc1b8ab967c1dba741288cb34d5d54617976ffa52cb",
     ("alikhanov", "graded:300,3,1"):
-        "cb478943b3d0ee76486a583d9ba415b5a9caac0c61542b6c303a074da499553a",
+        "56810528c9a2bc00c91fb247bb37fd694348c913a578c23820f7eb429cb4e248",
     ("bdf2", "graded:300,3,1"):
-        "870a3b4e035e06454a26b14340a8c06655b2543ed9f315e4c9fc1544190b4086",
+        "d28f8a9c77f6fbdeab63b0f0ac3cbb40665bf7d6622237b65a0741aefc399fd7",
 }
 
 
@@ -348,11 +362,11 @@ AUDIT_SHA256 = {
     ("l1", "graded:300,3,1"):
         "788add39b8f30ca30209ab161acd7ca4a57ea1af26a06d77838dde36498d8288",
     ("fastl1", "graded:300,3,1"):
-        "623e723b3a9c976c849d0df0c2d883362390c18174aab405cf2a0f19eec89479",
+        "f1c1d10f18d4af9fdffc6f7525784a683958f498a1aa3e947c44c9490fb9ad53",
     ("alikhanov", "graded:300,3,1"):
         "0577ca9603129a8de670ce1041181e95facaa848acdbccf7f78cd47c591a822c",
     ("bdf2", "graded:300,3,1"):
-        "a57f42ad84fcafd540ce273449ae0bf43d174c2ea7ebcd3e737a019799516299",
+        "386c5717138927a1a6a66058f221c9a46b17fb56452a86227683634c886b4446",
     ("bdf2recombined", "graded:300,1,1"):
         "3728d8ff80b0865a0947d22731fe4384b793413524e1290cc85f429a8de72ff5",
 }
@@ -371,7 +385,7 @@ def test_audit_bytes_pinned(capsys, scheme, mesh):
 # which must reproduce them byte for byte
 GRONWALL_SHA256 = {
     ("l1", "graded:64,2,1"):
-        "8b3e96d9665c979401f6e2e3b9a8b5f9ee17a3c84125daf4fd4a854e52f810ae",
+        "e931fc9cae7aed64a8d165651320de86fac5c4e933e57b0d0c05b271891f1844",
     ("alikhanov", "graded:64,2,1"):
         "ef029b613d06c6211d36fd610f8af991a676f285a21ac8857c8758066fe53d20",
     ("fastl1", "graded:64,2,1"):
@@ -435,17 +449,19 @@ def test_solve_fd1d_refuses_table_failing_a1(capsys):
 # history began to sum K's rows in storage order (dense single-mode bodies moved
 # by at most 4.3e-16 relative) and fd1d began to march in its grid sine modes
 # (fd1d bodies moved by at most 5.8e-15); the fast L1 single-mode body kept its bits.
+# Re-pinned when the L1 average took its closed form (values moved by at most
+# 1.0e-15 relative; the fast L1 bodies kept their bits).
 SOLVE_SHA256 = {
     ("single-mode", "l1", "graded:64,2,1"):
-        "ade9639097c3397cfb7ca47ffbcb638200da3bc278500994edd65d189c32821c",
+        "714fbfdbe48d79fb07e71ba62f07ee48542e48047938864a72ab9bd589036d1d",
     ("single-mode", "alikhanov", "graded:64,2,1"):
-        "c8fc8ecdff7c7b9f637df96ab4992897d9c759fca6c794c375bce9345d32a994",
+        "83c30fddcfc796a62945d048e197eac38c9b8d54044e9834732e1d74c0bd5983",
     ("single-mode", "bdf2recombined", "graded:64,1,1"):
-        "68ab4de734cba79057dd394c4107eb05b539e987e0762954c22c7d0fca542708",
+        "b432131ff2a7fcbf0d0c6a98545ca521927f3c2521c5171b334b8aa9776dd401",
     ("fd1d", "l1", "graded:64,2,1"):
-        "bd8a62a3e3ab98213ec3d58acb17d0952a182e80511865ac3cf47357908564e1",
+        "9bbd9301bdf7e5c3170ac4f17da2488a30755aba64fe37debb0cccbe503edcfd",
     ("fd1d", "alikhanov", "graded:64,2,1"):
-        "fb7d5c30b83dacf5616bfe6ed1285d6c935bc072bf58d11e2fdeaa6ce88a33e3",
+        "957a0a615a2faaede5f4ffb80cf617ddba0452707911378fc94fd33610062085",
     ("single-mode", "fastl1", "graded:64,2,1"):
         "478e3576b8fd121c0a644480e9e04fbd6964300a2cd7aba986c8c922cd6d6fac",
     ("fd1d", "fastl1", "graded:64,2,1"):

@@ -500,23 +500,17 @@ def test_block_evaluator_matches_row_by_row(build, mesh):
 
 
 def _full_series_sums(alpha, D, h):
-    """The midpoint series with all 15 steps for every entry and both sums,
-    as the stopping rule's bit-for-bit reference."""
+    """The first-moment midpoint series with all 15 steps for every entry, as
+    the stopping rule's bit-for-bit reference."""
     x2 = (0.5 * h / D) ** 2
     base = omega(1.0 - alpha, D)
-    even = base.copy()
-    t_even = base.copy()
     odd = base * alpha * (0.5 * h / D) / 3.0
     t_odd = base * alpha * (0.5 * h / D)
-    for m_e in range(2, 32, 2):
-        t_even = t_even * (alpha + m_e - 2) * (alpha + m_e - 1) \
-            / ((m_e - 1) * m_e) * x2
-        even += t_even / (m_e + 1)
-        m_o = m_e + 1
+    for m_o in range(3, 33, 2):
         t_odd = t_odd * (alpha + m_o - 2) * (alpha + m_o - 1) \
             / ((m_o - 1) * m_o) * x2
         odd += t_odd / (m_o + 2)
-    return even, 0.5 * h ** 2 * odd
+    return 0.5 * h ** 2 * odd
 
 
 def _widths_around(x2_targets, D=1.0):
@@ -526,7 +520,10 @@ def _widths_around(x2_targets, D=1.0):
     return (h0[:, None] * (1.0 + 4e-16 * np.arange(-6, 7))).ravel()
 
 
-@pytest.mark.parametrize("alpha", [1e-3, 0.02, 0.5, 0.98, 1.0 - 1e-9])
+ALPHAS_TO_THE_EDGE = [1e-3, 0.02, 0.5, 0.98, 1.0 - 1e-9]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS_TO_THE_EDGE)
 def test_shortened_series_is_bit_exact(alpha):
     # step j may be dropped once x2 < 2^(-55/j); the largest far x2 is 0.04
     cuts = 2.0 ** (-55.0 / np.arange(1, 16))
@@ -547,12 +544,81 @@ def test_shortened_series_is_bit_exact(alpha):
         assert np.any((x2 >= cut) & (x2 < cut * (1 + 1e-14)))
     # underflow is silent by numpy's default; nothing else may be raised
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        avg, mom = _weight_integrals(alpha, u_lo, h, moments=True)
-        avg_only, none = _weight_integrals(alpha, u_lo, h, moments=False)
-    ref_avg, ref_mom = _full_series_sums(alpha, D, h)
-    assert np.array_equal(avg, ref_avg)
-    assert np.array_equal(mom, ref_mom)
-    assert np.array_equal(avg_only, ref_avg) and none is None
+        mom = kernels._series_sums(alpha, D, h)
+        _, via_integrals = _weight_integrals(alpha, u_lo, h, moments=True)
+        _, none = _weight_integrals(alpha, u_lo, h, moments=False)
+    ref = _full_series_sums(alpha, D, h)
+    assert np.array_equal(mom, ref)
+    assert np.array_equal(via_integrals, ref) and none is None
+
+
+def _mp_average(mpmath, alpha, u, h):
+    """(1/h) int_u^(u+h) omega_{1-a} = ((u+h)^(1-a) - u^(1-a)) / (h Gamma(2-a))
+    as the plain difference of powers, with enough digits beyond 50 to absorb
+    its cancellation (about -log10(h/u) of them)."""
+    digits = 50 + max(0, math.ceil(-math.log10(h / u)))
+    with mpmath.workdps(digits):
+        a, U, H = mpmath.mpf(alpha), mpmath.mpf(u), mpmath.mpf(h)
+        b = 1 - a
+        return ((U + H) ** b - U ** b) / (H * mpmath.gamma(2 - a))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS_TO_THE_EDGE)
+def test_closed_form_average_matches_50_digits(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    # x = h/u from underflow to 398, i.e. h = 1.99 D next to the evaluation
+    # point, at D = 1 and at random D
+    x = np.concatenate([np.geomspace(1e-300, 398.0, 601), [5e-324, 1e-320, 1e-310],
+                        np.linspace(0.5, 398.0, 60)])
+    rng = np.random.default_rng(17)
+    D = np.concatenate([np.ones(x.size), rng.uniform(1e-6, 1e3, x.size)])
+    x = np.concatenate([x, x])
+    u_lo = D / (1.0 + 0.5 * x)
+    h = x * u_lo
+    keep = h > 0.0
+    u_lo, h = u_lo[keep], h[keep]
+    assert np.max(h / (u_lo + 0.5 * h)) > 1.98
+    assert np.any(h < 1e-320) and np.all(u_lo > 0.0)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        avg, _ = _weight_integrals(alpha, u_lo, h, moments=False)
+    worst = max(float(abs(mpmath.mpf(got) / _mp_average(mpmath, alpha, u, w) - 1))
+                for got, u, w in zip(avg.tolist(), u_lo.tolist(), h.tolist()))
+    assert worst <= 1e-15, worst
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.98, 1.0 - 1e-9])
+def test_near_moments_match_60_digits(alpha):
+    # near intervals take D h avg - (1-a) (omega_{3-a}(u_hi) - omega_{3-a}(u_lo));
+    # with the omega_{2-a} difference in place of h avg, alpha = 1 - 1e-9 lost
+    # 1.8e-5 here. Small alpha cancels like 1/alpha in the formula itself.
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate([np.geomspace(0.5000001, 398.0, 200), [0.0]])
+    scale = np.random.default_rng(5).uniform(1e-6, 1e3, x.size)
+    u_lo = np.where(x > 0.0, 1.0, 0.0) * scale
+    h = np.where(x > 0.0, x, 0.7) * scale
+    assert np.all(h > 0.4 * (u_lo + 0.5 * h))  # every entry is near
+    _, mom = _weight_integrals(alpha, u_lo, h, moments=True)
+    worst = 0.0
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha)
+        for got, u, w in zip(mom.tolist(), u_lo.tolist(), h.tolist()):
+            lo, hi = mpmath.mpf(u), mpmath.mpf(u) + mpmath.mpf(w)
+            mid = (lo + hi) / 2
+            ref = (mid * (hi ** (1 - a) - lo ** (1 - a)) / (1 - a)
+                   - (hi ** (2 - a) - lo ** (2 - a)) / (2 - a)) / mpmath.gamma(1 - a)
+            worst = max(worst, float(abs(got / ref - 1)))
+    assert worst <= 1e-13, worst
+
+
+def test_closed_form_average_keeps_its_edges():
+    # the singular interval is omega_{2-a}(h)/h, and an interval too short to
+    # change omega_{1-a} at its midpoint is omega_{1-a}(D), both bit for bit
+    alpha = 0.45
+    h = np.array([0.3, 1e-9, 5e-324, 1e-300, 2.0 ** -40])
+    u_lo = np.array([0.0, 0.0, 1.0, 2.5, 7.0])
+    avg, _ = _weight_integrals(alpha, u_lo, h, moments=False)
+    assert np.array_equal(avg[:2], omega(2.0 - alpha, h[:2]) / h[:2])
+    assert np.array_equal(avg[2:], omega(1.0 - alpha, u_lo[2:] + 0.5 * h[2:]))
 
 
 @pytest.mark.parametrize("build", [l1_kernel, alikhanov_kernel, bdf2_kernel])
@@ -562,9 +628,16 @@ def test_shortened_series_is_bit_exact(alpha):
 @pytest.mark.parametrize("alpha", [0.05, 0.95])
 def test_tables_match_full_series(build, mesh, alpha, monkeypatch):
     table = build(mesh, alpha)
-    monkeypatch.setattr(kernels, "_series_sums",
-                        lambda a, D, h, moments: _full_series_sums(a, D, h))
+    calls = []
+
+    def full(a, D, h):
+        calls.append(len(D))
+        return _full_series_sums(a, D, h)
+
+    monkeypatch.setattr(kernels, "_series_sums", full)
     assert np.array_equal(table.K, build(mesh, alpha).K)
+    # only the quadratic schemes take a moment; the L1 average has none
+    assert bool(calls) is (build is not l1_kernel)
 
 
 def test_triangle_blocks_cover_every_row_once():

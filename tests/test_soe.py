@@ -216,8 +216,12 @@ def _plain_ladder(alpha, eps, delta_t, T):
                     nodes, weights, res = nodes[keep], weights[keep], pruned_res
             order = np.argsort(nodes)
             return nodes[order], weights[order], res
+    # every rung was refused; the rounding floor is taken at the last one
+    floor = len(nodes) * 2.0 ** -53 * omega(1.0 - alpha, grid)[0]
     raise ToleranceUnreachableError(
-        f"could not certify eps={eps} on [{delta_t}, {T}] within {NODE_BUDGET} nodes")
+        f"could not certify eps={eps} on [{delta_t}, {T}] within {NODE_BUDGET} "
+        f"nodes; eps is {'below' if eps < floor else 'above'} the rounding floor "
+        f"Nq*2^-53*omega_(1-alpha)(delta_t) = {floor:.1e} (Nq = {len(nodes)})")
 
 
 def _outcome(build, *args):
