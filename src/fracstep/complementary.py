@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .kernels import KernelTable, _blocks, _LowerTable, check_same_problem
 from .mesh import TimeMesh
@@ -34,6 +33,14 @@ _LEMMA_SLACK = 1e-10
 # Lemma 2.2/2.3 data: powers omega_{1+k alpha}, k = 1.._POWERS, and rates mu
 _POWERS = 5
 _RATES = (0.5, 2.0, 10.0)
+# Rows and columns of the diagonal blocks build_complementary inverts, and the
+# strict upper triangle of such a block
+_INV_BLOCK = 32
+_BLOCK_UPPER = ~np.tri(_INV_BLOCK, dtype=bool)
+# Rows of the inverse per product below a diagonal block: each panel reads
+# only up to its own last column, so the products skip most of the zero upper
+# triangle (half the flops of one full product at large N)
+_INV_PANEL = 256
 
 
 class ZeroDiagonalError(ValueError):
@@ -68,17 +75,38 @@ def build_complementary(table: KernelTable) -> ComplementaryTable:
     A^(j)_{j-m} - A^(j)_{j-m-1} are <= 0 for a monotone kernel, so the
     triangular inverse adds only nonnegative terms and keeps every entry of P
     to a few ulp relative to the stored K; cumsum(K^-1), whose terms cancel,
-    does not.
-    B is built and inverted in place, so the peak is one (N, N) array.
+    does not (Higham, Accuracy and Stability of Numerical Algorithms, ch. 8).
+
+    B is inverted in place, one block column of _INV_BLOCK at a time from the
+    last to the first. A diagonal block B11 = D C, D its diagonal, is inverted
+    as C^-1 D^-1. Under A1 each |B_im| <= B_ii, so C's off-diagonal entries lie
+    in [-1, 0], the LU of C takes no pivot and its forward substitution adds
+    nonnegative terms. Below it, X21 = X22 (-B21) X11 multiplies nonnegative
+    factors, X22 being the lower-triangular inverse already formed below and
+    to the right, taken in row panels that stop at their diagonal. The peak
+    is one (N, N) array, and the upper triangle of P is exactly 0 even for a
+    table without A1, whose LU may pivot.
     """
     diag = table.diagonal()
     if np.any(diag <= 0.0):
         bad = int(np.argmax(diag <= 0.0)) + 1
         raise ZeroDiagonalError(f"A^({bad})_0 = {diag[bad - 1]} is not positive")
-    B = np.array(table.K, order="F")
+    B = np.array(table.K)
     B[:, :-1] -= table.K[:, 1:]
-    P, _ = dtrtri(B, lower=1, overwrite_c=1)  # info > 0 needs a zero pivot
-    return ComplementaryTable(P=P, source=table)
+    N = len(B)
+    for j0 in reversed(range(0, N, _INV_BLOCK)):
+        j1 = min(j0 + _INV_BLOCK, N)
+        d = diag[j0:j1]
+        X11 = np.linalg.inv(B[j0:j1, j0:j1] / d[:, None])
+        X11[_BLOCK_UPPER[:j1 - j0, :j1 - j0]] = 0.0
+        X11 /= d
+        if j1 < N:
+            neg_B21 = -B[j1:, j0:j1]
+            for r0 in range(j1, N, _INV_PANEL):
+                r1 = min(r0 + _INV_PANEL, N)
+                B[r0:r1, j0:j1] = (B[r0:r1, j1:r1] @ neg_B21[:r1 - j1]) @ X11
+        B[j0:j1, j0:j1] = X11
+    return ComplementaryTable(P=B, source=table)
 
 
 def identity_residual(ctable: ComplementaryTable, seed=None) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .mesh import TimeMesh
 from .soe import SOEApprox, _SOEHistory, _soe_for_mesh
-from .specialfn import omega
+from .specialfn import _singular_average, omega
 
 __all__ = [
     "KernelTable",
@@ -191,7 +191,8 @@ def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray,
       moment = int (s - mid) omega_{1-a}(dist) ds   (None unless ``moments``).
     avg = (omega_{2-a}(u_hi) - omega_{2-a}(u_lo)) / h, u_hi = u_lo + h, is
     formed without cancellation as u_hi^(1-a) (-expm1(-(1-a) log1p(h/u_lo)))
-    / (h Gamma(2-a)); it is omega_{2-a}(h)/h at u_lo = 0, and omega_{1-a}(D),
+    / (h Gamma(2-a)); it is omega_{2-a}(h)/h = h^-a / Gamma(2-a) at u_lo = 0
+    (``specialfn._singular_average``), and omega_{1-a}(D),
     D = u_lo + h/2, where (h/2D)^2 < 2^-55 (the two agree there to half an
     ulp). The moment takes the midpoint series on far intervals and the
     antiderivative differences D h avg - (1-a) (omega_{3-a}(u_hi) -
@@ -207,7 +208,7 @@ def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray,
     avg *= u_hi ** -alpha * u_hi  # u_hi^(1-a) with no rounding of 1 - a
     avg /= h * -math.gamma(2.0 - alpha)
     singular = np.flatnonzero(u_lo == 0.0)
-    avg[singular] = omega(2.0 - alpha, h[singular]) / h[singular]
+    avg[singular] = _singular_average(alpha, h[singular])
     D = u_lo + 0.5 * h
     flat = np.flatnonzero((0.5 * h / D) ** 2 < 2.0 ** -55)
     avg[flat] = omega(1.0 - alpha, D[flat])

@@ -2,7 +2,8 @@
 
 omega_{1-a}(t) = sin(pi a)/pi * int_0^inf exp(-theta t) theta^(a-1) dtheta
 is discretized with a Gauss-Jacobi rule on the singular band [0, 1/T] and
-Gauss-Legendre rules on dyadic intervals up to a tail cutoff; the node count
+Gauss-Legendre rules on dyadic intervals up to a tail cutoff (both rules from
+the eigenvalues of their Jacobi matrices, in numpy); the node count
 grows until a dense-grid certification of the uniform error on [delta_t, T]
 passes. The grid starts at delta_t, so a rung whose error there alone
 exceeds 2 eps is rejected before the dense check: the two sums at delta_t
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
-from .specialfn import omega
+from .specialfn import _singular_average, omega
 
 __all__ = [
     "SOEApprox",
@@ -92,11 +92,25 @@ def _residual(nodes, weights, target, grid) -> float:
 @lru_cache(maxsize=128)
 def _gauss_rule(m: int, alpha: float | None = None):
     """Read-only Gauss-Legendre (alpha None) or Gauss-Jacobi(0, alpha - 1)
-    nodes and weights on [-1, 1]."""
-    rule = roots_legendre(m) if alpha is None else roots_jacobi(m, 0.0, alpha - 1.0)
-    for x in rule:
-        x.flags.writeable = False
-    return rule
+    nodes and weights on [-1, 1], for the weight (1 + x)^b with b = alpha - 1
+    (b = 0 for Legendre).
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of the weight's monic recurrence,
+    and each weight is mu_0 = int (1 + x)^b = 2^(b+1)/(b+1) times the squared
+    first component of its unit eigenvector. Against 40-digit rules, for
+    m <= 24, the weights err by at most 4e-14 relative.
+    """
+    b = 0.0 if alpha is None else alpha - 1.0
+    n = np.arange(1.0, m)
+    s = 2.0 * n + b
+    diagonal = np.concatenate([[b / (b + 2.0)], b * b / (s * (s + 2.0))])
+    off = 2.0 * n * (n + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (b + 1.0) / (b + 1.0) * vectors[0] ** 2
+    for v in (x, w):
+        v.flags.writeable = False
+    return x, w
 
 
 def _tail_cutoff(alpha: float, eps: float, delta_t: float) -> float:
@@ -217,7 +231,8 @@ def _check_certified(approx: SOEApprox, mesh, alpha: float) -> None:
 
 class _SOEHistory:
     """Fast L1 history: Nq exponential states per mode, O(Nq) memory at
-    any step count, with the exact L1 diagonal A^(n)_0 = omega_{2-a}(tau_n)/tau_n.
+    any step count, with the exact L1 diagonal A^(n)_0 = omega_{2-a}(tau_n)/tau_n
+    (``specialfn._singular_average``).
     Per node theta the states follow, from H(t_0) = 0,
         H(t_n) = exp(-theta tau_n) H(t_{n-1}) + phi * incr_n,
         phi = (1 - exp(-theta tau_n)) / (theta tau_n).
@@ -229,7 +244,7 @@ class _SOEHistory:
     def __init__(self, approx: SOEApprox, mesh, alpha: float, shape=()):
         _check_certified(approx, mesh, alpha)
         self.weights, self.tau = approx.weights, mesh.tau
-        self.diagonal = omega(2.0 - alpha, mesh.tau) / mesh.tau
+        self.diagonal = _singular_average(alpha, mesh.tau)
         self.nodes = approx.nodes.reshape((-1,) + (1,) * len(shape))
         self.H = np.zeros((approx.Nq,) + shape)
         self._block = -1

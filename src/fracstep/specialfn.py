@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 __all__ = [
     "omega",
@@ -49,9 +49,25 @@ def _contour_nodes(n: int):
 _CONTOUR_S, _CONTOUR_W = _contour_nodes(_CONTOUR_N)
 
 
-def _log(x):
-    """libm's log, as math.log; numpy's vectorised log can differ by an ulp."""
-    return xlogy(1.0, x)
+def _log(x: np.ndarray) -> np.ndarray:
+    """libm's log of each element of a 1-D array, as math.log, so array and
+    scalar arguments get the same bits; numpy's vectorised log can differ by
+    an ulp."""
+    return np.fromiter(map(math.log, x.tolist()), float, len(x))
+
+
+# Longest k grid _lgamma_grid keeps: a row this wide is already 2**16 terms of
+# work, and caching every doubling up to 2**24 would hold hundreds of MB.
+_LGAMMA_CACHE_WIDTH = 2 ** 16 + 1
+
+
+@lru_cache(maxsize=64)
+def _lgamma_grid(alpha: float, k0: int, width: int) -> np.ndarray:
+    """Read-only ln Gamma(1 + alpha k) for k = k0..k0+width-1, libm's lgamma."""
+    lg = np.fromiter((math.lgamma(1.0 + alpha * k) for k in range(k0, k0 + width)),
+                     float, width)
+    lg.flags.writeable = False
+    return lg
 
 
 def omega(beta, t):
@@ -67,6 +83,15 @@ def omega(beta, t):
         raise ValueError("omega_beta requires t > 0")
     out = t_arr ** (beta - 1.0) / math.gamma(beta)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
+def _singular_average(alpha: float, h):
+    """(1/h) int_0^h omega_{1-alpha} = omega_{2-alpha}(h)/h, the exact L1
+    diagonal, as h^-alpha / Gamma(2 - alpha) for an array h: the exponent is
+    exact, where omega's h^(1-alpha) would carry the rounding of 1 - alpha.
+    Kernel tables and the fast L1 history share it, so their diagonals agree
+    bit for bit."""
+    return h ** -alpha / math.gamma(2.0 - alpha)
 
 
 def _check_alpha(alpha) -> float:
@@ -97,7 +122,8 @@ def _term_logs(alpha: float, ln_z: np.ndarray, rows: np.ndarray, k0: int,
         return
     w = widths[0]
     k = np.arange(k0, k0 + w, dtype=float)
-    lg = gammaln(1.0 + alpha * k)
+    grid = _lgamma_grid if w <= _LGAMMA_CACHE_WIDTH else _lgamma_grid.__wrapped__
+    lg = grid(alpha, k0, w)
     step = max(1, _BLOCK_ENTRIES // w)
     for r0 in range(0, len(rows), step):
         block = rows[r0:r0 + step]

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,14 +286,16 @@ def test_soe_build_json(capsys):
 
 
 # sha256 of `soe build` bodies at eps = 1e-10 and T = 1: every node, weight,
-# Nq and certification residual of the ladder's chosen rung
+# Nq and certification residual of the ladder's chosen rung. Re-pinned when
+# the Gauss rules came from the Jacobi matrix (Golub-Welsch): nodes and
+# weights moved by at most 7.2e-14 relative, no Nq moved.
 SOE_SHA256 = {
     ("0.3", "1e-9"):
-        "ceddbf28e23b4e2354bf84f537e0b0047bb55b4bcc3bbaccab12dedd085aa38c",
+        "6dcc0cd192cda404afa706dc12efeb98637698f2e29f9e6c1907e8bf47f45b54",
     ("0.3", "1e-4"):
-        "573cc9c290baf2f21f51ecc15b910776419840ca1865ea772b41b6ded0625eca",
+        "22cabab7dc71ce787737d68da74ae06a6dddf45559bf5dd6520780e3d180d8e3",
     ("0.7", "1e-4"):
-        "10b66d4c60ecdf525865c15d34d7d3d2ec367abc7df9c16a525df10237af8b75",
+        "8a3c51a54c318d490537a198827e8141d522ddd4971adc8e39256dbeaa885bfe",
 }
 
 
@@ -328,23 +334,26 @@ def test_fastl1_refusal_names_the_rounding_floor(capsys):
 # sha256 of the `kernels dump` body per scheme at alpha = 0.4; recombination
 # exists only on uniform meshes, so bdf2recombined is pinned on graded:64,1,1.
 # The N = 300 tables span many row blocks of the kernel evaluator.
+# Re-pinned when the singular L1 average became h^-a/Gamma(2-a): entries moved
+# by at most 2.0e-15 relative (bdf2, whose entries cancel: 8.9e-15 of its
+# row's largest entry).
 DUMP_SHA256 = {
     ("l1", "graded:64,2,1"):
-        "e69aaa0ded0df4f0df6989b0a721c9a98d2a752ead48e46df39da4cb1afd2292",
+        "8a2b618035bf8852a9e1abd5ce4a98251699d4134e6596894f319d30a216142a",
     ("fastl1", "graded:64,2,1"):
-        "98153d3c01fbab00b5926cfbc6f9642e26e9376c8eaad36b1ce8ce36e7e6c488",
+        "1eb79d1436ff9002b24f3aa5826f7b4e0b60ba4976ccdc8ac4cf6f2531e6f79d",
     ("alikhanov", "graded:64,2,1"):
-        "8667ea7a7f59bdb90823a18a1aaf1f6db8dfc45ecb1bd045bf2199a2ac6dc3ea",
+        "22cbfbb500c689cc6f3b1ac3818e74a6a1a92c43d4fb9e1bd3ade78e612d8f99",
     ("bdf2", "graded:64,2,1"):
-        "61f2517a90ed01189deb1967375ccd6a11488c4c33ad7ef1118e36aa288aa405",
+        "811dbcdb9534251b6e5375d83b2806a09632ef263bdb3d55590f5ac26eb691ce",
     ("bdf2recombined", "graded:64,1,1"):
-        "f79283177827446582422b3a191acfc248e148a9a58f58ccc0827aaeac461418",
+        "cddc8b4f7203256bd6d41cd83df1478d4c477893cab85e8b5855d3185a1e84d2",
     ("l1", "graded:300,3,1"):
-        "a4b14b7a3bcd4397ac2c3cc1b8ab967c1dba741288cb34d5d54617976ffa52cb",
+        "abbc52069f318126d514c160f0131570372463b65e17111809ba8a46cd52191e",
     ("alikhanov", "graded:300,3,1"):
-        "56810528c9a2bc00c91fb247bb37fd694348c913a578c23820f7eb429cb4e248",
+        "ca39c76f26f0653cbd97266cbd8c6ae03d3d17b1680ba02931b3557687ce844a",
     ("bdf2", "graded:300,3,1"):
-        "d28f8a9c77f6fbdeab63b0f0ac3cbb40665bf7d6622237b65a0741aefc399fd7",
+        "640f9d560acc05075a52c5680b2540cbb640dd2be4d78c556f22f6705c74a4c2",
 }
 
 
@@ -357,16 +366,17 @@ def test_kernels_dump_bytes_pinned(capsys, scheme, mesh):
 
 
 # sha256 of `audit` bodies at alpha = 0.4 and N = 300 (bdf2 fails A1 there,
-# so its body prints a2_pi_estimate as null)
+# so its body prints a2_pi_estimate as null). Re-pinned with the singular L1
+# average and the Golub-Welsch rules: values moved by at most 1.1e-14 relative.
 AUDIT_SHA256 = {
     ("l1", "graded:300,3,1"):
         "788add39b8f30ca30209ab161acd7ca4a57ea1af26a06d77838dde36498d8288",
     ("fastl1", "graded:300,3,1"):
-        "f1c1d10f18d4af9fdffc6f7525784a683958f498a1aa3e947c44c9490fb9ad53",
+        "73df8598573247fe600fff2a5a00d3e078f0e3f617a6c18c8bfb02b4fa25bfa3",
     ("alikhanov", "graded:300,3,1"):
         "0577ca9603129a8de670ce1041181e95facaa848acdbccf7f78cd47c591a822c",
     ("bdf2", "graded:300,3,1"):
-        "386c5717138927a1a6a66058f221c9a46b17fb56452a86227683634c886b4446",
+        "23d139231452814c5d26833729575939734c5ef877bccec73091130b63b40af1",
     ("bdf2recombined", "graded:300,1,1"):
         "3728d8ff80b0865a0947d22731fe4384b793413524e1290cc85f429a8de72ff5",
 }
@@ -382,7 +392,8 @@ def test_audit_bytes_pinned(capsys, scheme, mesh):
 
 # sha256 of `gronwall verify` bodies at alpha = 0.4 with the default 100
 # trials and seed 0; the trials and the certified bound share one evaluator,
-# which must reproduce them byte for byte
+# which must reproduce them byte for byte. Re-pinned when P came from a numpy
+# block inverse: bdf2recombined margins moved by at most 2.4e-16 relative.
 GRONWALL_SHA256 = {
     ("l1", "graded:64,2,1"):
         "e931fc9cae7aed64a8d165651320de86fac5c4e933e57b0d0c05b271891f1844",
@@ -391,7 +402,7 @@ GRONWALL_SHA256 = {
     ("fastl1", "graded:64,2,1"):
         "3f658eded3768a28df7e7d342a26192f77df854bfee26a9f6a239f4eb36f235b",
     ("bdf2recombined", "graded:64,1,1"):
-        "a3f3c16fb45d310f9d7d1d287b5ce4561d29ca9ed59e6810e640a323a62f9709",
+        "9acc1ec55c30aadbbb4615429f1d96d5d79a587025b93d7fe08e4370806a4ea8",
 }
 
 
@@ -450,22 +461,25 @@ def test_solve_fd1d_refuses_table_failing_a1(capsys):
 # by at most 4.3e-16 relative) and fd1d began to march in its grid sine modes
 # (fd1d bodies moved by at most 5.8e-15); the fast L1 single-mode body kept its bits.
 # Re-pinned when the L1 average took its closed form (values moved by at most
-# 1.0e-15 relative; the fast L1 bodies kept their bits).
+# 1.0e-15 relative; the fast L1 bodies kept their bits). Re-pinned when the
+# singular L1 average became h^-a/Gamma(2-a) and the Mittag-Leffler terms took
+# libm's lgamma: solutions moved by at most 1.1e-15 relative and exact values
+# by 2.8e-15; the error columns by at most 1.2e-15 of max |u|.
 SOLVE_SHA256 = {
     ("single-mode", "l1", "graded:64,2,1"):
-        "714fbfdbe48d79fb07e71ba62f07ee48542e48047938864a72ab9bd589036d1d",
+        "c2e0c0eae74ec41eb1c5e126ec7a3e906c3a4fa99580d57aeffdeb01cef34cbd",
     ("single-mode", "alikhanov", "graded:64,2,1"):
-        "83c30fddcfc796a62945d048e197eac38c9b8d54044e9834732e1d74c0bd5983",
+        "74ab064b1ec28e75bbcf089a226ce8b7a28d0ec5c9a84a2675da7af16d94dd9e",
     ("single-mode", "bdf2recombined", "graded:64,1,1"):
-        "b432131ff2a7fcbf0d0c6a98545ca521927f3c2521c5171b334b8aa9776dd401",
+        "3540387aa6bdc10dc0cb7c79944733e320d74d642d684e5ada8b04ea20b88a64",
     ("fd1d", "l1", "graded:64,2,1"):
-        "9bbd9301bdf7e5c3170ac4f17da2488a30755aba64fe37debb0cccbe503edcfd",
+        "36c8fb25a53037e854867e16d5b8bd96eca30a526ca2491fcadc33a2889d6dff",
     ("fd1d", "alikhanov", "graded:64,2,1"):
-        "957a0a615a2faaede5f4ffb80cf617ddba0452707911378fc94fd33610062085",
+        "3fa239ee3bfcdbc12cfabead900630c4fc07a900fc16583eddc46acbabf2a2d6",
     ("single-mode", "fastl1", "graded:64,2,1"):
-        "478e3576b8fd121c0a644480e9e04fbd6964300a2cd7aba986c8c922cd6d6fac",
+        "adb1754b9333b29d01ccbc9a55faca36bea3157447c43df487e237abcef29cb4",
     ("fd1d", "fastl1", "graded:64,2,1"):
-        "19eda0910238b3eb4406f76a9641b96c9979ad0365e7818b9d81a01f6fd43fda",
+        "3ac1b8bff19f0a60adbd3c67b624d8fba07bfa23b469c6744f2dfc99de6a6b36",
 }
 
 
@@ -576,3 +590,57 @@ def test_fastl1_runs_on_a_one_step_mesh(capsys, command):
         assert loads(fast)["results"]["quadratic"]["violations"] == 0
     else:
         assert fast.replace("fastl1", "l1") == l1
+
+
+# Commands the library must run without scipy, each with its exit code.
+NO_SCIPY_COMMANDS = [
+    (["kernels", "dump", "--scheme", "l1", "--mesh", "graded:32,2,1", "--alpha", "0.4"], 0),
+    (["kernels", "dump", "--scheme", "fastl1", "--mesh", "graded:32,2,1",
+      "--alpha", "0.4"], 0),
+    (["complementary", "dump", "--scheme", "l1", "--mesh", "graded:32,2,1",
+      "--alpha", "0.4"], 0),
+    (["audit", "--scheme", "alikhanov", "--mesh", "graded:32,2,1", "--alpha", "0.4"], 0),
+    (["gronwall", "verify", "--scheme", "l1", "--mesh", "graded:32,2,1",
+      "--alpha", "0.4", "--trials", "5"], 0),
+    (["mlf", "--alpha", "0.5", "--z", "-1.0"], 0),
+    (["soe", "build", "--alpha", "0.5", "--eps", "1e-8", "--delta-t", "1e-3",
+      "--T", "1"], 0),
+    (["solve", "--scheme", "l1", "--mesh", "graded:32,2,1", "--alpha", "0.4"], 0),
+    (["solve", "--scheme", "fastl1", "--mesh", "graded:32,2,1", "--alpha", "0.4"], 0),
+    (["solve", "--problem", "fd1d", "--scheme", "l1", "--mesh", "graded:32,2,1",
+      "--alpha", "0.4", "--M", "16", "--kappa", "0.5"], 0),
+    (["converge", "--scheme", "l1", "--alpha", "0.5", "--Ns", "16,32"], 0),
+]
+
+# Installs an import hook that refuses scipy, then runs every command in-process
+_NO_SCIPY_SCRIPT = """
+import contextlib, importlib.abc, io, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy import refused: " + name)
+
+sys.meta_path.insert(0, NoScipy())
+from fracstep import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_cli_commands_run_without_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    argvs = json.dumps([argv for argv, _ in NO_SCIPY_COMMANDS])
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, argvs], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout)
+    assert result["scipy"] == []
+    assert result["codes"] == [code for _, code in NO_SCIPY_COMMANDS], proc.stderr[-2000:]

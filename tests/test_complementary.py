@@ -62,6 +62,35 @@ def test_nonnegative_under_a1(store):
             assert min(float(r.min()) for r in ct.rows) >= 0.0
 
 
+def _lapack_complementary(table):
+    """P as LAPACK's dtrtri inverts B = K L^-1: the reference for the numpy
+    block inverse."""
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    B = np.array(table.K, order="F")
+    B[:, :-1] -= table.K[:, 1:]
+    P, info = lapack.dtrtri(B, lower=1)
+    assert info == 0
+    return P
+
+
+@pytest.mark.parametrize("scheme,mesh,alpha", [
+    ("l1", graded_mesh(256, 3.0, 1.0), 0.3),
+    ("l1", graded_mesh(300, 2.0, 1.0), 0.7),
+    ("alikhanov", random_mesh(512, 1.0, rho_bound=1.75, seed=7), 0.5),
+    ("l1", random_mesh(200, 1.0, seed=11), 0.5),
+    # raw bdf2 fails A1: its unit-diagonal blocks have entries of 1.24, so the
+    # LU pivots
+    ("bdf2", uniform_mesh(40, 1.0), 0.9),
+], ids=["l1-graded3", "l1-graded2", "alikhanov-random", "l1-random", "bdf2-raw"])
+def test_matches_lapack_triangular_inverse(scheme, mesh, alpha):
+    table = build_table(scheme, mesh, alpha)
+    P = build_complementary(table).P
+    ref = _lapack_complementary(table)
+    lower = np.tri(table.N, dtype=bool)
+    assert np.max(np.abs(P[lower] / ref[lower] - 1.0)) <= 1e-14
+    assert not np.any(P[~lower])  # the upper triangle is exactly 0
+
+
 def test_zero_diagonal_rejected():
     mesh = uniform_mesh(3, 1.0)
     K = l1_kernel(mesh, 0.5).K.copy()

@@ -34,7 +34,7 @@ from fracstep.kernels import (
 )
 from fracstep.mesh import graded_mesh, mesh_from_nodes, random_mesh, uniform_mesh
 from fracstep.soe import SOENotCertifiedError, build_soe
-from fracstep.specialfn import omega
+from fracstep.specialfn import _singular_average, omega
 
 from conftest import make_mesh
 
@@ -262,8 +262,9 @@ def _fast_l1_row_by_row(mesh, alpha, approx):
     -expm1(-theta tau)/(theta tau), in one exp per (node, entry)."""
     t, tau = mesh.nodes, mesh.tau
     K = np.zeros((mesh.N, mesh.N))
+    diagonal = _singular_average(alpha, tau)
     for n in range(1, mesh.N + 1):
-        K[n - 1, n - 1] = omega(2.0 - alpha, tau[n - 1]) / tau[n - 1]
+        K[n - 1, n - 1] = diagonal[n - 1]
         x = np.outer(approx.nodes, tau[: n - 1])
         decay = np.exp(-np.outer(approx.nodes, t[n] - t[1:n]))
         K[n - 1, : n - 1] = approx.weights @ (decay * (-np.expm1(-x) / x))
@@ -313,7 +314,7 @@ def _unit_step_march(mesh, alpha, approx):
     every step."""
     v = np.tri(mesh.N + 1, mesh.N, -1)
     nodes = approx.nodes[:, None]
-    diagonal = omega(2.0 - alpha, mesh.tau) / mesh.tau
+    diagonal = _singular_average(alpha, mesh.tau)
     H = np.zeros((approx.Nq, mesh.N))
     K = np.empty((mesh.N, mesh.N))
     for n in range(1, mesh.N + 1):
@@ -610,14 +611,32 @@ def test_near_moments_match_60_digits(alpha):
     assert worst <= 1e-13, worst
 
 
+@pytest.mark.parametrize("alpha", [1e-3, 0.02, 0.3, 0.5, 0.9, 0.98, 1.0 - 1e-9])
+def test_l1_diagonal_matches_50_digit_value(alpha):
+    # omega_{2-a}(tau)/tau = tau^-a / Gamma(2-a); omega(2 - a, tau)/tau would
+    # carry the rounding of 1 - a in its exponent, 2.4e-15 at a = 1e-3
+    mpmath = pytest.importorskip("mpmath")
+    mesh = graded_mesh(64, 3.0, 1.0)
+    tau = np.concatenate([[1e-9], mesh.tau, [7.5]])
+    got = _singular_average(alpha, tau)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        ref = [mpmath.mpf(t) ** -a / mpmath.gamma(2 - a) for t in tau.tolist()]
+        worst = max(float(abs(g / r - 1)) for g, r in zip(got.tolist(), ref))
+    assert worst <= 1e-15, worst
+    assert np.array_equal(l1_kernel(mesh, alpha).diagonal(),
+                          _singular_average(alpha, mesh.tau))
+
+
 def test_closed_form_average_keeps_its_edges():
-    # the singular interval is omega_{2-a}(h)/h, and an interval too short to
-    # change omega_{1-a} at its midpoint is omega_{1-a}(D), both bit for bit
+    # the singular interval is omega_{2-a}(h)/h = h^-a/Gamma(2-a), and an
+    # interval too short to change omega_{1-a} at its midpoint is
+    # omega_{1-a}(D), both bit for bit
     alpha = 0.45
     h = np.array([0.3, 1e-9, 5e-324, 1e-300, 2.0 ** -40])
     u_lo = np.array([0.0, 0.0, 1.0, 2.5, 7.0])
     avg, _ = _weight_integrals(alpha, u_lo, h, moments=False)
-    assert np.array_equal(avg[:2], omega(2.0 - alpha, h[:2]) / h[:2])
+    assert np.array_equal(avg[:2], _singular_average(alpha, h[:2]))
     assert np.array_equal(avg[2:], omega(1.0 - alpha, u_lo[2:] + 0.5 * h[2:]))
 
 

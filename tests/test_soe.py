@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi, roots_legendre
 
 from fracstep.kernels import apply_discrete_derivative, fast_l1_kernel, l1_kernel
 from fracstep.mesh import graded_mesh, uniform_mesh
@@ -177,7 +176,8 @@ def test_json_roundtrip(store):
 
 def _plain_ladder(alpha, eps, delta_t, T):
     """The node ladder with every rung checked on the whole certification grid
-    and every Gauss rule recomputed: the reference for ``build_soe``."""
+    and every Gauss rule recomputed, uncached: the reference for ``build_soe``."""
+    rule = _gauss_rule.__wrapped__
     pref = math.sin(math.pi * alpha) / math.pi
     theta0 = 1.0 / T
     theta_max = max(_tail_cutoff(alpha, eps, delta_t), 4.0 * theta0)
@@ -192,10 +192,10 @@ def _plain_ladder(alpha, eps, delta_t, T):
     for m in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24):
         if m * (n_dyadic + 1) + m > NODE_BUDGET:
             break
-        xj, wj = roots_jacobi(max(2, m), 0.0, alpha - 1.0)
+        xj, wj = rule(max(2, m), alpha)
         nodes = [theta0 * 0.5 * (1.0 + xj)]
         weights = [pref * (theta0 * 0.5) ** alpha * wj]
-        xl, wl = roots_legendre(m)
+        xl, wl = rule(m)
         lo = theta0
         for _ in range(n_dyadic):
             hi = 2.0 * lo
@@ -279,6 +279,45 @@ def test_blocked_history_matches_per_step_recurrence(store, N, state):
         assert np.array_equal(history.phi, phis[n - 1])
         history.push(increments[n - 1])
     assert np.array_equal(history.H, H)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.1, 0.5, 0.9])
+def test_gauss_rule_matches_scipy(alpha):
+    scipy_special = pytest.importorskip("scipy.special")
+    for m in range(1, 25):
+        x, w = _gauss_rule(m, alpha)
+        if alpha is None:
+            xr, wr = scipy_special.roots_legendre(m)
+        else:
+            xr, wr = scipy_special.roots_jacobi(m, 0.0, alpha - 1.0)
+        assert np.max(np.abs(x - xr)) <= 2e-15, m
+        # scipy's own weights err by up to 2e-12 relative against 40-digit
+        # rules on these m (its Newton-polished weights at alpha = 0.1)
+        assert np.max(np.abs(w / wr - 1.0)) <= 4e-12, m
+
+
+@pytest.mark.parametrize("alpha", [None, 0.1, 0.5, 0.9])
+def test_gauss_rule_is_exact_to_degree_2m_minus_1(alpha):
+    # sum w x^j = int_{-1}^{1} (1+x)^b x^j dx for j <= 2m-1, against the
+    # 50-digit binomial sum int_0^2 y^b (y-1)^j dy; relative to sum w |x|^j,
+    # the size of the terms the rule adds (0 only for the one-point Legendre
+    # rule's odd moments, which it gets exactly)
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        b = mpmath.mpf(0.0 if alpha is None else alpha - 1.0)
+        exact = [mpmath.fsum(mpmath.binomial(j, i) * (-1) ** (j - i)
+                             * 2 ** (b + i + 1) / (b + i + 1) for i in range(j + 1))
+                 for j in range(48)]
+        for m in range(1, 25):
+            x, w = _gauss_rule(m, alpha)
+            xs = [mpmath.mpf(v) for v in x.tolist()]
+            terms = [mpmath.mpf(v) for v in w.tolist()]  # w x^j, from j = 0
+            for j in range(2 * m):
+                scale = mpmath.fsum(abs(t) for t in terms)
+                worst = max(worst, float(abs(mpmath.fsum(terms) - exact[j]) / (scale or 1)))
+                terms = [t * xi for t, xi in zip(terms, xs)]
+    assert worst <= 1e-13, worst
 
 
 def test_cached_gauss_rules_are_read_only_and_unshared():

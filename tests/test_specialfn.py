@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, xlogy
 
 from fracstep.specialfn import (
     NonConvergenceError,
+    _lgamma_grid,
+    _log,
     log_mittag_leffler,
     mittag_leffler,
     omega,
@@ -160,11 +161,13 @@ def test_log_ml_asymptotic_matches_series_oracle(alpha, root):
 
 
 def test_log_ml_asymptotic_edges():
-    # below z^(1/alpha) = 40 the series keeps its values exactly
-    for alpha, z, value in [(0.1, 1.4, 31.228050590593984),
+    # below z^(1/alpha) = 40 the series keeps its values exactly. Re-pinned
+    # when the term logs took libm's lgamma: each value moved by at most an
+    # ulp, and each lies within 2 ulp of the 40-digit series
+    for alpha, z, value in [(0.1, 1.4, 31.22805059059398),
                             (0.3, 3.0, 40.14471120262598),
-                            (0.5, 6.3, 40.383147180559945),
-                            (1.0, 39.5, 39.50000000000001)]:
+                            (0.5, 6.3, 40.38314718055994),
+                            (1.0, 39.5, 39.5)]:
         assert log_mittag_leffler(alpha, z) == value
     assert log_mittag_leffler(1.0, 60.0) == 60.0
     # the series refused this one after building rows of 2**24 terms
@@ -267,10 +270,10 @@ def _log_ml_first_width_1025(alpha, z):
     k_hi = 1024
     while True:
         k = np.arange(k_hi + 1, dtype=float)
-        ln_t = k * xlogy(1.0, z) - gammaln(1.0 + alpha * k)
+        ln_t = k * math.log(z) - [math.lgamma(1.0 + alpha * kk) for kk in k]
         m = ln_t.max()
         if ln_t[-1] < m - 45.0:
-            return m + xlogy(1.0, np.exp(ln_t - m).sum()), k_hi
+            return m + math.log(np.exp(ln_t - m).sum()), k_hi
         k_hi *= 2
 
 
@@ -293,3 +296,19 @@ def test_log_ml_first_width_drift_is_bounded():
                 long_rows += 1
                 assert value == ref, (alpha, zi)
     assert long_rows >= 20
+
+
+def test_log_is_libm_log_bit_for_bit():
+    # the series takes logs as scipy's xlogy(1, x) did: libm's log
+    scipy_special = pytest.importorskip("scipy.special")
+    x = np.geomspace(5e-324, 1.7e308, 20011)
+    assert np.array_equal(_log(x), scipy_special.xlogy(1.0, x))
+    assert _log(x).tolist() == [math.log(v) for v in x.tolist()]
+
+
+def test_lgamma_grids_are_cached_read_only_libm_values():
+    grid = _lgamma_grid(0.37, 1, 65)
+    assert grid is _lgamma_grid(0.37, 1, 65)
+    assert _lgamma_grid.cache_info().maxsize is not None
+    assert not grid.flags.writeable
+    assert grid.tolist() == [math.lgamma(1.0 + 0.37 * k) for k in range(1, 66)]
