@@ -157,6 +157,14 @@ def random_mesh(N: int, T: float, rho_bound: float = 1.75, seed=None) -> TimeMes
     nodes = np.concatenate([[0.0], np.cumsum(tau)])
     nodes *= T / nodes[-1]
     nodes[-1] = T
+    stalled = np.flatnonzero(nodes[1:] <= nodes[:-1])
+    if len(stalled):
+        # past about 1e16 between a step and the node before it, adding the
+        # step no longer moves the cumulative sum
+        raise InvalidMeshError(
+            f"random_mesh(N={N}): steps spread by max tau / min tau = "
+            f"{tau.max() / tau.min():.3g}, too wide for double precision: the "
+            f"cumulative sum stalls at node {stalled[0] + 1}")
     return _build(nodes)
 
 

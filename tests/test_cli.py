@@ -644,3 +644,81 @@ def test_cli_commands_run_without_scipy():
     result = json.loads(proc.stdout)
     assert result["scipy"] == []
     assert result["codes"] == [code for _, code in NO_SCIPY_COMMANDS], proc.stderr[-2000:]
+
+
+# main builds only the named command's sub-parser; each case must print and
+# exit exactly as with the full tree ("{cfg}" stands for a --config file)
+_SMALL = ["--mesh", "graded:8,2,1", "--alpha", "0.5"]
+PARSER_PARITY = {
+    "no-args": [],
+    "help": ["--help"],
+    "unknown-command": ["bogus", "--alpha", "0.5"],
+    "version": ["--version"],
+    "kernels-dump-help": ["kernels", "dump", "--help"],
+    "complementary-dump-help": ["complementary", "dump", "--help"],
+    "audit-help": ["audit", "--help"],
+    "gronwall-verify-help": ["gronwall", "verify", "--help"],
+    "solve-help": ["solve", "-h"],
+    "converge-help": ["converge", "--help"],
+    "mlf-help": ["mlf", "--help"],
+    "soe-build-help": ["soe", "build", "--help"],
+    "kernels-alone": ["kernels"],
+    "gronwall-alone": ["gronwall"],
+    "soe-alone": ["soe"],
+    "unknown-flag": ["solve", "--scheme", "l1", *_SMALL, "--bogus", "1"],
+    "bad-scheme": ["solve", "--scheme", "nope", *_SMALL],
+    "non-float-alpha": ["mlf", "--alpha", "half", "--z", "-1"],
+    "missing-required": ["audit", "--scheme", "l1", "--alpha", "0.5"],
+    "config-valid-key": ["gronwall", "verify", "--scheme", "l1", *_SMALL,
+                         "--config", "{cfg}"],
+    "config-unknown-key": ["audit", "--scheme", "l1", *_SMALL,
+                           "--config", "{cfg}"],
+    "mlf": ["mlf", "--alpha", "0.5", "--z", "-1"],
+}
+PARSER_PARITY_CONFIG = {"config-valid-key": {"trials": 3, "form": "linear"},
+                        "config-unknown-key": {"bogus": 1}}
+
+
+def _subcommands(parser):
+    """The names of ``parser``'s top-level sub-parsers."""
+    action, = (a for a in parser._actions
+               if isinstance(a, cli.argparse._SubParsersAction))
+    return list(action.choices)
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_PARITY))
+def test_on_demand_parser_matches_full_tree(capsys, monkeypatch, tmp_path, case):
+    argv = PARSER_PARITY[case]
+    if case in PARSER_PARITY_CONFIG:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(PARSER_PARITY_CONFIG[case]))
+        argv = [str(cfg) if a == "{cfg}" else a for a in argv]
+    on_demand = run(capsys, *argv)
+    # main() reads sys.argv[1:] as main(argv) reads argv
+    monkeypatch.setattr(sys, "argv", ["fracstep", *argv])
+    assert cli.main() == on_demand[0]
+    assert capsys.readouterr() == on_demand[1:]
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert run(capsys, *argv) == on_demand
+
+
+def test_solve_builds_no_other_command(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def spy(command=None):
+        built.append(build(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    code, out, _ = run(capsys, "solve", "--scheme", "l1", *_SMALL)
+    assert code == 0 and out.startswith("# fracstep solve\n")
+    assert [_subcommands(p) for p in built] == [["solve"]]
+    assert _subcommands(build()) == list(cli._COMMANDS)
+
+
+def test_full_tree_errors_name_the_command_argument(capsys):
+    # a metavar on the full tree's sub-parsers would replace "command" here
+    assert run(capsys)[2].endswith("required: command\n")
+    assert "argument command: invalid choice: 'bogus'" in run(capsys, "bogus")[2]

@@ -147,6 +147,44 @@ def test_random_mesh_nodes_pinned():
         "dd5c2fade43cf80ebbf7f4232ee57a879d55a31a302e59fb6171f264ae38e999"
 
 
+# the shapes the benchmark draws: N = 512 for certify's CLI mesh, and the
+# grid's N = 16 and 64 with its list seeds [seed, 4, N]
+RANDOM_MESH_SHA256 = {
+    (512, 0): "ce256da7a2b4283f571c6893f179f174a3dd3cfc30bf28b8df649af528b38f42",
+    (512, 7): "45b9dd4fb0fb316bfc7cac18b497865a11e512e8193279d616a84210b359e1ce",
+    (512, (0, 4, 512)):
+        "84e6db3fbffbbf35cbb0adb523ab57874ddea3356aee30629abe5bf107de4967",
+    (64, (0, 4, 64)):
+        "f4dbeb2692f5b87bb7d24d6afd2eccfd6264391512b7441384993d448753fb94",
+    (64, (61, 4, 64)):
+        "06f19c2c468aec7ccf2dd7436bd7c1db15ff23a60d628c08aaa307f920c3bd8a",
+    (64, 3): "d63797a26c18c19e7b8dfdaf770c3d8944c65ae96f7a8dacad0c0fe78fdd6d35",
+    (16, (0, 4, 16)):
+        "6326ec080f3f3479de95d6003b7b9ad251bcb0450c9fe1e3b40932793a60abd4",
+    (16, (62, 4, 16)):
+        "98b6ff9ee14539280073a315c4d55014744b3ba0f57e6905690f2698877cda01",
+    (16, 5): "f8f28ee1cc152d52744aa9179644f1402d02866a32b8c2de78bbf1d1a8477916",
+}
+
+
+@pytest.mark.parametrize("N,seed", sorted(RANDOM_MESH_SHA256, key=repr))
+def test_random_mesh_benchmark_shapes_pinned(N, seed):
+    s = list(seed) if isinstance(seed, tuple) else seed
+    nodes = random_mesh(N, 1.0, rho_bound=1.75, seed=s).nodes
+    assert hashlib.sha256(nodes.tobytes()).hexdigest() == \
+        RANDOM_MESH_SHA256[N, seed]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 11, 13])
+def test_random_mesh_names_a_stalled_cumulative_sum(seed):
+    # a driftless log walk spreads the steps like sqrt(N); at N = 2048 some
+    # seeds pass 1e16 between a step and the node before it
+    with pytest.raises(InvalidMeshError,
+                       match=r"random_mesh\(N=2048\): steps spread by max tau "
+                             r"/ min tau = \S+, .* stalls at node \d+"):
+        random_mesh(2048, 1.0, rho_bound=3.0, seed=seed)
+
+
 @pytest.mark.parametrize("make", [lambda N: graded_mesh(N, 2.0, 1.0),
                                   lambda N: random_mesh(N, 1.0, seed=0)],
                          ids=["graded", "random"])
