@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _floatrepr
 from .mesh import TimeMesh
 from .soe import SOEApprox, _SOEHistory, _soe_for_mesh
 from .specialfn import _singular_average, omega
@@ -451,16 +452,30 @@ def apply_discrete_derivative(table: KernelTable, v) -> np.ndarray:
 
 
 def kernel_rows_csv(rows, fh, header_lines=()) -> int:
-    """Write (n, lag, value) triples as CSV; returns the number of data rows."""
+    """Write (n, lag, value) triples as CSV; returns the number of data rows.
+
+    The values are ``repr``'s bytes. Rows are formatted and written in blocks
+    of about _floatrepr.BLOCK entries, one ``write`` per block.
+    """
     for line in header_lines:
         fh.write(f"# {line}\n")
     fh.write("n,lag,value\n")
-    count, lags = 0, []
-    for n, row in enumerate(rows, start=1):
-        values = row.tolist()
-        lags += [f",{lag}," for lag in range(len(lags), len(values))]
-        prefix = str(n)
-        # one write per row, not N^2/2 small strings held by an in-memory sink
-        fh.write("".join([f"{prefix}{lag}{v!r}\n" for lag, v in zip(lags, values)]))
-        count += len(values)
-    return count
+    rows = list(rows)
+    sizes = np.array([len(row) for row in rows], dtype=np.intp)
+    # "0", "1", ... as NUL-padded bytes, for both the n and the lag field
+    numbers = _floatrepr.str_chars(range(max(len(rows), sizes.max(initial=0)) + 1))
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(rows):
+        # the rows start..stop-1 hold at most BLOCK entries, or are one row
+        stop = max(int(np.searchsorted(ends, ends[start] - sizes[start]
+                                       + _floatrepr.BLOCK, side="right")),
+                   start + 1)
+        counts = sizes[start:stop]
+        lag = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        n = np.repeat(np.arange(start + 1, stop + 1), counts)
+        fh.write(_floatrepr.csv_lines([
+            np.take(numbers, n, axis=0), np.take(numbers, lag, axis=0),
+            _floatrepr.repr_chars(np.concatenate(rows[start:stop]))]))
+        start = stop
+    return int(sizes.sum())

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from fracstep import cli
-from fracstep.kernels import fast_l1_kernel
+from fracstep._floatrepr import BLOCK
+from fracstep.kernels import fast_l1_kernel, l1_kernel
 from fracstep.mesh import parse_mesh_spec
 from fracstep.soe import build_soe
 from fracstep.solver import SingleModeProblem, solve_single_mode
@@ -363,6 +364,21 @@ def test_kernels_dump_bytes_pinned(capsys, scheme, mesh):
                        "--mesh", mesh, "--alpha", "0.4")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[scheme, mesh]
+
+
+def test_solve_body_spanning_format_blocks(capsys):
+    # more lines than one formatting block: each is still the repr line
+    spec = f"graded:{BLOCK + 50},2,1"
+    code, out, _ = run(capsys, "solve", "--scheme", "l1", "--mesh", spec,
+                       "--alpha", "0.4")
+    assert code == 0
+    mesh = parse_mesh_spec(spec)
+    res = solve_single_mode(SingleModeProblem(alpha=0.4, lambda_L=1.0, kappa=0.0,
+                                              u0=1.0), mesh, l1_kernel(mesh, 0.4))
+    lines = [f"{n},{t!r},{v!r},{e!r},{r!r}" for n, (t, v, e, r) in enumerate(zip(
+        mesh.nodes.tolist(), res.us.tolist(), res.exact.tolist(), res.errors.tolist()))]
+    body = [line for line in out.splitlines() if not line.startswith("#")]
+    assert body == ["n,t_n,value,exact,error"] + lines
 
 
 # sha256 of `audit` bodies at alpha = 0.4 and N = 300 (bdf2 fails A1 there,
@@ -722,3 +738,15 @@ def test_full_tree_errors_name_the_command_argument(capsys):
     # a metavar on the full tree's sub-parsers would replace "command" here
     assert run(capsys)[2].endswith("required: command\n")
     assert "argument command: invalid choice: 'bogus'" in run(capsys, "bogus")[2]
+
+
+def test_version_flag(capsys):
+    assert run(capsys, "--version") == (0, "fracstep 0.1.0\n", "")
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    import fracstep
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert fracstep.__version__ == tomllib.load(fh)["project"]["version"]
