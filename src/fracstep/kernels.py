@@ -1,14 +1,16 @@
 """Discrete convolution kernels A^(n)_{n-k} for nonuniform time stepping.
 
-Every kernel entry is evaluated in closed form through antiderivatives of the
-weakly singular weight (the integral of omega_beta is omega_{beta+1});
-numerical quadrature appears only in the test suite as an independent oracle.
+Every kernel entry is built from two integrals of the weakly singular weight
+over one interval: its average, in closed form, and, for the quadratic
+schemes, its first moment, a series of positive terms (_weight_integrals).
+Numerical quadrature appears only in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,8 +48,8 @@ class NonUniformMeshError(ValueError):
 # Row blocks of an (N, N) table hold at most max(width * N, _BLOCK_FLOOR)
 # entries: O(width * N) scratch on large tables, and one or two blocks on small
 # ones, where the fixed numpy cost of a block outweighs its entries. A block of
-# the kernel triangle holds about 13 block-sized temporaries and one of a table
-# consumer about 3, hence the two widths.
+# the kernel triangle holds about 11 block-sized temporaries (the quadratic
+# schemes; L1 about 7) and one of a table consumer about 3, hence the two widths.
 _BLOCK_FLOOR = 2 ** 12
 _BLOCK_WIDTH = {"triangle": 4, "table": 32}
 
@@ -132,94 +134,85 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-# Far intervals (h <= _SERIES_SWITCH * D) take their first moment from a
-# positive-term midpoint series, where the antiderivative differences would
-# cancel catastrophically; see _weight_integrals.
-_SERIES_SWITCH = 0.4
-_SERIES_STEPS = 16
-
-# Step j of the moment series adds at most x2**j times its first term (every
-# coefficient ratio is below 1 for alpha < 1), and the sum is at least its
-# first term. Once x2**j < 2**-55 that addend is below half an ulp of the sum,
-# so round-to-nearest returns the sum unchanged, and every later addend is
-# smaller still: an entry needs step j only if x2 >= _SERIES_CUTS[j-1].
-_SERIES_CUTS = 2.0 ** (-55.0 / np.arange(1, _SERIES_STEPS))
+@lru_cache(maxsize=256)
+def _moment_coefficient(alpha: float, k: int) -> float:
+    """((2-a)^(2k) - a^(2k)) / (2k+1)!, correctly rounded from integers
+    (alpha = n/d with d a power of two)."""
+    n, d = alpha.as_integer_ratio()
+    return (((2 * d - n) ** (2 * k) - n ** (2 * k))
+            / (d ** (2 * k) * math.factorial(2 * k + 1)))
 
 
-def _series_sums(alpha: float, D, h):
-    """Midpoint-series value of the first-moment integral
-      int (s - mid) omega_{1-a} = (h^2/2) sum over odd m of c_m (h/2)^m / (m+2),
-    with c_m = (alpha)_m D^(-alpha-m) / (m! Gamma(1-alpha)) and x = h/(2D).
-    All terms are positive, so nothing cancels however small h/D gets. Each
-    entry stops at the first step that cannot change its sum (_SERIES_CUTS);
-    entries of the near branch (h > _SERIES_SWITCH * D) take no step, as
-    _weight_integrals overwrites them.
-    """
-    r = 0.5 * h / D
-    need = np.searchsorted(_SERIES_CUTS, r ** 2, side="right").astype(np.uint8)
-    need[h > _SERIES_SWITCH * D] = 0
-    # most steps first (a radix sort on uint8), so step j works on a prefix;
-    # an x2 that underflowed to 0 needs no step
-    order = np.argsort(np.uint8(_SERIES_STEPS) - need, kind="stable")
-    reach = np.cumsum(np.bincount(need, minlength=_SERIES_STEPS)[::-1])[::-1]
-    r = r[order]
-    x2 = r ** 2
-    t = omega(1.0 - alpha, D[order]) * alpha * r  # the m = 1 terms
-    del r
-    s = t / 3.0
-    addend = np.empty_like(t)
-    for j in range(1, len(reach)):
-        p, m = reach[j], 2 * j + 1
-        if p == 0:
-            break
-        # t_j = t_{j-1} (alpha+m-2)(alpha+m-1) / ((m-1) m) x2
-        tp = t[:p]
-        tp *= alpha + m - 2
-        tp *= alpha + m - 1
-        tp /= (m - 1) * m
-        tp *= x2[:p]
-        s[:p] += np.divide(tp, m + 2, out=addend[:p])
-    t[order] = s  # the sums, back in entry order
-    return 0.5 * h ** 2 * t
+def _moment_series(alpha: float, b: np.ndarray) -> np.ndarray:
+    """sum_{k>=1} _moment_coefficient(alpha, k) b^(2k-2), positive terms in
+    ascending order. The terms rise, then fall, and fall sooner for smaller b,
+    so once a term at the largest b is below 2^-56 of its sum, no later term
+    can change the sum of any entry: each keeps its full series' bits,
+    whatever its block holds."""
+    total = _moment_coefficient(alpha, 1)
+    s, power, scratch = np.full_like(b, total), np.ones_like(b), np.empty_like(b)
+    b2max, k, pmax = float(b.max(initial=0.0)) ** 2, 1, 1.0
+    while True:
+        k += 1
+        a = _moment_coefficient(alpha, k)
+        pmax *= b2max
+        if a * pmax <= 2.0 ** -56 * total:
+            return s
+        total += a * pmax
+        power *= b  # twice: a rounded b^2 would bias every term alike
+        power *= b
+        s += np.multiply(power, a, out=scratch)
 
 
 def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray,
                       moments: bool):
-    """Average and first-moment integrals of omega_{1-a} over intervals of
+    """Average and first moment over h^2 of omega_{1-a} over intervals of
     width h whose NEAR endpoint sits at distance u_lo >= 0 from the
     evaluation point (1-D arrays of one length):
-      avg    = (1/h) int omega_{1-a}(dist) ds,
-      moment = int (s - mid) omega_{1-a}(dist) ds   (None unless ``moments``).
-    avg = (omega_{2-a}(u_hi) - omega_{2-a}(u_lo)) / h, u_hi = u_lo + h, is
-    formed without cancellation as u_hi^(1-a) (-expm1(-(1-a) log1p(h/u_lo)))
-    / (h Gamma(2-a)); it is omega_{2-a}(h)/h = h^-a / Gamma(2-a) at u_lo = 0
-    (``specialfn._singular_average``), and omega_{1-a}(D),
-    D = u_lo + h/2, where (h/2D)^2 < 2^-55 (the two agree there to half an
-    ulp). The moment takes the midpoint series on far intervals and the
-    antiderivative differences D h avg - (1-a) (omega_{3-a}(u_hi) -
-    omega_{3-a}(u_lo)) on near ones (h > _SERIES_SWITCH * D).
+      avg = (1/h) int omega_{1-a}(dist) ds,
+      mom = (1/h^2) int (s - mid) omega_{1-a}(dist) ds   (None unless ``moments``).
+    With u_hi = u_lo + h and b = log1p(h/u_lo)/2, so that e^(2b) = u_hi/u_lo,
+      avg = u_hi^(1-a) (-expm1(-(1-a) 2b)) / (h Gamma(2-a)),
+      mom = a u_hi^-a (u_hi/h) e^(ab) b^3 S(b) / (expm1(2b) Gamma(2-a)),
+    where b^3 S(b) = sinh((2-a)b)/(2-a) - sinh(ab)/a and S is the positive
+    series of _moment_series, so neither cancels. expm1(2b) stands for
+    h/u_lo so that the rounding of b, which e^(ab) S(b) b^3 magnifies like
+    e^(2b), cancels. Only ratios of distances and powers of one distance
+    enter, so a short horizon underflows nothing. At u_lo = 0, avg =
+    h^-a/Gamma(2-a) (``specialfn._singular_average``) and mom = a h^-a /
+    (2 Gamma(3-a)); where (h/2D)^2 < 2^-55, D = u_lo + h/2, avg is
+    omega_{1-a}(D), which agrees to half an ulp.
     u_lo must be the exact endpoint distance (0 for the singular interval):
     the slow power decay of the weight makes even 1e-17 of endpoint slop
     visible at the 1e-5 level.
     """
+    singular = np.flatnonzero(u_lo == 0.0)
+    flat = np.flatnonzero((0.5 * h / (u_lo + 0.5 * h)) ** 2 < 2.0 ** -55)
     u_hi = u_lo + h
     with np.errstate(divide="ignore"):  # u_lo = 0, overwritten below
-        x = h / u_lo
-    avg = np.expm1((alpha - 1.0) * np.log1p(x, out=x), out=x)
-    avg *= u_hi ** -alpha * u_hi  # u_hi^(1-a) with no rounding of 1 - a
+        b = h / u_lo
+    np.log1p(b, out=b)  # 2b until halved below
+    decay = u_hi ** -alpha
+    avg = np.expm1((alpha - 1.0) * b, out=None if moments else b)
+    avg *= decay * u_hi  # u_hi^(1-a) with no rounding of 1 - a
     avg /= h * -math.gamma(2.0 - alpha)
-    singular = np.flatnonzero(u_lo == 0.0)
     avg[singular] = _singular_average(alpha, h[singular])
-    D = u_lo + 0.5 * h
-    flat = np.flatnonzero((0.5 * h / D) ** 2 < 2.0 ** -55)
-    avg[flat] = omega(1.0 - alpha, D[flat])
+    avg[flat] = omega(1.0 - alpha, u_lo[flat] + 0.5 * h[flat])
     if not moments:
         return avg, None
-    mom = _series_sums(alpha, D, h)
-    near = np.flatnonzero(h > _SERIES_SWITCH * D)
-    d3 = u_hi[near] ** (2.0 - alpha) - u_lo[near] ** (2.0 - alpha)
-    d3 *= (1.0 - alpha) / math.gamma(3.0 - alpha)
-    mom[near] = D[near] * (h[near] * avg[near]) - d3
+    mom = np.expm1(b)
+    b *= 0.5
+    b[singular], mom[singular] = 0.0, 1.0  # overwritten below
+    np.divide(b, mom, out=mom)
+    mom *= b  # before u_hi/h: where h << u_lo their product stays near 1/4
+    mom *= np.divide(u_hi, h, out=u_hi)
+    mom *= decay
+    mom *= np.exp(np.multiply(b, alpha, out=decay), out=decay)
+    del u_hi, decay
+    mom *= b
+    mom *= _moment_series(alpha, b)
+    mom *= alpha / math.gamma(2.0 - alpha)
+    mom[singular] = alpha / (2.0 * math.gamma(3.0 - alpha)) * h[singular] ** -alpha
     return avg, mom
 
 
@@ -286,8 +279,9 @@ def _quadratic_matrix(mesh: TimeMesh, alpha: float, offset_theta: float,
         w = rows.stop
         n = np.arange(rows.start, w)  # 0-based row index = diagonal column
         diag = (n - rows.start, n)
+        # b = 2 moment / (tau_k (tau_k + tau_{k+1})) from mom and step ratios
         b = np.zeros_like(mom)
-        b[:, :-1] = 2.0 * mom[:, :-1] / (tau[: w - 1] * (tau[: w - 1] + tau[1:w]))
+        b[:, :-1] = mom[:, :-1] * (2.0 * tau[: w - 1] / (tau[: w - 1] + tau[1:w]))
         b[diag] = 0.0
         Kb = avg - b
         Kb[diag] = 0.0
@@ -295,7 +289,8 @@ def _quadratic_matrix(mesh: TimeMesh, alpha: float, offset_theta: float,
         if last_interval_quadratic:
             q = n[n >= 1]
             cell = (q - rows.start, q)
-            b0 = 2.0 * mom[cell] / (tau[q - 1] * (tau[q - 1] + tau[q]))
+            b0 = mom[cell] * (2.0 * tau[q] / (tau[q - 1] + tau[q])
+                              * (tau[q] / tau[q - 1]))
             Kb[cell] += avg[cell] + rho[q - 1] * b0
             Kb[cell[0], q - 1] -= b0
             if rows.start == 0:

@@ -178,6 +178,11 @@ class SingleModeResult:
         return float(self.errors[-1]) if self.errors is not None else math.nan
 
 
+def _check_finite(*data) -> None:
+    if not all(np.all(np.isfinite(d)) for d in data):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def solve_single_mode(problem: SingleModeProblem, mesh: TimeMesh,
                       kernel: KernelTable | SOEApprox,
                       exact=None) -> SingleModeResult:
@@ -186,6 +191,10 @@ def solve_single_mode(problem: SingleModeProblem, mesh: TimeMesh,
     ``exact(t)`` or, for the homogeneous decaying problem, against the
     Mittag-Leffler solution."""
     psi = np.zeros(mesh.N) if problem.psi is None else np.asarray(problem.psi, float)
+    if psi.shape != (mesh.N,):
+        raise ValueError(f"psi must hold one value per step, N = {mesh.N}, "
+                         f"got shape {psi.shape}")
+    _check_finite(psi, problem.u0)
     us = _march(problem.u0, problem.lambda_L - problem.kappa, psi, mesh, kernel,
                 problem.alpha)
     reference = None
@@ -239,8 +248,7 @@ def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh,
     if problem.psi is not None:
         for n, t in enumerate(mesh.offset_nodes(theta), start=1):
             data[n] = problem.psi(x, t)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("array must not contain infs or NaNs")
+    _check_finite(data)
     data = _dst1(data) * (2.0 / (M + 1))
     j = np.arange(1, M + 1)
     lam = 4.0 * np.sin(0.5 * np.pi * j * h / problem.length) ** 2 / h ** 2

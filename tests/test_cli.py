@@ -337,24 +337,28 @@ def test_fastl1_refusal_names_the_rounding_floor(capsys):
 # The N = 300 tables span many row blocks of the kernel evaluator.
 # Re-pinned when the singular L1 average became h^-a/Gamma(2-a): entries moved
 # by at most 2.0e-15 relative (bdf2, whose entries cancel: 8.9e-15 of its
-# row's largest entry).
+# row's largest entry). Re-pinned when the quadratic schemes took their first
+# moments from one positive series: alikhanov entries moved by at most 3.2e-15
+# relative, bdf2recombined by 5.9e-16, bdf2 by 7.2e-15 of its row's largest
+# entry (3.9e-14 relative; A^(2)_1 on graded:64,2,1, whose value is -1.2e-15,
+# went from -3.0e-14 to 0.0).
 DUMP_SHA256 = {
     ("l1", "graded:64,2,1"):
         "8a2b618035bf8852a9e1abd5ce4a98251699d4134e6596894f319d30a216142a",
     ("fastl1", "graded:64,2,1"):
         "1eb79d1436ff9002b24f3aa5826f7b4e0b60ba4976ccdc8ac4cf6f2531e6f79d",
     ("alikhanov", "graded:64,2,1"):
-        "22cbfbb500c689cc6f3b1ac3818e74a6a1a92c43d4fb9e1bd3ade78e612d8f99",
+        "3256a19f750aa8f186e7422a285eb0825a91617cac36dc41eac74e7af5f79272",
     ("bdf2", "graded:64,2,1"):
-        "811dbcdb9534251b6e5375d83b2806a09632ef263bdb3d55590f5ac26eb691ce",
+        "eb55502e9c530597aaa7b43d3e14568a942d86f9288cccdfda3885589235c74c",
     ("bdf2recombined", "graded:64,1,1"):
-        "cddc8b4f7203256bd6d41cd83df1478d4c477893cab85e8b5855d3185a1e84d2",
+        "221d41b1a5b87abee2590ceb85bf9bb27e07d1e8d87235754cb163413cebae16",
     ("l1", "graded:300,3,1"):
         "abbc52069f318126d514c160f0131570372463b65e17111809ba8a46cd52191e",
     ("alikhanov", "graded:300,3,1"):
-        "ca39c76f26f0653cbd97266cbd8c6ae03d3d17b1680ba02931b3557687ce844a",
+        "1fdd7b08863642bfdeb3b42b660bb13ef49be9263cb61f4ab758f4ca0266766b",
     ("bdf2", "graded:300,3,1"):
-        "640f9d560acc05075a52c5680b2540cbb640dd2be4d78c556f22f6705c74a4c2",
+        "2f93c75ecab7553632192c84e097dd23fe2e65d041cec7af9a1be1cbc1670316",
 }
 
 
@@ -384,6 +388,8 @@ def test_solve_body_spanning_format_blocks(capsys):
 # sha256 of `audit` bodies at alpha = 0.4 and N = 300 (bdf2 fails A1 there,
 # so its body prints a2_pi_estimate as null). Re-pinned with the singular L1
 # average and the Golub-Welsch rules: values moved by at most 1.1e-14 relative.
+# Re-pinned (bdf2 only) with the positive first-moment series: its
+# a1_worst_violation moved by 9.2e-15 relative.
 AUDIT_SHA256 = {
     ("l1", "graded:300,3,1"):
         "788add39b8f30ca30209ab161acd7ca4a57ea1af26a06d77838dde36498d8288",
@@ -392,7 +398,7 @@ AUDIT_SHA256 = {
     ("alikhanov", "graded:300,3,1"):
         "0577ca9603129a8de670ce1041181e95facaa848acdbccf7f78cd47c591a822c",
     ("bdf2", "graded:300,3,1"):
-        "23d139231452814c5d26833729575939734c5ef877bccec73091130b63b40af1",
+        "f201c6693dccb636b704c10cd1ceeb7de7fdfa150affb32cf6d74715562a5840",
     ("bdf2recombined", "graded:300,1,1"):
         "3728d8ff80b0865a0947d22731fe4384b793413524e1290cc85f429a8de72ff5",
 }
@@ -480,18 +486,22 @@ def test_solve_fd1d_refuses_table_failing_a1(capsys):
 # 1.0e-15 relative; the fast L1 bodies kept their bits). Re-pinned when the
 # singular L1 average became h^-a/Gamma(2-a) and the Mittag-Leffler terms took
 # libm's lgamma: solutions moved by at most 1.1e-15 relative and exact values
-# by 2.8e-15; the error columns by at most 1.2e-15 of max |u|.
+# by 2.8e-15; the error columns by at most 1.2e-15 of max |u|. Re-pinned when
+# the quadratic schemes took their first moments from one positive series: the
+# alikhanov and bdf2recombined solutions moved by at most 4.0e-16 relative
+# (fd1d alikhanov 6.1e-16) and their error columns by at most 2.2e-16 of
+# max |u|; the exact columns kept their bits.
 SOLVE_SHA256 = {
     ("single-mode", "l1", "graded:64,2,1"):
         "c2e0c0eae74ec41eb1c5e126ec7a3e906c3a4fa99580d57aeffdeb01cef34cbd",
     ("single-mode", "alikhanov", "graded:64,2,1"):
-        "74ab064b1ec28e75bbcf089a226ce8b7a28d0ec5c9a84a2675da7af16d94dd9e",
+        "369364c8ae58da43e1ae29521152ad0e7db62ea3fdb4f08cb617891e1573dede",
     ("single-mode", "bdf2recombined", "graded:64,1,1"):
-        "3540387aa6bdc10dc0cb7c79944733e320d74d642d684e5ada8b04ea20b88a64",
+        "86479ccda419089ab71f4bc0b29fd299b3af2baa64c39d2df82165abc126bcfe",
     ("fd1d", "l1", "graded:64,2,1"):
         "36c8fb25a53037e854867e16d5b8bd96eca30a526ca2491fcadc33a2889d6dff",
     ("fd1d", "alikhanov", "graded:64,2,1"):
-        "3fa239ee3bfcdbc12cfabead900630c4fc07a900fc16583eddc46acbabf2a2d6",
+        "96e3a43cf41d3337f4440028bd60568e731507ecb3a5a424f794bbdf0da483e4",
     ("single-mode", "fastl1", "graded:64,2,1"):
         "adb1754b9333b29d01ccbc9a55faca36bea3157447c43df487e237abcef29cb4",
     ("fd1d", "fastl1", "graded:64,2,1"):

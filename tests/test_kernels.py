@@ -500,57 +500,54 @@ def test_block_evaluator_matches_row_by_row(build, mesh):
 
 
 
-def _full_series_sums(alpha, D, h):
-    """The first-moment midpoint series with all 15 steps for every entry, as
-    the stopping rule's bit-for-bit reference."""
-    x2 = (0.5 * h / D) ** 2
-    base = omega(1.0 - alpha, D)
-    odd = base * alpha * (0.5 * h / D) / 3.0
-    t_odd = base * alpha * (0.5 * h / D)
-    for m_o in range(3, 33, 2):
-        t_odd = t_odd * (alpha + m_o - 2) * (alpha + m_o - 1) \
-            / ((m_o - 1) * m_o) * x2
-        odd += t_odd / (m_o + 2)
-    return 0.5 * h ** 2 * odd
-
-
-def _widths_around(x2_targets, D=1.0):
-    """Interval widths h at distance D whose (h / 2D)^2 lands on a few ulps
-    either side of each target."""
-    h0 = 2.0 * D * np.sqrt(np.asarray(x2_targets))
-    return (h0[:, None] * (1.0 + 4e-16 * np.arange(-6, 7))).ravel()
-
-
 ALPHAS_TO_THE_EDGE = [1e-3, 0.02, 0.5, 0.98, 1.0 - 1e-9]
+MOMENT_ALPHAS = [1e-3, 0.02, 0.3, 0.5, 0.98, 1.0 - 1e-9]
 
 
-@pytest.mark.parametrize("alpha", ALPHAS_TO_THE_EDGE)
-def test_shortened_series_is_bit_exact(alpha):
-    # step j may be dropped once x2 < 2^(-55/j); the largest far x2 is 0.04
-    cuts = 2.0 ** (-55.0 / np.arange(1, 16))
-    cuts = cuts[cuts < 0.04]
-    sweep = np.geomspace(1e-40, 0.04, 4001)
-    h = np.concatenate([_widths_around(cuts), 2.0 * np.sqrt(sweep),
-                        [1e-160, 1e-200, 1e-300, 5e-324]])  # x2 underflows
-    rng = np.random.default_rng(11)
-    D = np.concatenate([np.ones(h.size), rng.uniform(1e-6, 1e3, h.size)])
-    h = np.concatenate([h, h * D[h.size:]])
-    u_lo = D - 0.5 * h
-    D = u_lo + 0.5 * h  # as _weight_integrals forms it
-    x2 = (0.5 * h / D) ** 2
-    assert np.all(h <= 0.4 * D)  # every entry takes the far branch
-    assert np.any(x2 == 0.0)
-    for cut in cuts:  # each cut is met from both sides
-        assert np.any((x2 < cut) & (x2 > cut * (1 - 1e-14)))
-        assert np.any((x2 >= cut) & (x2 < cut * (1 + 1e-14)))
-    # underflow is silent by numpy's default; nothing else may be raised
+def _mp_moment(mpmath, alpha, u, h):
+    """(1/h^2) int (s - mid) omega_{1-a} over an interval of width h whose
+    near end is at distance u, as the plain difference of antiderivatives,
+      (D (u_hi^(1-a) - u^(1-a))/(1-a) - (u_hi^(2-a) - u^(2-a))/(2-a))
+        / (h^2 Gamma(1-a)),
+    with enough digits beyond 60 to absorb its cancellation: about
+    3 log10(u/h) of them for a short interval (each power difference is
+    (h/u) times its terms, and the moment (h/u)^2 times the difference),
+    a few for small alpha and 9 for 1 - a = 1e-9."""
+    with mpmath.workdps(72):
+        gamma = mpmath.gamma(1 - mpmath.mpf(alpha))  # a factor: no cancellation
+    digits = 72 + 3 * max(0, math.ceil(-math.log10(h / u))) if u > 0.0 else 72
+    with mpmath.workdps(digits):
+        a, lo, w = mpmath.mpf(alpha), mpmath.mpf(u), mpmath.mpf(h)
+        hi = lo + w
+        mid = (lo + hi) / 2
+        return ((mid * (hi ** (1 - a) - lo ** (1 - a)) / (1 - a)
+                 - (hi ** (2 - a) - lo ** (2 - a)) / (2 - a)) / (w ** 2 * gamma))
+
+
+def _worst_moment_error(mpmath, alpha, u_lo, h):
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        mom = kernels._series_sums(alpha, D, h)
-        _, via_integrals = _weight_integrals(alpha, u_lo, h, moments=True)
-        _, none = _weight_integrals(alpha, u_lo, h, moments=False)
-    ref = _full_series_sums(alpha, D, h)
-    assert np.array_equal(mom, ref)
-    assert np.array_equal(via_integrals, ref) and none is None
+        _, mom = _weight_integrals(alpha, u_lo, h, moments=True)
+    return max(float(abs(got / _mp_moment(mpmath, alpha, u, w) - 1))
+               for got, u, w in zip(mom.tolist(), u_lo.tolist(), h.tolist()))
+
+
+@pytest.mark.parametrize("alpha", MOMENT_ALPHAS)
+def test_moments_match_60_digits_at_every_scale(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    # h/u_lo from 1e-290 (a short interval far from the evaluation point) to
+    # 2^54: a mesh step 2^52 times the closing one gives the largest h/u_lo a
+    # mesh of doubles can hold, b = log1p(h/u_lo)/2 up to 18.7, the longest
+    # series; at distances from 1e-300 to 1e3, with h >= 1e-300
+    rng = np.random.default_rng(23)
+    x = np.concatenate([np.geomspace(1e-290, 2.0 ** 54, 160),
+                        2.0 ** 52 * rng.uniform(0.5, 4.0, 40)])
+    u_lo = 10.0 ** rng.uniform(np.maximum(-300.0, -300.0 - np.log10(x)), 3.0)
+    x = np.concatenate([x, [1.0, 398.0, 2.0 ** 52, 2.0 ** 54]])
+    u_lo = np.concatenate([u_lo, [1e-300] * 4])
+    h = x * u_lo
+    assert np.min(h) >= 1e-300
+    assert np.max(0.5 * np.log1p(h / u_lo)) > 18.6
+    assert _worst_moment_error(mpmath, alpha, u_lo, h) <= 4e-15
 
 
 def _mp_average(mpmath, alpha, u, h):
@@ -587,28 +584,17 @@ def test_closed_form_average_matches_50_digits(alpha):
     assert worst <= 1e-15, worst
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.98, 1.0 - 1e-9])
+@pytest.mark.parametrize("alpha", MOMENT_ALPHAS)
 def test_near_moments_match_60_digits(alpha):
-    # near intervals take D h avg - (1-a) (omega_{3-a}(u_hi) - omega_{3-a}(u_lo));
-    # with the omega_{2-a} difference in place of h avg, alpha = 1 - 1e-9 lost
-    # 1.8e-5 here. Small alpha cancels like 1/alpha in the formula itself.
+    # the intervals next to the evaluation point, and the singular one, where
+    # a difference of antiderivatives cancels like 1/alpha (5.5e-11 at
+    # alpha = 1e-3)
     mpmath = pytest.importorskip("mpmath")
     x = np.concatenate([np.geomspace(0.5000001, 398.0, 200), [0.0]])
     scale = np.random.default_rng(5).uniform(1e-6, 1e3, x.size)
     u_lo = np.where(x > 0.0, 1.0, 0.0) * scale
     h = np.where(x > 0.0, x, 0.7) * scale
-    assert np.all(h > 0.4 * (u_lo + 0.5 * h))  # every entry is near
-    _, mom = _weight_integrals(alpha, u_lo, h, moments=True)
-    worst = 0.0
-    with mpmath.workdps(60):
-        a = mpmath.mpf(alpha)
-        for got, u, w in zip(mom.tolist(), u_lo.tolist(), h.tolist()):
-            lo, hi = mpmath.mpf(u), mpmath.mpf(u) + mpmath.mpf(w)
-            mid = (lo + hi) / 2
-            ref = (mid * (hi ** (1 - a) - lo ** (1 - a)) / (1 - a)
-                   - (hi ** (2 - a) - lo ** (2 - a)) / (2 - a)) / mpmath.gamma(1 - a)
-            worst = max(worst, float(abs(got / ref - 1)))
-    assert worst <= 1e-13, worst
+    assert _worst_moment_error(mpmath, alpha, u_lo, h) <= 4e-15
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 0.02, 0.3, 0.5, 0.9, 0.98, 1.0 - 1e-9])
@@ -640,6 +626,19 @@ def test_closed_form_average_keeps_its_edges():
     assert np.array_equal(avg[2:], omega(1.0 - alpha, u_lo[2:] + 0.5 * h[2:]))
 
 
+def _full_moment_series(alpha, b):
+    """kernels._moment_series with 80 terms for every entry, as the stopping
+    rule's bit-for-bit reference (term 80 is below 1e-150 of the first at
+    the b <= 0.75 of these meshes)."""
+    s = np.full_like(b, kernels._moment_coefficient(alpha, 1))
+    power = np.ones_like(b)
+    for k in range(2, 81):
+        power *= b
+        power *= b
+        s += power * kernels._moment_coefficient(alpha, k)
+    return s
+
+
 @pytest.mark.parametrize("build", [l1_kernel, alikhanov_kernel, bdf2_kernel])
 @pytest.mark.parametrize("mesh", [graded_mesh(300, 3.0, 1.0),
                                   random_mesh(300, 1.0, seed=5)],
@@ -647,16 +646,31 @@ def test_closed_form_average_keeps_its_edges():
 @pytest.mark.parametrize("alpha", [0.05, 0.95])
 def test_tables_match_full_series(build, mesh, alpha, monkeypatch):
     table = build(mesh, alpha)
-    calls = []
+    largest = []
 
-    def full(a, D, h):
-        calls.append(len(D))
-        return _full_series_sums(a, D, h)
+    def full(a, b):
+        largest.append(float(b.max()))
+        return _full_moment_series(a, b)
 
-    monkeypatch.setattr(kernels, "_series_sums", full)
+    monkeypatch.setattr(kernels, "_moment_series", full)
     assert np.array_equal(table.K, build(mesh, alpha).K)
     # only the quadratic schemes take a moment; the L1 average has none
-    assert bool(calls) is (build is not l1_kernel)
+    assert bool(largest) is (build is not l1_kernel)
+    assert max(largest, default=0.0) <= 0.75
+
+
+@pytest.mark.parametrize("build", [alikhanov_kernel, bdf2_kernel])
+@pytest.mark.parametrize("T", [1e-100, 1e-160, 1e-250])
+def test_quadratic_tables_scale_with_the_horizon(build, T):
+    # an entry forms only ratios of distances and powers of one distance, so
+    # K(T) = T^-a K(1); tau^2 used to underflow here, leaving NaN at N = 16
+    for N in (4, 16):
+        for alpha in (0.05, 0.5, 0.95):
+            ref = build(graded_mesh(N, 2.0, 1.0), alpha).K
+            got = build(graded_mesh(N, 2.0, T), alpha).K * T ** alpha
+            assert np.array_equal(got != 0.0, ref != 0.0)
+            nz = ref != 0.0
+            assert np.max(np.abs(got[nz] / ref[nz] - 1.0)) <= 4e-15
 
 
 def test_triangle_blocks_cover_every_row_once():

@@ -94,6 +94,31 @@ def test_singular_system_detected():
         solve_single_mode(bad, mesh, table)
 
 
+@pytest.mark.parametrize("length", [7, 20])
+def test_single_mode_refuses_psi_of_another_length(length):
+    # a short psi stopped with a bare IndexError, a long one was cut silently
+    mesh = uniform_mesh(8, 1.0)
+    problem = SingleModeProblem(alpha=0.5, lambda_L=1.0, psi=np.ones(length))
+    with pytest.raises(ValueError, match="N = 8"):
+        solve_single_mode(problem, mesh, l1_kernel(mesh, 0.5))
+
+
+def test_single_mode_refuses_a_non_finite_forcing():
+    mesh = uniform_mesh(8, 1.0)
+    psi = np.ones(8)
+    psi[3] = math.nan
+    problem = SingleModeProblem(alpha=0.5, lambda_L=1.0, psi=psi)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_single_mode(problem, mesh, l1_kernel(mesh, 0.5))
+
+
+def test_single_mode_refuses_a_non_finite_start():
+    mesh = uniform_mesh(8, 1.0)
+    problem = SingleModeProblem(alpha=0.5, lambda_L=1.0, u0=math.inf)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_single_mode(problem, mesh, l1_kernel(mesh, 0.5))
+
+
 def test_solvers_refuse_a_table_of_another_problem():
     mesh = graded_mesh(64, 2.0, 1.0)
     other = l1_kernel(uniform_mesh(64, 1.0), 0.5)
