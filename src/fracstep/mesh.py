@@ -138,9 +138,11 @@ def random_mesh(N: int, T: float, rho_bound: float = 1.75, seed=None) -> TimeMes
     log factors of mean 0, and h* < 1.5 while rho_bound <= 1.78.
     The mesh is not quasi-uniform: only neighbouring steps are tied, and
     log tau does a random walk, so the spread of the steps grows with N.
-    ``random_mesh(513, 1.0, seed=513)`` has steps from 2.4e-9 to 1.9e-2, and
-    fast L1 at eps = 1e-10 may refuse such a mesh, because ``build_soe``
-    cannot certify down to its smallest step within the node budget.
+    ``random_mesh(513, 1.0, seed=513)`` has steps from 2.4e-9 to 1.9e-2. At
+    eps = 1e-10, ``build_soe`` certifies down to its smallest step for
+    alpha = 0.1, 0.3 and 0.5 (Nq 277, 349, 350), but fast L1 refuses it for
+    alpha = 0.7 and 0.9: omega_{1-alpha} is so large at that step that eps
+    lies below the sum's rounding floor there (1.7e-8 and 2.9e-7).
     """
     N = _check_steps(N)
     if rho_bound <= 1.02 / 1.5:

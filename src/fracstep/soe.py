@@ -4,11 +4,17 @@ omega_{1-a}(t) = sin(pi a)/pi * int_0^inf exp(-theta t) theta^(a-1) dtheta
 is discretized with a Gauss-Jacobi rule on the singular band [0, 1/T] and
 Gauss-Legendre rules on dyadic intervals up to a tail cutoff (both rules from
 the eigenvalues of their Jacobi matrices, in numpy); the node count
-grows until a dense-grid certification of the uniform error on [delta_t, T]
-passes. The grid starts at delta_t, so a rung whose error there alone
-exceeds 2 eps is rejected before the dense check: the two sums at delta_t
-differ only by rounding, and the dense check would reject it too. All nodes
-and weights are strictly positive.
+grows until the uniform error on a geometric grid over [delta_t, T], 40
+points per octave, is at most eps. The grid starts at delta_t, so a rung
+whose error there alone exceeds 2 eps is rejected before the grid check:
+the two sums at delta_t differ only by rounding, and the grid check would
+reject it too. The grid check sweeps the grid in blocks of SWEEP_BLOCK
+points, forming exp(-theta t) for one block at a time in one scratch
+buffer, and stops at the first block whose error exceeds eps. The nodes
+the prune keeps are ordered first, so the same sweep gives the pruned
+sum's error from a leading slice of its rows. Every sum has the bits of
+its column of the dense (Nq, grid) product, which is never formed. All
+nodes and weights are strictly positive.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ __all__ = [
 
 NODE_BUDGET = 512
 CERT_POINTS_PER_OCTAVE = 40
+SWEEP_BLOCK = 256  # grid points per block of the certification sweep
 STEP_BLOCK = 64  # steps whose decay factors _SOEHistory forms in one call
 
 
@@ -41,7 +48,9 @@ class SOENotCertifiedError(ValueError):
 
 
 class ToleranceUnreachableError(ArithmeticError):
-    """Certification failed within the node budget."""
+    """No rung of the node ladder certifies eps. The message says whether eps
+    lies below the rounding floor of the sum at delta_t, where no node count
+    can certify it, or above it, where the ladder's node budget ran out."""
 
 
 class OutOfWindowError(ValueError):
@@ -84,9 +93,35 @@ def _certification_grid(delta_t: float, T: float) -> np.ndarray:
     return np.geomspace(delta_t, T, CERT_POINTS_PER_OCTAVE * octaves)
 
 
-def _residual(nodes, weights, target, grid) -> float:
-    approx = weights @ np.exp(-np.outer(nodes, grid))
-    return float(np.max(np.abs(target - approx)))
+def _residuals(nodes, weights, target, grid, eps, k=None):
+    """The uniform errors max |target - sum| on the grid of the whole sum
+    weights @ exp(-outer(nodes, grid)) and of its first k terms (k = all by
+    default). The grid is swept in blocks of SWEEP_BLOCK points, exp(-theta t)
+    formed in place in one scratch buffer, and the sweep stops at the first
+    block where the whole sum errs by more than eps, returning inf for both:
+    a failing rung's residual is never reported. Each sum has the bits of its
+    column of the dense product as long as the block width is a multiple of
+    8, as SWEEP_BLOCK and every grid length (40 points per octave) are. That
+    rule was observed with OpenBLAS's x86 AVX-512 (SkylakeX) gemv, which sums
+    a grid point over the nodes in one order whatever the block's width but
+    takes the columns left over from its vector width in another: blocks 7
+    wide moved sums by an ulp."""
+    n = len(nodes)
+    k = n if k is None else k
+    scratch = np.empty(n * min(SWEEP_BLOCK, len(grid)))
+    negated = -nodes[:, None]
+    res = res_k = 0.0
+    for j in range(0, len(grid), SWEEP_BLOCK):
+        t, f = grid[j:j + SWEEP_BLOCK], target[j:j + SWEEP_BLOCK]
+        e = scratch[:n * len(t)].reshape(n, len(t))
+        np.exp(np.multiply(negated, t, out=e), out=e)
+        err = float(np.max(np.abs(f - weights @ e)))
+        if not err <= eps:
+            return math.inf, math.inf
+        res = max(res, err)
+        if k < n:
+            res_k = max(res_k, float(np.max(np.abs(f - weights[:k] @ e[:k]))))
+    return res, res if k == n else res_k
 
 
 @lru_cache(maxsize=128)
@@ -168,23 +203,28 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
         at_dt = weights * np.exp(-nodes * delta_t)
         if abs(target[0] - np.sum(at_dt)) > 2.0 * eps:
             continue
-        res = _residual(nodes, weights, target, grid)
-        if res <= eps:
-            # prune terms whose whole contribution on the window is negligible
-            keep = at_dt > cap * 1e-4 / len(nodes)
-            if not np.any(keep):
-                keep[np.argmax(at_dt)] = True
-            if not np.all(keep):
-                pruned_res = _residual(nodes[keep], weights[keep], target, grid)
-                if pruned_res <= eps:
-                    nodes, weights, res = nodes[keep], weights[keep], pruned_res
-            order = np.argsort(nodes)
-            return SOEApprox(
-                nodes=nodes[order], weights=weights[order], eps=float(eps),
-                delta_t=float(delta_t), T=float(T), alpha=alpha,
-                cert_residual=res,
-                meets_kernel_condition=bool(eps <= _kernel_cap(alpha, T)),
-            )
+        # the prune drops terms whose whole contribution on the window is
+        # negligible; the kept terms go first, in their order, so that their
+        # sum is a row slice of the same sweep (on every input tried they
+        # already are a leading slice, and the order is the rules' own)
+        keep = at_dt > cap * 1e-4 / nq
+        if not np.any(keep):
+            keep[np.argmax(at_dt)] = True
+        first = np.argsort(~keep, kind="stable")
+        nodes, weights = nodes[first], weights[first]
+        k = int(np.count_nonzero(keep))
+        res, pruned_res = _residuals(nodes, weights, target, grid, eps, k)
+        if res > eps:
+            continue
+        if pruned_res <= eps:
+            nodes, weights, res = nodes[:k], weights[:k], pruned_res
+        order = np.argsort(nodes)
+        return SOEApprox(
+            nodes=nodes[order], weights=weights[order], eps=float(eps),
+            delta_t=float(delta_t), T=float(T), alpha=alpha,
+            cert_residual=res,
+            meets_kernel_condition=bool(eps <= _kernel_cap(alpha, T)),
+        )
     # an Nq-term sum near omega_{1-a}(delta_t) rounds by up to about this
     floor = nq * 2.0 ** -53 * target[0]
     raise ToleranceUnreachableError(

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from fracstep.mesh import graded_mesh, uniform_mesh
 from fracstep.soe import (
     NODE_BUDGET,
     STEP_BLOCK,
+    SWEEP_BLOCK,
     OutOfWindowError,
     SOEApprox,
     ToleranceUnreachableError,
     _certification_grid,
     _gauss_rule,
+    _residuals,
     _SOEHistory,
     _soe_for_mesh,
     _tail_cutoff,
@@ -247,6 +250,56 @@ def test_ladder_matches_plain_ladder():
         assert _outcome(_built, *args) == expected, args
         refused += isinstance(expected, str)
     assert 0 < refused < 72
+
+
+def test_blocked_sweep_matches_plain_ladder():
+    # grids of 1,360 to 2,280 points: several sweep blocks, the last partial
+    refused = 0
+    for args in itertools.product((0.3, 0.5), (1e-8, 1e-12), (1e-10, 1e-16),
+                                  (1.0, 10.0)):
+        assert len(_certification_grid(*args[2:])) % SWEEP_BLOCK, args
+        expected = _outcome(_plain_ladder, *args)
+        assert _outcome(_built, *args) == expected, args
+        refused += isinstance(expected, str)
+    assert 0 < refused < 16
+
+
+@pytest.mark.parametrize("eps, delta_t, T", [(1e-8, 1e-10, 1.0), (1e-4, 1e-16, 10.0)])
+def test_sweep_is_the_dense_product_in_any_node_order(eps, delta_t, T):
+    # the swept residuals of the whole sum and of any leading rows are those
+    # of the dense product, whatever the order of the nodes; bit for bit with
+    # a given OpenBLAS, like the pinned bodies
+    approx = build_soe(0.5, eps, delta_t, T)
+    order = np.random.default_rng(0).permutation(approx.Nq)
+    nodes, weights = approx.nodes[order], approx.weights[order]
+    grid = _certification_grid(delta_t, T)
+    assert len(grid) > SWEEP_BLOCK and len(grid) % SWEEP_BLOCK
+    target = omega(0.5, grid)
+    exps = np.exp(-np.outer(nodes, grid))
+    k = approx.Nq // 2
+    # against the dense sums as target, a residual is 0 only if every swept
+    # sum has its dense column's bits
+    whole, first_k = weights @ exps, weights[:k] @ exps[:k]
+    assert _residuals(nodes, weights, whole, grid, 0.0) == (0.0, 0.0)
+    assert _residuals(nodes, weights, first_k, grid, math.inf, k)[1] == 0.0
+    dense = [float(np.max(np.abs(target - sums))) for sums in (whole, first_k)]
+    assert _residuals(nodes, weights, target, grid, eps, k) == tuple(dense)
+    assert _residuals(nodes, weights, target, grid, eps) == (dense[0],) * 2
+    # a sum that errs by more than eps anywhere is refused with no residual
+    assert _residuals(nodes, weights, target, grid, 0.5 * dense[0], k) == (math.inf,) * 2
+
+
+@pytest.mark.parametrize("N", [4096, 10**5])
+def test_build_holds_no_grid_sized_matrix(N):
+    # one (Nq, grid) exponential matrix alone takes at least 2.3 and 4.3 MB here
+    delta_t = graded_mesh(N, 2.0, 1.0).tau.min()
+    tracemalloc.start()
+    try:
+        build_soe(0.5, 1e-10, delta_t, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def _per_step_march(approx, mesh, increments):
