@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -76,7 +77,7 @@ def _build(nodes: np.ndarray) -> TimeMesh:
     if nodes.ndim != 1 or len(nodes) < 2:
         raise InvalidMeshError("a mesh needs at least the two nodes t_0 and t_1")
     if nodes[0] != 0.0:
-        raise InvalidMeshError(f"first node must be 0, got {nodes[0]!r}")
+        raise InvalidMeshError(f"first node must be 0, got {float(nodes[0])}")
     tau = np.diff(nodes)
     if not np.all(tau > 0.0):
         raise InvalidMeshError("nodes must be strictly increasing")
@@ -99,17 +100,23 @@ def _check_steps(N) -> int:
     return int(N)
 
 
+def _check_horizon(T) -> None:
+    if not 0.0 < T < math.inf:
+        raise InvalidMeshError(f"final time T must be positive and finite, got {T}")
+
+
 def graded_mesh(N: int, gamma: float, T: float) -> TimeMesh:
     """Mesh with nodes t_n = (n/N)**gamma * T.
 
     gamma = 1 gives the uniform mesh; larger gamma concentrates points near
-    t = 0. Requires a positive integer N, gamma >= 1 and T > 0.
+    t = 0. Requires a positive integer N, a finite gamma >= 1 and a finite
+    T > 0.
     """
     N = _check_steps(N)
-    if gamma < 1.0:
-        raise InvalidMeshError(f"grading exponent must satisfy gamma >= 1, got {gamma}")
-    if T <= 0.0:
-        raise InvalidMeshError(f"final time must be positive, got {T}")
+    if not 1.0 <= gamma < math.inf:
+        raise InvalidMeshError(
+            f"grading exponent gamma must be finite and >= 1, got {gamma}")
+    _check_horizon(T)
     n = np.arange(N + 1, dtype=float)
     return _build((n / N) ** gamma * T)
 
@@ -145,8 +152,10 @@ def random_mesh(N: int, T: float, rho_bound: float = 1.75, seed=None) -> TimeMes
     lies below the sum's rounding floor there (1.7e-8 and 2.9e-7).
     """
     N = _check_steps(N)
-    if rho_bound <= 1.02 / 1.5:
-        raise InvalidMeshError("rho_bound too small for the factor window")
+    _check_horizon(T)
+    if not 1.02 / 1.5 < rho_bound < math.inf:
+        raise InvalidMeshError(f"rho_bound must be finite and above 1.02/1.5 "
+                               f"for the factor window, got {rho_bound}")
     lo = 1.02 / rho_bound
     # bisect for h* in (1, e) with h* ln h* - h* = lo ln lo - lo
     a, b, target = 1.0, np.e, lo * np.log(lo) - lo

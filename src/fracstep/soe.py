@@ -5,16 +5,19 @@ is discretized with a Gauss-Jacobi rule on the singular band [0, 1/T] and
 Gauss-Legendre rules on dyadic intervals up to a tail cutoff (both rules from
 the eigenvalues of their Jacobi matrices, in numpy); the node count
 grows until the uniform error on a geometric grid over [delta_t, T], 40
-points per octave, is at most eps. The grid starts at delta_t, so a rung
-whose error there alone exceeds 2 eps is rejected before the grid check:
-the two sums at delta_t differ only by rounding, and the grid check would
-reject it too. The grid check sweeps the grid in blocks of SWEEP_BLOCK
-points, forming exp(-theta t) for one block at a time in one scratch
-buffer, and stops at the first block whose error exceeds eps. The nodes
-the prune keeps are ordered first, so the same sweep gives the pruned
-sum's error from a leading slice of its rows. Every sum has the bits of
-its column of the dense (Nq, grid) product, which is never formed. All
-nodes and weights are strictly positive.
+points per octave, is at most eps. The nodes ascend as the rules give
+them, and the prune drops the trailing terms below
+1e-4 min(eps/3, omega_{1-a}(T)) / Nq at delta_t, so the grid check
+certifies the sum of a leading slice, the one returned. The grid starts
+at delta_t, so a rung whose error there alone exceeds 2 eps is rejected
+before the grid check: the probe's sum over all nodes and the pruned sum
+differ there by rounding and by the pruned terms, which sum to under
+1e-4 eps, so the grid check would reject it too. The check sweeps the
+grid in blocks of SWEEP_BLOCK points, forming exp(-theta t) for one block
+at a time in one scratch buffer, and stops at the first block whose error
+exceeds eps. The sum has the bits of its column of the dense (Nq, grid)
+product, which is never formed. All nodes and weights are strictly
+positive.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ class SOENotCertifiedError(ValueError):
 class ToleranceUnreachableError(ArithmeticError):
     """No rung of the node ladder certifies eps. The message says whether eps
     lies below the rounding floor of the sum at delta_t, where no node count
-    can certify it, or above it, where the ladder's node budget ran out."""
+    can certify it, or above it, where the ladder's node budget ran out, or
+    that the window is too wide for a double: its dyadic panels alone would
+    outnumber the budget twice over."""
 
 
 class OutOfWindowError(ValueError):
@@ -93,35 +98,31 @@ def _certification_grid(delta_t: float, T: float) -> np.ndarray:
     return np.geomspace(delta_t, T, CERT_POINTS_PER_OCTAVE * octaves)
 
 
-def _residuals(nodes, weights, target, grid, eps, k=None):
-    """The uniform errors max |target - sum| on the grid of the whole sum
-    weights @ exp(-outer(nodes, grid)) and of its first k terms (k = all by
-    default). The grid is swept in blocks of SWEEP_BLOCK points, exp(-theta t)
-    formed in place in one scratch buffer, and the sweep stops at the first
-    block where the whole sum errs by more than eps, returning inf for both:
-    a failing rung's residual is never reported. Each sum has the bits of its
-    column of the dense product as long as the block width is a multiple of
-    8, as SWEEP_BLOCK and every grid length (40 points per octave) are. That
-    rule was observed with OpenBLAS's x86 AVX-512 (SkylakeX) gemv, which sums
-    a grid point over the nodes in one order whatever the block's width but
-    takes the columns left over from its vector width in another: blocks 7
-    wide moved sums by an ulp."""
+def _residual(nodes, weights, target, grid, eps):
+    """The uniform error max |target - weights @ exp(-outer(nodes, grid))|
+    on the grid, swept in blocks of SWEEP_BLOCK points with exp(-theta t)
+    formed in place in one scratch buffer; inf at the first block where the
+    sum errs by more than eps, so a failing rung's residual is never
+    reported. The sum has the bits of the dense product's columns as long
+    as the block width is a multiple of 8, as SWEEP_BLOCK and every grid
+    length (40 points per octave) are. That rule was observed with
+    OpenBLAS's x86 AVX-512 (SkylakeX) gemv, which sums a grid point over the
+    nodes in one order whatever the block's width but takes the columns left
+    over from its vector width in another: blocks 7 wide moved sums by an
+    ulp."""
     n = len(nodes)
-    k = n if k is None else k
     scratch = np.empty(n * min(SWEEP_BLOCK, len(grid)))
     negated = -nodes[:, None]
-    res = res_k = 0.0
+    res = 0.0
     for j in range(0, len(grid), SWEEP_BLOCK):
         t, f = grid[j:j + SWEEP_BLOCK], target[j:j + SWEEP_BLOCK]
         e = scratch[:n * len(t)].reshape(n, len(t))
         np.exp(np.multiply(negated, t, out=e), out=e)
         err = float(np.max(np.abs(f - weights @ e)))
         if not err <= eps:
-            return math.inf, math.inf
+            return math.inf
         res = max(res, err)
-        if k < n:
-            res_k = max(res_k, float(np.max(np.abs(f - weights[:k] @ e[:k]))))
-    return res, res if k == n else res_k
+    return res
 
 
 @lru_cache(maxsize=128)
@@ -179,6 +180,13 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
     pref = math.sin(math.pi * alpha) / math.pi
     theta0 = 1.0 / T
     theta_max = max(_tail_cutoff(alpha, eps, delta_t), 4.0 * theta0)
+    refusal = (f"could not certify eps={eps} on [{delta_t}, {T}] within "
+               f"{NODE_BUDGET} nodes; ")
+    if not theta_max / theta0 < math.inf:
+        # a ratio past the largest double needs at least 1024 dyadic
+        # panels, twice the budget: refused before a grid or panel is formed
+        raise ToleranceUnreachableError(
+            refusal + "the window needs at least 1024 dyadic panels")
     n_dyadic = math.ceil(math.log2(theta_max / theta0))
     grid = _certification_grid(delta_t, T)
     target = omega(1.0 - alpha, grid)
@@ -192,7 +200,9 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
         if m * (n_dyadic + 1) + m > NODE_BUDGET:
             break
         # singular band [0, theta0] with weight theta^(alpha-1), then the
-        # dyadic Gauss-Legendre panels, one row per panel
+        # dyadic Gauss-Legendre panels, one row per panel. The nodes ascend:
+        # each rule's come sorted from eigh, the band lies below 1/T and
+        # each panel above the one before
         xj, wj = _gauss_rule(max(2, m), alpha)
         xl, wl = _gauss_rule(m)
         th = 0.5 * (hi - lo) * xl + 0.5 * (hi + lo)
@@ -203,33 +213,21 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
         at_dt = weights * np.exp(-nodes * delta_t)
         if abs(target[0] - np.sum(at_dt)) > 2.0 * eps:
             continue
-        # the prune drops terms whose whole contribution on the window is
-        # negligible; the kept terms go first, in their order, so that their
-        # sum is a row slice of the same sweep (on every input tried they
-        # already are a leading slice, and the order is the rules' own)
-        keep = at_dt > cap * 1e-4 / nq
-        if not np.any(keep):
-            keep[np.argmax(at_dt)] = True
-        first = np.argsort(~keep, kind="stable")
-        nodes, weights = nodes[first], weights[first]
-        k = int(np.count_nonzero(keep))
-        res, pruned_res = _residuals(nodes, weights, target, grid, eps, k)
+        # the prune drops the trailing terms whose whole contribution on the
+        # window is negligible; the sum of the rest is the one certified
+        k = 1 + np.flatnonzero(at_dt > cap * 1e-4 / nq).max(initial=0)
+        res = _residual(nodes[:k], weights[:k], target, grid, eps)
         if res > eps:
             continue
-        if pruned_res <= eps:
-            nodes, weights, res = nodes[:k], weights[:k], pruned_res
-        order = np.argsort(nodes)
         return SOEApprox(
-            nodes=nodes[order], weights=weights[order], eps=float(eps),
-            delta_t=float(delta_t), T=float(T), alpha=alpha,
-            cert_residual=res,
+            nodes=nodes[:k], weights=weights[:k], eps=float(eps),
+            delta_t=float(delta_t), T=float(T), alpha=alpha, cert_residual=res,
             meets_kernel_condition=bool(eps <= _kernel_cap(alpha, T)),
         )
     # an Nq-term sum near omega_{1-a}(delta_t) rounds by up to about this
     floor = nq * 2.0 ** -53 * target[0]
     raise ToleranceUnreachableError(
-        f"could not certify eps={eps} on [{delta_t}, {T}] within {NODE_BUDGET} "
-        f"nodes; eps is {'below' if eps < floor else 'above'} the rounding floor "
+        refusal + f"eps is {'below' if eps < floor else 'above'} the rounding floor "
         f"Nq*2^-53*omega_(1-alpha)(delta_t) = {floor:.1e} (Nq = {nq})")
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,58 @@ def test_converge_table(capsys):
     assert orders[-1] == pytest.approx(1.5, abs=0.2)
 
 
+def _converge_orders(body):
+    rows = [l.split(",") for l in body.splitlines() if l and not l.startswith("#")]
+    assert rows[0] == ["N", "error", "order"] and rows[1][2] == ""
+    return [float(row[2]) for row in rows[2:]]
+
+
+def test_converge_smooth_study_reads_order_two_minus_alpha(capsys):
+    code, out, _ = run(capsys, "converge", "--scheme", "l1", "--alpha", "0.5",
+                       "--Ns", "64,128,256")
+    assert code == 0
+    assert "# study=smooth\n" in out
+    assert _converge_orders(out) == pytest.approx([1.4736, 1.4819], abs=1e-4)
+
+
+def test_converge_numeric_gamma_sets_the_grading(capsys):
+    # on graded meshes the l1 order is min(gamma alpha, 2 - alpha) = 1 here
+    code, out, _ = run(capsys, "converge", "--scheme", "l1", "--singular",
+                       "--gamma", "2", "--alpha", "0.5", "--Ns", "64,128,256")
+    assert code == 0
+    assert "# study=singular gamma=2\n" in out
+    assert _converge_orders(out) == pytest.approx([0.9772, 0.9887], abs=1e-4)
+
+
+def test_converge_out_writes_csv_and_prints_the_table(capsys, tmp_path):
+    argv = ["converge", "--scheme", "l1", "--alpha", "0.5", "--Ns", "64,128,256"]
+    _, csv_body, _ = run(capsys, *argv)
+    path = tmp_path / "study.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_text() == csv_body
+    assert out.splitlines() == [
+        "       N          error    order",
+        "      64   1.149946e-03         ",
+        "     128   4.140810e-04   1.4736",
+        "     256   1.482451e-04   1.4819"]
+
+
+def test_timestamp_adds_one_header_line(capsys):
+    argv = ["kernels", "dump", "--scheme", "l1", "--mesh", "graded:6,2,1",
+            "--alpha", "0.5"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, stamped, _ = run(capsys, *argv, "--timestamp")
+    assert code == 0
+    lines = stamped.splitlines(keepends=True)
+    added = [i for i, l in enumerate(lines) if l.startswith("# timestamp=")]
+    assert len(added) == 1
+    assert re.fullmatch(r"# timestamp=\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\n",
+                        lines[added[0]])
+    assert "".join(lines[:added[0]] + lines[added[0] + 1:]) == plain
+
+
 def test_config_file_merges_under_flags(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 0.5, "mesh": "graded:6,1,1",
@@ -317,6 +370,21 @@ def test_soe_build_refusal_pinned(capsys):
     assert err == ("numerical failure: could not certify eps=1e-10 on "
                    "[1e-09, 1.0] within 512 nodes; eps is below the rounding "
                    "floor Nq*2^-53*omega_(1-alpha)(delta_t) = 3.3e-08 (Nq = 444)\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta_t,T", [("1e-310", "1"), ("1e-3", "1e308"),
+                                       ("1e-300", "1e300")])
+def test_soe_build_refuses_a_window_too_wide_for_a_double(capsys, delta_t, T):
+    # T/delta_t or the panels' ratio overflows: the refusal is the node
+    # budget's, not an OverflowError from counting the panels
+    code, out, err = run(capsys, "soe", "build", "--alpha", "0.5", "--eps", "1e-8",
+                         "--delta-t", delta_t, "--T", T)
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err == (f"numerical failure: could not certify eps=1e-08 on "
+                   f"[{float(delta_t)}, {float(T)}] within 512 nodes; the window "
+                   f"needs at least 1024 dyadic panels\n")
 
 
 def test_fastl1_refusal_names_the_rounding_floor(capsys):

@@ -39,6 +39,39 @@ def test_graded_rejects_bad_input(bad):
         graded_mesh(**bad)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make,name", [
+    (lambda: graded_mesh(8, NAN, 1.0), "gamma"),
+    (lambda: graded_mesh(8, INF, 1.0), "gamma"),
+    (lambda: graded_mesh(8, 1.0, NAN), "T"),
+    (lambda: graded_mesh(8, 1.0, INF), "T"),
+    (lambda: graded_mesh(8, 2.0, -1.0), "T"),
+    (lambda: random_mesh(8, -1.0), "T"),
+    (lambda: random_mesh(8, 0.0), "T"),
+    (lambda: random_mesh(8, INF), "T"),
+    (lambda: random_mesh(8, NAN), "T"),
+    (lambda: random_mesh(8, 1.0, rho_bound=NAN), "rho_bound"),
+    (lambda: random_mesh(8, 1.0, rho_bound=INF), "rho_bound"),
+    (lambda: random_mesh(8, 1.0, rho_bound=0.5), "rho_bound"),
+], ids=["graded-gamma-nan", "graded-gamma-inf", "graded-T-nan", "graded-T-inf",
+        "graded-T-negative", "random-T-negative", "random-T-zero", "random-T-inf",
+        "random-T-nan", "random-rho-nan", "random-rho-inf", "random-rho-small"])
+def test_constructors_name_a_non_finite_or_non_positive_parameter(make, name):
+    # NaN used to reach the nodes and be reported as a bad first node, an
+    # infinite T to warn first, a negative random_mesh T to pass as "steps
+    # too wide" and a NaN rho_bound to fail inside numpy's sampler
+    with pytest.raises(InvalidMeshError, match=rf"\b{name} must be "):
+        make()
+
+
+def test_bad_first_node_is_named_as_a_plain_float():
+    with pytest.raises(InvalidMeshError, match=r"^first node must be 0, got 0\.5$"):
+        mesh_from_nodes(np.array([0.5, 1.0]))
+
+
 def test_from_nodes_uniform():
     m = mesh_from_nodes([0, 1, 2])
     assert np.all(m.rho == 1.0)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracstep.kernels import apply_discrete_derivative, fast_l1_kernel, l1_kernel
 from fracstep.mesh import graded_mesh, uniform_mesh
@@ -17,7 +19,7 @@ from fracstep.soe import (
     ToleranceUnreachableError,
     _certification_grid,
     _gauss_rule,
-    _residuals,
+    _residual,
     _SOEHistory,
     _soe_for_mesh,
     _tail_cutoff,
@@ -62,6 +64,26 @@ def test_slack_tolerance_is_trivially_certified():
 def test_unreachable_tolerance_raises():
     with pytest.raises(ToleranceUnreachableError):
         build_soe(0.5, 1e-30, 1e-6, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta_t,T", [(1e-310, 1.0), (5e-324, 1.0), (1e-3, 1e308),
+                                       (1e-300, 1e300)])
+def test_window_too_wide_for_a_double_is_refused_by_the_budget(delta_t, T):
+    # a subnormal delta_t, or a ratio T/delta_t past the largest double,
+    # needs at least 1024 dyadic panels, twice the node budget
+    with pytest.raises(ToleranceUnreachableError,
+                       match=r"within 512 nodes; the window needs at least 1024 "
+                             r"dyadic panels$"):
+        build_soe(0.5, 1e-8, delta_t, T)
+
+
+def test_widest_finite_window_keeps_the_rounding_floor_refusal():
+    # 1023 panels: counted, so the refusal names the floor and the first rung
+    with pytest.raises(ToleranceUnreachableError,
+                       match=r"within 512 nodes; eps is below the rounding floor "
+                             r"\S+ = 5\.6e\+288 \(Nq = 1025\)$"):
+        build_soe(0.999, 1e-8, 1e-305, 1.0)
 
 
 @pytest.mark.parametrize("eps,delta_t,T", [
@@ -264,29 +286,42 @@ def test_blocked_sweep_matches_plain_ladder():
     assert 0 < refused < 16
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(alpha=st.floats(0.005, 0.999), log_eps=st.floats(-15.0, 3.0),
+       log_delta_t=st.floats(-16.0, -1.0), log_T=st.floats(-3.0, 4.0))
+def test_ladder_matches_plain_ladder_on_random_windows(alpha, log_eps, log_delta_t,
+                                                        log_T):
+    # the same nodes, weights, residual and Nq, or the same refusal text, as
+    # the reference off the fixed product grid of the two tests above
+    delta_t, T = sorted((10.0 ** log_delta_t, 10.0 ** log_T))
+    assume(delta_t < T)
+    args = (alpha, 10.0 ** log_eps, delta_t, T)
+    assert _outcome(_built, *args) == _outcome(_plain_ladder, *args)
+
+
 @pytest.mark.parametrize("eps, delta_t, T", [(1e-8, 1e-10, 1.0), (1e-4, 1e-16, 10.0)])
 def test_sweep_is_the_dense_product_in_any_node_order(eps, delta_t, T):
-    # the swept residuals of the whole sum and of any leading rows are those
-    # of the dense product, whatever the order of the nodes; bit for bit with
-    # a given OpenBLAS, like the pinned bodies
+    # the swept residual of a sum, whole or of any leading rows, is that of
+    # the dense product, whatever the order of the nodes; bit for bit with a
+    # given OpenBLAS, like the pinned bodies
     approx = build_soe(0.5, eps, delta_t, T)
     order = np.random.default_rng(0).permutation(approx.Nq)
     nodes, weights = approx.nodes[order], approx.weights[order]
     grid = _certification_grid(delta_t, T)
     assert len(grid) > SWEEP_BLOCK and len(grid) % SWEEP_BLOCK
     target = omega(0.5, grid)
-    exps = np.exp(-np.outer(nodes, grid))
     k = approx.Nq // 2
-    # against the dense sums as target, a residual is 0 only if every swept
-    # sum has its dense column's bits
-    whole, first_k = weights @ exps, weights[:k] @ exps[:k]
-    assert _residuals(nodes, weights, whole, grid, 0.0) == (0.0, 0.0)
-    assert _residuals(nodes, weights, first_k, grid, math.inf, k)[1] == 0.0
-    dense = [float(np.max(np.abs(target - sums))) for sums in (whole, first_k)]
-    assert _residuals(nodes, weights, target, grid, eps, k) == tuple(dense)
-    assert _residuals(nodes, weights, target, grid, eps) == (dense[0],) * 2
+    dense = []
+    for n, w in ((nodes, weights), (nodes[:k], weights[:k])):
+        sums = w @ np.exp(-np.outer(n, grid))
+        # against the dense sums as target, the residual is 0 only if every
+        # swept sum has its dense column's bits
+        assert _residual(n, w, sums, grid, 0.0) == 0.0
+        dense.append(float(np.max(np.abs(target - sums))))
+        assert _residual(n, w, target, grid, math.inf) == dense[-1]
+    assert _residual(nodes, weights, target, grid, eps) == dense[0]
     # a sum that errs by more than eps anywhere is refused with no residual
-    assert _residuals(nodes, weights, target, grid, 0.5 * dense[0], k) == (math.inf,) * 2
+    assert _residual(nodes, weights, target, grid, 0.5 * dense[0]) == math.inf
 
 
 @pytest.mark.parametrize("N", [4096, 10**5])
