@@ -24,10 +24,10 @@ for gamma in (1.0, 2.0, 3.0):
     print(f"P^({n_show})_j, j = 0..4:  ", np.round(ctable.row(n_show)[:5], 5))
     print(f"identity max |sum P A - 1| = {identity_residual(ctable):.2e}")
 
-    for label, rows in (("kernel", table.rows), ("complementary", ctable.rows)):
+    for label, tab in (("kernel", table), ("complementary", ctable)):
         path = f"demo01_{label}_gamma{gamma:g}.csv"
         with open(path, "w") as fh:
-            kernel_rows_csv(rows, fh, [f"gamma={gamma:g}", f"alpha={alpha}"])
+            kernel_rows_csv(tab, fh, [f"gamma={gamma:g}", f"alpha={alpha}"])
         print(f"wrote {path}")
 
 print("\nThe per-lag profiles of row 30 flatten as gamma grows: strongly")

@@ -24,10 +24,10 @@ _K_MIN, _K_MAX = -324, 292
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK63 = np.uint64((1 << 63) - 1)
 _INF = np.uint64(0x7FF << 52)
-# entries per formatted block: a block costs about 200 numpy calls and about
-# 0.3 kB of scratch per entry, freed to the heap between writes. Against
-# 4096-entry blocks, the N = 512 certify dump formats about 15 % slower but
-# peaks about 0.6 MB lower in resident memory when written to a StringIO.
+# lines per formatted block of the solve body (cli._write_solve_csv), the one
+# writer that uses it: a block costs a fixed number of numpy calls and about
+# 0.3 kB of scratch per formatted double, freed to the heap between writes.
+# Table dumps walk their table by kernels._blocks(N, "csv") instead.
 BLOCK = 2 ** 11
 _CHUNK_OFFSET = np.arange(5)[:, None] * 10 ** 4
 _POW10 = np.array([10 ** i for i in range(17)], dtype=np.uint64)

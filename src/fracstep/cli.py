@@ -67,7 +67,7 @@ def _cmd_dump(args):
     if args.command == "complementary":
         table = complementary.build_complementary(table)
     with _sink(args.out) as fh:
-        kernels.kernel_rows_csv(table.rows, fh,
+        kernels.kernel_rows_csv(table, fh,
                                 _header_lines(args, ["scheme", "mesh", "alpha"]))
     return EXIT_OK
 

@@ -49,9 +49,10 @@ class NonUniformMeshError(ValueError):
 # entries: O(width * N) scratch on large tables, and one or two blocks on small
 # ones, where the fixed numpy cost of a block outweighs its entries. A block of
 # the kernel triangle holds about 11 block-sized temporaries (the quadratic
-# schemes; L1 about 7) and one of a table consumer about 3, hence the two widths.
+# schemes; L1 about 7), one of a table consumer about 3, and one of the CSV
+# formatter about 0.3 kB per entry, some 40 doubles, hence the three widths.
 _BLOCK_FLOOR = 2 ** 12
-_BLOCK_WIDTH = {"triangle": 4, "table": 32}
+_BLOCK_WIDTH = {"triangle": 4, "table": 32, "csv": 1}
 
 
 def _blocks(N: int, kind: str = "table"):
@@ -446,31 +447,27 @@ def apply_discrete_derivative(table: KernelTable, v) -> np.ndarray:
     return table.K @ np.diff(v, axis=0)
 
 
-def kernel_rows_csv(rows, fh, header_lines=()) -> int:
-    """Write (n, lag, value) triples as CSV; returns the number of data rows.
+def kernel_rows_csv(table: _LowerTable, fh, header_lines=()) -> int:
+    """Write the (n, lag, value) triples of a KernelTable or
+    ComplementaryTable as CSV, row n = 1..N by lag 0..n-1; returns the number
+    of data rows.
 
-    The values are ``repr``'s bytes. Rows are formatted and written in blocks
-    of about _floatrepr.BLOCK entries, one ``write`` per block.
+    The values are ``repr``'s bytes. The table is formatted and written one
+    row block of ``_blocks(N, "csv")`` at a time, one ``write`` per block.
     """
     for line in header_lines:
         fh.write(f"# {line}\n")
     fh.write("n,lag,value\n")
-    rows = list(rows)
-    sizes = np.array([len(row) for row in rows], dtype=np.intp)
+    M = table._matrix
     # "0", "1", ... as NUL-padded bytes, for both the n and the lag field
-    numbers = _floatrepr.str_chars(range(max(len(rows), sizes.max(initial=0)) + 1))
-    ends = np.cumsum(sizes)
-    start = 0
-    while start < len(rows):
-        # the rows start..stop-1 hold at most BLOCK entries, or are one row
-        stop = max(int(np.searchsorted(ends, ends[start] - sizes[start]
-                                       + _floatrepr.BLOCK, side="right")),
-                   start + 1)
-        counts = sizes[start:stop]
-        lag = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        n = np.repeat(np.arange(start + 1, stop + 1), counts)
+    numbers = _floatrepr.str_chars(range(table.N + 1))
+    for rows, lag in _blocks(table.N, "csv"):
+        # columns right to left: each row's entries in ascending lag
+        lag = lag[:, ::-1]
+        inside = lag >= 0
+        n = np.arange(rows.start + 1, rows.stop + 1)[:, None]
         fh.write(_floatrepr.csv_lines([
-            np.take(numbers, n, axis=0), np.take(numbers, lag, axis=0),
-            _floatrepr.repr_chars(np.concatenate(rows[start:stop]))]))
-        start = stop
-    return int(sizes.sum())
+            np.take(numbers, np.broadcast_to(n, lag.shape)[inside], axis=0),
+            np.take(numbers, lag[inside], axis=0),
+            _floatrepr.repr_chars(M[rows, rows.stop - 1::-1][inside])]))
+    return table.N * (table.N + 1) // 2

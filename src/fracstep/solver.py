@@ -43,7 +43,8 @@ __all__ = [
 
 
 class SingularSystemError(ArithmeticError):
-    """The per-step linear system is singular or indefinite."""
+    """The per-step linear system is singular or indefinite, or the march
+    left the double range."""
 
 
 class DegenerateKernelError(ArithmeticError):
@@ -129,8 +130,9 @@ def _march(u0, shift, psi, mesh: TimeMesh, kernel, alpha) -> np.ndarray:
     """u^0..u^N solving, per entry of ``shift`` (a scalar or one per mode),
         sum_k A^(n)_{n-k} d(u^k) + shift (th u^{n-1} + (1-th) u^n) = psi_n
     by one division by the pivot A^(n)_0 + (1-th) shift, all pivots checked
-    before step 1. A^(n)_0 and the history come from a KernelTable (dense) or
-    an SOEApprox (fast L1 states), refused if built for another mesh or alpha."""
+    before step 1 and every step checked finite after step N. A^(n)_0 and
+    the history come from a KernelTable (dense) or an SOEApprox (fast L1
+    states), refused if built for another mesh or alpha."""
     backend = _SOEHistory if isinstance(kernel, SOEApprox) else _DenseHistory
     history = backend(kernel, mesh, alpha, np.shape(shift))
     theta, a0 = history.theta, history.diagonal
@@ -140,10 +142,16 @@ def _march(u0, shift, psi, mesh: TimeMesh, kernel, alpha) -> np.ndarray:
         raise SingularSystemError(f"zero pivot at step {np.nonzero(bad)[0][0] + 1}")
     U = np.empty((mesh.N + 1,) + np.shape(shift))
     U[0] = u0
-    for n in range(1, mesh.N + 1):
-        U[n] = (a0[n - 1] * U[n - 1] - history.term(n) - theta * shift * U[n - 1]
-                + psi[n - 1]) / pivots[n - 1]
-        history.push(U[n] - U[n - 1])
+    # a blow-up is refused below, by its first non-finite step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, mesh.N + 1):
+            U[n] = (a0[n - 1] * U[n - 1] - history.term(n)
+                    - theta * shift * U[n - 1] + psi[n - 1]) / pivots[n - 1]
+            history.push(U[n] - U[n - 1])
+    del history  # before the check's scratch: its dense increments are U's size
+    blown = ~np.isfinite(U.reshape(mesh.N + 1, -1)).all(axis=1)
+    if np.any(blown):
+        raise SingularSystemError(f"non-finite solve at step {np.argmax(blown)}")
     return U
 
 
@@ -254,9 +262,6 @@ def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh,
     lam = 4.0 * np.sin(0.5 * np.pi * j * h / problem.length) ** 2 / h ** 2
     modes = _march(data[0], lam - problem.kappa, data[1:], mesh, kernel,
                    kernel.alpha)
-    blown = ~np.all(np.isfinite(modes), axis=1)
-    if np.any(blown):
-        raise SingularSystemError(f"non-finite solve at step {np.argmax(blown)}")
     traj = _dst1(modes)
     l2 = math.sqrt(h) * np.linalg.norm(traj, axis=1)
     mx = np.abs(traj).max(axis=1)
@@ -447,12 +452,17 @@ def estimate_order(errors) -> np.ndarray:
 
 
 def _study(scheme: str, alpha: float, Ns, gamma: float, smooth: bool):
-    """Max errors and orders on graded meshes of [0, 1] for lambda_L = 1."""
+    """Max errors and orders on graded meshes of [0, 1] for lambda_L = 1;
+    each N of ``Ns`` must be twice the one before, as estimate_order reads
+    the error ratios of step halvings."""
     if scheme not in ("l1", "alikhanov"):
         raise ValueError(f"unsupported scheme {scheme!r} for convergence studies")
+    Ns = [int(N) for N in Ns]
+    if any(b != 2 * a for a, b in zip(Ns, Ns[1:])):
+        raise ValueError(f"each N must double the one before, got Ns={Ns}")
     errors = []
     for N in Ns:
-        mesh = graded_mesh(int(N), gamma, 1.0)
+        mesh = graded_mesh(N, gamma, 1.0)
         ktable = build_table(scheme, mesh, alpha)
         psi = exact = None
         if smooth:

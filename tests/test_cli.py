@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -658,6 +659,15 @@ REFUSED = {
                    "--delta-t", "0.1", "--T", "inf"], "T=inf"),
     "soe_delta_t_nan": (["soe", "build", "--alpha", "0.5", "--eps", "1e-8",
                          "--delta-t", "nan", "--T", "1"], "delta_t=nan"),
+    "converge_one_N": (["converge", "--scheme", "l1", "--alpha", "0.5",
+                        "--Ns", "16"], "need at least two N values"),
+    # an order is a log2 ratio of successive errors only when N doubles
+    "converge_Ns_quadruple": (["converge", "--scheme", "l1", "--alpha", "0.5",
+                               "--Ns", "32,128,512"], "Ns=[32, 128, 512]"),
+    "converge_Ns_repeat": (["converge", "--scheme", "l1", "--alpha", "0.5",
+                            "--singular", "--Ns", "16,16"], "Ns=[16, 16]"),
+    "converge_Ns_triple": (["converge", "--scheme", "alikhanov", "--alpha", "0.5",
+                            "--Ns", "16,48"], "Ns=[16, 48]"),
 }
 
 
@@ -668,6 +678,20 @@ def test_invalid_numbers_exit_2_with_empty_stdout(capsys, case):
     assert code == cli.EXIT_VALIDATION
     assert out == ""
     assert err.startswith("validation error:") and name in err
+
+
+@pytest.mark.parametrize("scheme", ["l1", "fastl1"])
+def test_single_mode_blow_up_exits_4_with_one_message(capsys, scheme):
+    # the growing mode overflows at step 55; the refusal replaces a body of
+    # inf and nan, and numpy's overflow warnings with it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve", "--scheme", scheme,
+                             "--mesh", "graded:60,1,1", "--alpha", "0.5",
+                             "--lambda", "0", "--kappa", "8.7404")
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err == "numerical failure: non-finite solve at step 55\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -230,7 +230,7 @@ def test_lemma22_power_k1_reduces_to_plain_sum(store):
 def test_csv_export(store, tmp_path):
     _, _, ct = store.ctable("l1", "uniform", 12, 0.5)
     buf = io.StringIO()
-    count = kernel_rows_csv(ct.rows, buf, ["scheme=l1"])
+    count = kernel_rows_csv(ct, buf, ["scheme=l1"])
     assert count == 12 * 13 // 2
     assert buf.getvalue().startswith("# scheme=l1\nn,lag,value\n")
 

@@ -84,33 +84,27 @@ def test_empty_input():
     assert _lines(np.array([])) == ""
 
 
-def _rows_csv_by_repr(rows, header_lines=()) -> str:
+def _rows_csv_by_repr(table, header_lines=()) -> str:
     """The reference: one f-string with ``repr`` per entry."""
     out = [f"# {line}\n" for line in header_lines] + ["n,lag,value\n"]
-    for n, row in enumerate(rows, start=1):
-        out += [f"{n},{lag},{v!r}\n" for lag, v in enumerate(row.tolist())]
+    for n in range(1, table.N + 1):
+        out += [f"{n},{lag},{v!r}\n" for lag, v in enumerate(table.row(n).tolist())]
     return "".join(out)
 
 
-@pytest.mark.parametrize("rows", [
-    pytest.param(lambda: l1_kernel(graded_mesh(200, 2.0, 1.0), 0.4).rows,
-                 id="l1-200"),
+@pytest.mark.parametrize("table", [
+    pytest.param(lambda: l1_kernel(graded_mesh(200, 2.0, 1.0), 0.4), id="l1-200"),
     pytest.param(lambda: build_complementary(alikhanov_kernel(
-        random_mesh(150, 1.0, rho_bound=1.75, seed=3), 0.3)).rows,
+        random_mesh(150, 1.0, rho_bound=1.75, seed=3), 0.3)),
                  id="complementary-150"),
-    # one row larger than a block, empty rows, and more rows than entries
-    pytest.param(lambda: [np.linspace(-1.0, 1.0, _floatrepr.BLOCK + 3),
-                          np.array([]), np.array([math.inf, -0.0])]
-                 + [np.array([]) for _ in range(20)] + [np.array([1e-300])],
-                 id="ragged"),
-    pytest.param(lambda: [], id="no-rows"),
+    pytest.param(lambda: l1_kernel(graded_mesh(1, 1.0, 1e-300), 0.7), id="one-row"),
 ])
-def test_kernel_rows_csv_matches_repr_loop(rows):
-    rows = rows()
+def test_kernel_rows_csv_matches_repr_loop(table):
+    table = table()
     buf = io.StringIO()
-    count = kernel_rows_csv(rows, buf, ["a=1", "b=2"])
-    assert buf.getvalue() == _rows_csv_by_repr(rows, ["a=1", "b=2"])
-    assert count == sum(len(row) for row in rows)
+    count = kernel_rows_csv(table, buf, ["a=1", "b=2"])
+    assert buf.getvalue() == _rows_csv_by_repr(table, ["a=1", "b=2"])
+    assert count == table.N * (table.N + 1) // 2
 
 
 def test_kernel_rows_csv_scratch(tmp_path):
@@ -118,12 +112,11 @@ def test_kernel_rows_csv_scratch(tmp_path):
     # its body 3.9 MB
     table = build_complementary(alikhanov_kernel(
         random_mesh(512, 1.0, rho_bound=1.75, seed=7), 0.3))
-    rows = table.rows
     _floatrepr.repr_chars(np.ones(1))  # the lookup tables are not scratch
     with open(tmp_path / "p.csv", "w") as fh:
         tracemalloc.start()
         try:
-            kernel_rows_csv(rows, fh)
+            kernel_rows_csv(table, fh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

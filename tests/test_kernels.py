@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -698,17 +699,24 @@ def _one_row_blocks(m):
         m.setitem(kernels._BLOCK_WIDTH, kind, 0)
 
 
+def _dump(table) -> str:
+    buf = io.StringIO()
+    kernel_rows_csv(table, buf)
+    return buf.getvalue()
+
+
 def _layout_results(mesh, alpha):
-    """Tables and audits, which must keep every bit whatever the blocks, and
-    the two block sums whose rounding follows the block width."""
+    """Tables, audits and dumps, which must keep every bit whatever the
+    blocks, and the two block sums whose rounding follows the block width."""
     exact, rounded = [], []
     for build in (l1_kernel, alikhanov_kernel, bdf2_kernel):
         table = build(mesh, alpha)
-        exact.append(table.K)
-        exact.append(verify_assumptions(table, mesh, table.pi_A))
+        exact += [table.K, verify_assumptions(table, mesh, table.pi_A),
+                  _dump(table)]
         if table.pi_A is None:
             continue
         ct = build_complementary(table)
+        exact.append(_dump(ct))
         lemma22 = check_lemma22_23(ct, mesh, alpha, table.pi_A, mesh.max_ratio())
         rounded += [identity_residual(ct), lemma22.ml_log_min_margin]
         lam = np.random.default_rng(mesh.N).uniform(size=mesh.N)
@@ -790,7 +798,7 @@ def test_csv_dump_counts(tmp_path):
     table = l1_kernel(mesh, 0.4)
     path = tmp_path / "k.csv"
     with open(path, "w") as fh:
-        count = kernel_rows_csv(table.rows, fh, ["demo=1"])
+        count = kernel_rows_csv(table, fh, ["demo=1"])
     assert count == 30 * 31 // 2
     lines = path.read_text().splitlines()
     assert lines[0] == "# demo=1"

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from fracstep.complementary import build_complementary
 from fracstep.kernels import (KernelTable, alikhanov_kernel, fast_l1_kernel,
                               l1_kernel)
 from fracstep.mesh import graded_mesh, uniform_mesh
-from fracstep.soe import SOENotCertifiedError
+from fracstep.soe import SOENotCertifiedError, _soe_for_mesh
 from fracstep.solver import (
     DegenerateKernelError,
     FDProblem1D,
@@ -94,6 +96,24 @@ def test_singular_system_detected():
         solve_single_mode(bad, mesh, table)
 
 
+@pytest.mark.parametrize("fast", [False, True])
+def test_blow_up_refused_at_first_non_finite_step(fast):
+    # shift -8.7404 grows the mode past the double range at step 55, on the
+    # scalar problem and on the grid mode with the same shift
+    mesh = graded_mesh(60, 1.0, 1.0)
+    kernel = _soe_for_mesh(0.5, 1e-8, mesh) if fast else l1_kernel(mesh, 0.5)
+    h = 1.0 / 5.0
+    lam1 = 4.0 * math.sin(0.5 * math.pi * h) ** 2 / h ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError, match="non-finite solve at step 55"):
+            solve_single_mode(SingleModeProblem(alpha=0.5, lambda_L=0.0,
+                                                kappa=8.7404), mesh, kernel)
+        with pytest.raises(SingularSystemError, match="non-finite solve at step 55"):
+            solve_fd1d(FDProblem1D(length=1.0, M=4, kappa=lam1 + 8.7404,
+                                   u0=lambda x: np.sin(np.pi * x)), mesh, kernel)
+
+
 @pytest.mark.parametrize("length", [7, 20])
 def test_single_mode_refuses_psi_of_another_length(length):
     # a short psi stopped with a bare IndexError, a long one was cut silently
@@ -153,6 +173,15 @@ def test_smooth_orders():
     assert orders[-1] == pytest.approx(1.5, abs=0.1)
     errs, orders = smooth_study("alikhanov", 0.5, [32, 64, 128])
     assert orders[-1] == pytest.approx(2.0, abs=0.1)
+
+
+@pytest.mark.parametrize("Ns", [[32, 128, 512], [16, 16], [64, 32], [16, 48]])
+def test_studies_refuse_Ns_that_do_not_double(Ns):
+    # estimate_order reads each error ratio as one step halving
+    with pytest.raises(ValueError, match=re.escape(f"Ns={Ns}")):
+        smooth_study("l1", 0.5, Ns)
+    with pytest.raises(ValueError, match=re.escape(f"Ns={Ns}")):
+        singular_study("alikhanov", 0.5, Ns, gamma=2.0)
 
 
 def test_singular_orders():

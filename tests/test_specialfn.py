@@ -115,6 +115,14 @@ def test_ml_raises_outside_certified_cancellation_range():
         mittag_leffler(0.3, -3.0)  # would need ~40 digits
 
 
+def test_ml_raises_when_intermediate_terms_overflow():
+    # E_1(705) = e^705 is a double, but its largest term times the number of
+    # terms needed passes e^708, so the sum could overflow and is refused
+    with pytest.raises(NonConvergenceError,
+                       match=r"intermediate terms overflow for alpha=1\.0, z=705\.0"):
+        mittag_leffler(1.0, 705.0)
+
+
 def test_ml_raises_when_max_terms_too_small():
     # the terms of E_0.3(10) peak near k = 10**(1/0.3) / 0.3, past 2000
     with pytest.raises(NonConvergenceError, match="more than max_terms=2000"):
