@@ -342,11 +342,11 @@ def fast_l1_kernel(mesh: TimeMesh, alpha: float, soe: SOEApprox) -> KernelTable:
     alpha = _check_alpha(alpha)
     history = _SOEHistory(soe, mesh, alpha, (mesh.N,))
     K = np.empty((mesh.N, mesh.N))
-    for n in range(1, mesh.N + 1):
-        K[n - 1] = history.term(n)  # 0 from column n-1 on, not yet started
+    for n, (row, phi) in enumerate(history, 1):
+        K[n - 1] = row  # 0 from column n-1 on, not yet started
         K[n - 1, n - 1] = history.diagonal[n - 1]
         # pushing the unit step at t_n adds phi to column n-1, 0 to the rest
-        history.H[:, n - 1 : n] = history.phi
+        history.H[:, n - 1 : n] = phi
     return KernelTable(K, 0.0, alpha, "fastl1", 1.5, mesh)
 
 

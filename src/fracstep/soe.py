@@ -274,8 +274,10 @@ class _SOEHistory:
     Per node theta the states follow, from H(t_0) = 0,
         H(t_n) = exp(-theta tau_n) H(t_{n-1}) + phi * incr_n,
         phi = (1 - exp(-theta tau_n)) / (theta tau_n).
-    ``term(n)`` decays the states over step n and returns their weighted sum;
-    ``push`` then adds step n's increment with the weight phi."""
+    Iterating decays the states over each step n = 1..N in turn and yields
+    their weighted sum with the step's phi; the caller adds the step's
+    increment times phi to ``H`` before asking for the next step.
+    ``steps()`` is the march's form of that loop."""
 
     theta = 0.0
 
@@ -285,17 +287,24 @@ class _SOEHistory:
         self.diagonal = _singular_average(alpha, mesh.tau)
         self.nodes = approx.nodes.reshape((-1,) + (1,) * len(shape))
         self.H = np.zeros((approx.Nq,) + shape)
-        self._block = -1
 
-    def term(self, n: int):
-        block, j = divmod(n - 1, STEP_BLOCK)
-        if block != self._block:  # decay factors and phi of STEP_BLOCK steps
-            tau = self.tau[block * STEP_BLOCK:(block + 1) * STEP_BLOCK]
+    def __iter__(self):
+        H, weights = self.H, self.weights
+        for start in range(0, len(self.tau), STEP_BLOCK):
+            # decay factors and phi of STEP_BLOCK steps in one call
+            tau = self.tau[start:start + STEP_BLOCK]
             nx = -(tau.reshape((-1,) + (1,) * self.nodes.ndim) * self.nodes)
-            self._block, self._decay, self._phi = block, np.exp(nx), np.expm1(nx) / nx
-        self.phi = self._phi[j]
-        self.H *= self._decay[j]
-        return self.weights @ self.H
+            for decay, phi in zip(np.exp(nx), np.expm1(nx) / nx):
+                H *= decay
+                # the bits of weights @ H, with less overhead per call
+                yield weights.dot(H), phi
 
-    def push(self, increment) -> None:
-        self.H += self.phi * increment
+    def steps(self):
+        """Yield the history term of each step, a float for one mode, and take
+        the step's increment back by ``send``: increment times phi is added to
+        the states in place."""
+        H, scalar = self.H, self.H.ndim == 1
+        product = np.empty_like(H)
+        for term, phi in self:
+            increment = yield float(term) if scalar else term
+            H += np.multiply(phi, increment, out=product)

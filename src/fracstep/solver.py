@@ -17,7 +17,7 @@ import numpy as np
 from .complementary import ComplementaryTable, _check_source
 from .kernels import KernelTable, build_table, check_same_problem
 from .mesh import TimeMesh, graded_mesh
-from .soe import SOEApprox, _SOEHistory
+from .soe import STEP_BLOCK, SOEApprox, _SOEHistory
 from .specialfn import _ml_envelope, mittag_leffler
 
 __all__ = [
@@ -115,15 +115,14 @@ class _DenseHistory:
         self.K, self.theta = ktable.K, ktable.theta
         self.diagonal = ktable.diagonal()
         self.dU = np.empty((ktable.N,) + shape)
-        self.count = 0
 
-    def term(self, n: int):
-        """sum_{k<n} A^(n)_{n-k} (u^k - u^{k-1}), zero at n = 1."""
-        return self.K[n - 1, : n - 1] @ self.dU[: n - 1]
-
-    def push(self, increment) -> None:
-        self.dU[self.count] = increment
-        self.count += 1
+    def steps(self):
+        """Yield sum_{k<n} A^(n)_{n-k} (u^k - u^{k-1}) for n = 1..N, zero at
+        n = 1 and a float for one mode, and take u^n - u^{n-1} back by ``send``."""
+        dU, scalar = self.dU, self.dU.ndim == 1
+        for n, row in enumerate(self.K):
+            term = row[:n].dot(dU[:n])
+            dU[n] = yield float(term) if scalar else term
 
 
 def _march(u0, shift, psi, mesh: TimeMesh, kernel, alpha) -> np.ndarray:
@@ -132,7 +131,9 @@ def _march(u0, shift, psi, mesh: TimeMesh, kernel, alpha) -> np.ndarray:
     by one division by the pivot A^(n)_0 + (1-th) shift, all pivots checked
     before step 1 and every step checked finite after step N. A^(n)_0 and
     the history come from a KernelTable (dense) or an SOEApprox (fast L1
-    states), refused if built for another mesh or alpha."""
+    states), refused if built for another mesh or alpha. Both histories are
+    driven alike: ``steps()`` yields each step's history term, and the step's
+    increment goes back by ``send`` when the next term is asked for."""
     backend = _SOEHistory if isinstance(kernel, SOEApprox) else _DenseHistory
     history = backend(kernel, mesh, alpha, np.shape(shift))
     theta, a0 = history.theta, history.diagonal
@@ -142,13 +143,25 @@ def _march(u0, shift, psi, mesh: TimeMesh, kernel, alpha) -> np.ndarray:
         raise SingularSystemError(f"zero pivot at step {np.nonzero(bad)[0][0] + 1}")
     U = np.empty((mesh.N + 1,) + np.shape(shift))
     U[0] = u0
+    lag, u = theta * shift, U[0]
+    # one mode steps in Python floats, converted a block at a time: the same
+    # IEEE arithmetic as numpy scalars, without their per-operation cost
+    scalar = np.ndim(shift) == 0
+    if scalar:
+        lag, u = float(lag), u.item()
+    steps, increment = history.steps(), None
     # a blow-up is refused below, by its first non-finite step
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, mesh.N + 1):
-            U[n] = (a0[n - 1] * U[n - 1] - history.term(n)
-                    - theta * shift * U[n - 1] + psi[n - 1]) / pivots[n - 1]
-            history.push(U[n] - U[n - 1])
-    del history  # before the check's scratch: its dense increments are U's size
+        for start in range(0, mesh.N, STEP_BLOCK):
+            rows = [x[start:start + STEP_BLOCK] for x in (a0, pivots, psi)]
+            if scalar:
+                rows = [x.tolist() for x in rows]
+            for n, (a, pivot, f) in enumerate(zip(*rows), start + 1):
+                term = steps.send(increment)
+                u, previous = (a * u - term - lag * u + f) / pivot, u
+                U[n] = u
+                increment = u - previous
+    del steps, history  # before the check's scratch: dense increments are U's size
     blown = ~np.isfinite(U.reshape(mesh.N + 1, -1)).all(axis=1)
     if np.any(blown):
         raise SingularSystemError(f"non-finite solve at step {np.argmax(blown)}")
@@ -247,7 +260,14 @@ def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh,
     u0 and psi(x, t_{n-theta}) are projected onto the grid sine modes
     sin(j pi x / length), exact eigenvectors of the 3-point operator with
     eigenvalues lambda_j = (4/h^2) sin^2(j pi h / (2 length)); each mode takes
-    the single-mode step with shift lambda_j - kappa, then the grid is rebuilt."""
+    the single-mode step with shift lambda_j - kappa, then the grid is rebuilt.
+
+    The sine transforms round relative to the whole grid vector, not to each
+    entry: a value far below max |u^n| carries an absolute error near
+    eps max |u^n|. Against the explicit three-point scheme the residual of
+    every entry stays within 1e-13 of its terms' scale; the worst case seen,
+    6.6e-14, is at kappa = 30 and M = 17, where growing modes leave some grid
+    values far below the largest."""
     x, h, M = problem.grid(), problem.h, problem.M
     theta = _SOEHistory.theta if isinstance(kernel, SOEApprox) else kernel.theta
     data = np.zeros((mesh.N + 1, M))  # u0, then psi at the offset nodes

@@ -161,7 +161,15 @@ def mittag_leffler(alpha: float, z):
     arguments raise NonConvergenceError rather than return unverified
     digits, as do arguments that need more terms and large positive
     arguments whose value would overflow a double; see log_mittag_leffler
-    for those.
+    for those. E_1(z) = e^z is returned up to z = 709.56, where the series
+    first needs more than 2000 terms.
+
+    On a positive argument the value is accurate relative to itself, to a
+    few eps times the log of the largest term t_max, the rounding of that
+    term's logarithm magnified by exp: at most 4 eps max(1, ln t_max),
+    eps = 2^-52. Against 40-digit values it errs by 1.1e-16 at z = 1,
+    8.7e-14 at z = 200 and 2.4e-13 at z = 690 (alpha = 1), and 4.2e-14 at
+    alpha = 0.5, z = 10.
     """
     alpha = _check_alpha(alpha)
     z_arr = np.asarray(z, dtype=float)
@@ -194,20 +202,29 @@ def mittag_leffler(alpha: float, z):
         with np.errstate(over="ignore"):  # only on rows refused for overflow
             big = np.exp(ln_max) * np.maximum(3.0, np.sqrt(k_need))
         series = found & ~overflow & ((z > 0.0) | (big * 5e-16 <= 0.5 * _ABS_TOL))
+        if series.any():
+            out[todo[rows[series]]] = _series_sums(ln_t[series], k_need[series],
+                                                   z[series])
         # the contour serves the rest of the accepted domain, which ends where
         # ~31 digits would no longer do (the former double-double range)
         contour = found & ~overflow & ~series & (big * 2e-29 <= 0.5 * _ABS_TOL)
         done = found | (w == _MAX_TERMS)
         bad = np.flatnonzero(done & ~(series | contour))
         if len(bad):
+            # the overflow bound is up to log(k_need) high on a positive
+            # series, so such a row is summed and refused only if its sum
+            # itself overflows
+            near = bad[found[bad] & overflow[bad] & (z[bad] > 0.0)]
+            with np.errstate(over="ignore"):
+                sums = _series_sums(ln_t[near], k_need[near], z[near])
+            fits = np.isfinite(sums)
+            out[todo[rows[near[fits]]]] = sums[fits]
+            series[near[fits]] = True
+            bad = bad[~series[bad]]
+        if len(bad):
             i = bad[0]
             errors.append((todo[rows[i]], _ml_error(
                 alpha, float(z[i]), found[i], overflow[i], big[i])))
-        if series.any():
-            take = np.arange(w) < k_need[series, None]
-            terms = np.exp(np.where(take, ln_t[series], -np.inf))
-            terms[:, ::2] *= np.where(z[series] < 0.0, -1.0, 1.0)[:, None]  # odd k
-            out[todo[rows[series]]] = 1.0 + terms.sum(axis=1)
         if contour.any():
             out[todo[rows[contour]]] = _ml_contour(alpha, -z[contour])
         return done
@@ -217,6 +234,15 @@ def mittag_leffler(alpha: float, z):
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
+
+
+def _series_sums(ln_t: np.ndarray, k_need: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """1 + the sum over k = 1..k_need of the terms exp(ln t_k) of each row,
+    with the odd ones negated where z < 0."""
+    take = np.arange(ln_t.shape[1]) < k_need[:, None]
+    terms = np.exp(np.where(take, ln_t, -np.inf))
+    terms[:, ::2] *= np.where(z < 0.0, -1.0, 1.0)[:, None]  # odd k
+    return 1.0 + terms.sum(axis=1)
 
 
 def _ml_error(alpha, z, found, overflow, big) -> NonConvergenceError:

@@ -120,39 +120,55 @@ def _one_node(node):
                      cert_residual=0.0, meets_kernel_condition=False)
 
 
+def _run_steps(history, increments):
+    """Yield the term of each step of ``history.steps()``, sending step n's
+    increment back when resumed after it; the last send must end the steps."""
+    steps = history.steps()
+    term = next(steps)
+    for increment in increments[:-1]:
+        yield term
+        term = steps.send(increment)
+    yield term
+    with pytest.raises(StopIteration):
+        steps.send(increments[-1])
+
+
 def test_history_zero_stays_zero(store):
     approx = store.soe(**STD)
     history = _SOEHistory(approx, uniform_mesh(10, 1.0), 0.5)
-    for n in (1, 2):
-        assert history.term(n) == 0.0
-        history.push(0.0)
+    steps = history.steps()
+    assert next(steps) == 0.0
+    assert steps.send(0.0) == 0.0
+    steps.send(0.0)
     assert np.array_equal(history.H, np.zeros(approx.Nq))
 
 
 def test_history_single_node_closed_form():
     history = _SOEHistory(_one_node(1.0), uniform_mesh(1, 1.0), 0.5)
-    history.term(1)
-    history.push(1.0)
+    list(_run_steps(history, [1.0]))
     assert history.H[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
 
 
 def test_history_decays_without_increments():
     history = _SOEHistory(_one_node(2.0), uniform_mesh(3, 0.75), 0.5)
     history.H[:] = 1.0
-    for n in range(1, 4):
-        before = history.H[0]
-        assert history.term(n) == pytest.approx(before * math.exp(-0.5), rel=1e-15)
-        history.push(0.0)
+    before = 1.0
+    for term in _run_steps(history, [0.0] * 3):
+        # decayed over this step; the pushes of 0 before it added nothing
         assert history.H[0] == pytest.approx(before * math.exp(-0.5), rel=1e-15)
+        assert term == pytest.approx(before * math.exp(-0.5), rel=1e-15)
+        before = history.H[0]
+    assert history.H[0] == before
 
 
 def test_history_length_mismatch(store):
     # the states are sized by the approximation, so only an increment that
     # does not match the unknowns can disagree with them
     history = _SOEHistory(store.soe(**STD), uniform_mesh(10, 1.0), 0.5, (3,))
-    history.term(1)
+    steps = history.steps()
+    next(steps)
     with pytest.raises(ValueError):
-        history.push(np.ones(4))
+        steps.send(np.ones(4))
 
 
 def test_history_matrix_state_updates_each_column(store):
@@ -162,15 +178,19 @@ def test_history_matrix_state_updates_each_column(store):
     incr = rng.standard_normal((mesh.N, 3))
     block = _SOEHistory(approx, mesh, 0.5, (3,))
     columns = [_SOEHistory(approx, mesh, 0.5) for _ in range(3)]
-    for n in range(1, mesh.N + 1):
-        terms = block.term(n)
+    runs = [_run_steps(block, incr)] + [_run_steps(history, incr[:, j])
+                                        for j, history in enumerate(columns)]
+    for _ in range(mesh.N):
+        terms, *column_terms = map(next, runs)
         assert terms.shape == (3,)
-        for j, history in enumerate(columns):
-            assert terms[j] == pytest.approx(history.term(n), rel=1e-14)
-            history.push(incr[n - 1, j])
-        block.push(incr[n - 1])
-        for j, history in enumerate(columns):
+        for j, (history, term) in enumerate(zip(columns, column_terms)):
+            assert type(term) is float
+            assert terms[j] == pytest.approx(term, rel=1e-14)
             assert np.array_equal(block.H[:, j], history.H)
+    for run in runs:  # the last push
+        assert next(run, None) is None
+    for j, history in enumerate(columns):
+        assert np.array_equal(block.H[:, j], history.H)
 
 
 @pytest.mark.parametrize("family,alpha", [("uniform", 0.5), ("graded2", 0.3),
@@ -361,11 +381,19 @@ def test_blocked_history_matches_per_step_recurrence(store, N, state):
     shape = {"scalar": (), "M": (3,), "N": (N,)}[state]
     increments = np.random.default_rng(N).standard_normal((N,) + shape)
     terms, phis, H = _per_step_march(approx, mesh, increments)
+    # the per-step factors, with the push made here as fast_l1_kernel does
     history = _SOEHistory(approx, mesh, 0.4, shape)
-    for n in range(1, N + 1):
-        assert np.array_equal(history.term(n), terms[n - 1])
-        assert np.array_equal(history.phi, phis[n - 1])
-        history.push(increments[n - 1])
+    for n, (term, phi) in enumerate(history, 1):
+        assert np.array_equal(term, terms[n - 1])
+        assert np.array_equal(phi, phis[n - 1])
+        history.H += phi * increments[n - 1]
+    assert n == N
+    assert np.array_equal(history.H, H)
+    # the march's steps, which push in place
+    history = _SOEHistory(approx, mesh, 0.4, shape)
+    for n, term in enumerate(_run_steps(history, increments), 1):
+        assert np.array_equal(term, terms[n - 1])
+    assert n == N
     assert np.array_equal(history.H, H)
 
 

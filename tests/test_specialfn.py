@@ -116,11 +116,59 @@ def test_ml_raises_outside_certified_cancellation_range():
 
 
 def test_ml_raises_when_intermediate_terms_overflow():
-    # E_1(705) = e^705 is a double, but its largest term times the number of
-    # terms needed passes e^708, so the sum could overflow and is refused
+    # the alternating terms of E_1(-705) pass e^700: refused by the cheap
+    # bound on the largest term times the term count
     with pytest.raises(NonConvergenceError,
-                       match=r"intermediate terms overflow for alpha=1\.0, z=705\.0"):
-        mittag_leffler(1.0, 705.0)
+                       match=r"intermediate terms overflow for alpha=1\.0, z=-705\.0"):
+        mittag_leffler(1.0, -705.0)
+
+
+def _ln_terms(alpha, z, count=2001):
+    """ln t_k = k ln z - ln Gamma(1 + alpha k), k = 0..count-1, for z > 0."""
+    return [k * math.log(z) - math.lgamma(1.0 + alpha * k) for k in range(count)]
+
+
+def _positive_bound(alpha, z):
+    """The stated relative accuracy on a positive argument, 4 eps max(1, ln t_max)."""
+    return 4.0 * 2.0 ** -52 * max(1.0, max(_ln_terms(alpha, z)))
+
+
+def test_ml_alpha_one_up_to_the_double_range():
+    # e^705 and e^709 are doubles: summed, not refused, although the largest
+    # term times the term count passes e^708
+    for z in (705.0, 709.0):
+        assert mittag_leffler(1.0, z) == pytest.approx(
+            math.exp(z), rel=_positive_bound(1.0, z))
+    with pytest.raises(NonConvergenceError):
+        mittag_leffler(1.0, 710.0)  # e^710 is past the largest double
+
+
+def test_ml_refuses_a_positive_sum_only_when_it_overflows(monkeypatch):
+    # with 2000 terms the series of E_1(z) runs out of terms (z > 709.56)
+    # before its sum can pass the largest double; with more terms the sum
+    # itself decides
+    monkeypatch.setattr("fracstep.specialfn._MAX_TERMS", 3000)
+    assert mittag_leffler(1.0, 709.7) == pytest.approx(
+        math.exp(709.7), rel=_positive_bound(1.0, 709.7))
+    with pytest.raises(NonConvergenceError,
+                       match=r"intermediate terms overflow for alpha=1\.0, z=709\.8"):
+        mittag_leffler(1.0, 709.8)
+
+
+@pytest.mark.parametrize("alpha, z", [(1.0, 1.0), (1.0, 10.0), (1.0, 200.0),
+                                      (1.0, 690.0), (0.9, 100.0), (0.7, 10.0),
+                                      (0.5, 10.0), (0.3, 3.0), (0.3, 0.1)])
+def test_ml_positive_relative_accuracy(alpha, z):
+    # the docstring's bound against the 40-digit series, summed past the
+    # peak until the terms fall 100 below the largest
+    mpmath = pytest.importorskip("mpmath")
+    ln_t = _ln_terms(alpha, z)
+    peak = int(np.argmax(ln_t))
+    terms = next(k for k in range(peak, len(ln_t)) if ln_t[k] < ln_t[peak] - 100.0)
+    ref = mpmath_ml(alpha, z, dps=40, terms=terms + 1)
+    with mpmath.workdps(40):
+        rel = float(abs(mpmath.mpf(mittag_leffler(alpha, z)) / ref - 1))
+    assert rel <= _positive_bound(alpha, z), rel
 
 
 def test_ml_raises_when_max_terms_too_small():
