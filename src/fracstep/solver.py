@@ -94,8 +94,9 @@ class FDProblem1D:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("need at least one interior point")
-        if self.length <= 0.0:
-            raise ValueError("domain length must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(
+                f"domain length must be positive and finite, got {self.length}")
         if not math.isfinite(self.kappa):
             raise ValueError(f"kappa must be finite, got {self.kappa}")
 
@@ -174,10 +175,10 @@ def caputo_of_power(alpha: float, sigma: float, t):
     sigma = float(sigma)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
+    if not np.all(t_arr > 0.0):
         raise ValueError("t must be positive")
     c = math.gamma(sigma + 1.0) / math.gamma(sigma + 1.0 - alpha)
     out = c * t_arr ** (sigma - alpha)

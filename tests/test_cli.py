@@ -173,6 +173,20 @@ def test_solve_fd1d_stability_exit(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("scheme", ["alikhanov", "bdf2"])
+def test_solve_fd1d_envelope_of_a_long_positive_series(capsys, scheme):
+    # the stability envelope reaches z = 4.93 (alikhanov) and 4.96 (bdf2):
+    # E_0.3 of these is about e^205 and e^209, whose series peak near k = 680
+    # and 694, past the 2000 terms the negative axis allows
+    code, out, err = run(capsys, "solve", "--problem", "fd1d", "--scheme", scheme,
+                         "--mesh", "graded:24,2,1", "--alpha", "0.3", "--M", "12",
+                         "--kappa", "0.5")
+    assert (code, err) == (0, "")
+    rows = [l.split(",") for l in out.splitlines() if l[:1].isdigit()]
+    assert [int(r[0]) for r in rows] == list(range(25))
+    assert all(math.isfinite(float(r[2])) for r in rows)
+
+
 @pytest.mark.parametrize("scheme,mesh,alpha,M,kappa", [
     ("l1", "graded:64,1,1", "0.99", "16", "-2"),  # was a false violation, exit 3
     ("l1", "graded:64,2,1", "0.5", "16", "-5"),  # were Mittag-Leffler refusals, exit 4
@@ -484,16 +498,18 @@ def test_audit_bytes_pinned(capsys, scheme, mesh):
 # sha256 of `gronwall verify` bodies at alpha = 0.4 with the default 100
 # trials and seed 0; the trials and the certified bound share one evaluator,
 # which must reproduce them byte for byte. Re-pinned when P came from a numpy
-# block inverse: bdf2recombined margins moved by at most 2.4e-16 relative.
+# block inverse: bdf2recombined margins moved by at most 2.4e-16 relative;
+# and when positive Mittag-Leffler arguments took exp of the log-domain sum:
+# l1, alikhanov and bdf2recombined margins moved by at most 5.0e-16 relative.
 GRONWALL_SHA256 = {
     ("l1", "graded:64,2,1"):
-        "e931fc9cae7aed64a8d165651320de86fac5c4e933e57b0d0c05b271891f1844",
+        "84e84bd12ded669e7f5234b32948d38ed930c4fa3b80379df393ccf3d1a9483e",
     ("alikhanov", "graded:64,2,1"):
-        "ef029b613d06c6211d36fd610f8af991a676f285a21ac8857c8758066fe53d20",
+        "f14569d2a20e644675828cb3755428ba715c1e8cc4948daab01ed2a6cb528de8",
     ("fastl1", "graded:64,2,1"):
         "3f658eded3768a28df7e7d342a26192f77df854bfee26a9f6a239f4eb36f235b",
     ("bdf2recombined", "graded:64,1,1"):
-        "9acc1ec55c30aadbbb4615429f1d96d5d79a587025b93d7fe08e4370806a4ea8",
+        "885fb1e6d47d6b92dc0462778e2ade1102cf0addcbd5834d5622c60dcf50eb19",
 }
 
 

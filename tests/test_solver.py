@@ -50,10 +50,10 @@ def test_caputo_power_quadrature_cross_check():
 
 
 def test_caputo_power_domain():
-    with pytest.raises(ValueError):
-        caputo_of_power(0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        caputo_of_power(0.5, 1.0, 0.0)
+    for sigma, t in [(0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, 0.0),
+                     (1.0, math.nan), (1.0, [0.5, math.nan])]:
+        with pytest.raises(ValueError):
+            caputo_of_power(0.5, sigma, t)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -66,6 +66,8 @@ def test_problems_refuse_non_finite_coefficients(bad):
             SingleModeProblem(**data)
     with pytest.raises(ValueError, match="kappa"):
         FDProblem1D(length=1.0, M=4, kappa=bad)
+    with pytest.raises(ValueError, match="length"):
+        FDProblem1D(length=bad, M=4)
 
 
 def test_identity_evolution_when_operator_vanishes():

@@ -47,7 +47,9 @@ def test_omega_array_input():
     assert vals[1] == pytest.approx(1.0 / math.gamma(1.5))
 
 
-@pytest.mark.parametrize("beta,t", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+@pytest.mark.parametrize("beta,t", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                    (math.nan, 1.0), (1.5, math.nan), (math.inf, 2.0),
+                                    (1.5, [1.0, math.nan])])
 def test_omega_domain_errors(beta, t):
     with pytest.raises(ValueError):
         omega(beta, t)
@@ -90,10 +92,9 @@ def test_ml_live_oracle_deep_cancellation():
 
 def test_ml_monotone_in_z():
     for alpha in (0.3, 0.5, 0.9, 1.0):
-        # keep E_alpha(z) ~ exp(z**(1/alpha)) in double range and the series
-        # length under the default term cap
-        z_hi = min(8.0, 0.85 * (2000.0 * alpha / 3.0) ** alpha,
-                   0.9 * 708.0 ** alpha)
+        # keep E_alpha(z) ~ exp(z**(1/alpha)) in double range; z**(1/alpha)
+        # passes 40, where the log series gives way to its asymptotic form
+        z_hi = 0.9 * 708.0 ** alpha
         zs = np.linspace(0.0, z_hi, 30)
         vals = [mittag_leffler(alpha, float(z)) for z in zs]
         assert np.all(np.diff(vals) > 0.0)
@@ -116,14 +117,15 @@ def test_ml_raises_outside_certified_cancellation_range():
 
 
 def test_ml_raises_when_intermediate_terms_overflow():
-    # the alternating terms of E_1(-705) pass e^700: refused by the cheap
-    # bound on the largest term times the term count
+    # the alternating terms of E_1(-705) pass e^700: their rounding noise is
+    # far past the certified precision, so the cancellation refusal applies
     with pytest.raises(NonConvergenceError,
-                       match=r"intermediate terms overflow for alpha=1\.0, z=-705\.0"):
+                       match=r"cancellation for alpha=1\.0, z=-705\.0 exceeds the "
+                             r"certified precision: estimated noise \d\.\d\de\+\d+ >"):
         mittag_leffler(1.0, -705.0)
 
 
-def _ln_terms(alpha, z, count=2001):
+def _ln_terms(alpha, z, count=3001):
     """ln t_k = k ln z - ln Gamma(1 + alpha k), k = 0..count-1, for z > 0."""
     return [k * math.log(z) - math.lgamma(1.0 + alpha * k) for k in range(count)]
 
@@ -134,8 +136,7 @@ def _positive_bound(alpha, z):
 
 
 def test_ml_alpha_one_up_to_the_double_range():
-    # e^705 and e^709 are doubles: summed, not refused, although the largest
-    # term times the term count passes e^708
+    # e^705 and e^709 are doubles: returned, not refused
     for z in (705.0, 709.0):
         assert mittag_leffler(1.0, z) == pytest.approx(
             math.exp(z), rel=_positive_bound(1.0, z))
@@ -143,21 +144,21 @@ def test_ml_alpha_one_up_to_the_double_range():
         mittag_leffler(1.0, 710.0)  # e^710 is past the largest double
 
 
-def test_ml_refuses_a_positive_sum_only_when_it_overflows(monkeypatch):
-    # with 2000 terms the series of E_1(z) runs out of terms (z > 709.56)
-    # before its sum can pass the largest double; with more terms the sum
-    # itself decides
-    monkeypatch.setattr("fracstep.specialfn._MAX_TERMS", 3000)
+def test_ml_refuses_a_positive_sum_only_when_it_overflows():
+    # log DBL_MAX = 709.78: e^709.7 is a double, e^709.8 is not; no term cap
+    # refuses a positive argument first
     assert mittag_leffler(1.0, 709.7) == pytest.approx(
         math.exp(709.7), rel=_positive_bound(1.0, 709.7))
     with pytest.raises(NonConvergenceError,
-                       match=r"intermediate terms overflow for alpha=1\.0, z=709\.8"):
+                       match=r"E_alpha\(z\) exceeds the double range for alpha=1\.0, "
+                             r"z=709\.8"):
         mittag_leffler(1.0, 709.8)
 
 
 @pytest.mark.parametrize("alpha, z", [(1.0, 1.0), (1.0, 10.0), (1.0, 200.0),
                                       (1.0, 690.0), (0.9, 100.0), (0.7, 10.0),
-                                      (0.5, 10.0), (0.3, 3.0), (0.3, 0.1)])
+                                      (0.5, 10.0), (0.3, 3.0), (0.3, 0.1),
+                                      (0.5, 26.0), (0.7, 20.0)])
 def test_ml_positive_relative_accuracy(alpha, z):
     # the docstring's bound against the 40-digit series, summed past the
     # peak until the terms fall 100 below the largest
@@ -172,8 +173,12 @@ def test_ml_positive_relative_accuracy(alpha, z):
 
 
 def test_ml_raises_when_max_terms_too_small():
-    # the terms of E_0.3(10) peak near k = 10**(1/0.3) / 0.3, past 2000
+    # the alternating terms of E_0.3(-10) peak near k = 10**(1/0.3) / 0.3,
+    # past 2000; a positive argument meets no term cap, and E_0.3(10), about
+    # e^2155, is refused only for the double range
     with pytest.raises(NonConvergenceError, match="more than max_terms=2000"):
+        mittag_leffler(0.3, -10.0)
+    with pytest.raises(NonConvergenceError, match="exceeds the double range"):
         mittag_leffler(0.3, 10.0)
 
 
