@@ -41,6 +41,8 @@ stab = check_stability_envelope(table, mesh, res, problem, ctable, pi_A=1.0)
 print("\nreaction-subdiffusion run with kappa = 1 and bounded forcing:")
 print(f"  per-step hypothesis holds: {stab.hypothesis_ok} "
       f"(worst residual {stab.worst_hypothesis_resid:.2e})")
+print(f"  max step {mesh.max_step():.4f} vs step restriction "
+      f"{stab.step_restriction_threshold:.4f}: {stab.step_restriction_ok}")
 print(f"  envelope holds: {stab.envelope_ok} "
       f"(minimal margin {stab.min_envelope_margin:.3f})")
 print(f"  final norm {res.l2_norms[-1]:.4f} vs envelope {stab.envelope[-1]:.4f}")

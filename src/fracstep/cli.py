@@ -199,7 +199,12 @@ def _cmd_solve(args):
     ctable = complementary.build_complementary(table)
     stab = solver.check_stability_envelope(table, mesh, res, problem, ctable, pi_A)
     _write_solve_csv(args.out, mesh, res.l2_norms, None, None, header)
-    if stab.theta_condition_ok and not (stab.hypothesis_ok and stab.envelope_ok):
+    if not stab.step_restriction_ok:  # a valid run whose envelope is not certified
+        print(f"stability envelope not certified: max step {mesh.max_step():.2e} "
+              f"exceeds the step restriction {stab.step_restriction_threshold:.2e}",
+              file=sys.stderr)
+    breached = stab.step_restriction_ok and not stab.envelope_ok
+    if stab.theta_condition_ok and (breached or not stab.hypothesis_ok):
         raise PropertyViolation(
             f"stability audit failed: hypothesis_ok={stab.hypothesis_ok} "
             f"envelope_ok={stab.envelope_ok} "

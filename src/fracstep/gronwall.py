@@ -17,7 +17,7 @@ from .complementary import ComplementaryTable, _check_source
 from .kernels import (KernelTable, _blocks, apply_discrete_derivative,
                       check_same_problem)
 from .mesh import TimeMesh
-from .specialfn import _ml_envelope
+from .specialfn import mittag_leffler
 
 __all__ = [
     "GronwallProblem",
@@ -98,7 +98,9 @@ class GronwallCertificate:
 def step_restriction_threshold(alpha: float, pi_A: float, Lambda: float) -> float:
     """Largest admissible step (2 pi_A Gamma(2-alpha) Lambda)^(-1/alpha);
     inf for Lambda <= 0, and where a tiny Lambda sends the power past the
-    double range."""
+    double range. A NaN Lambda or pi_A is refused (ValueError)."""
+    if math.isnan(Lambda) or math.isnan(pi_A):
+        raise ValueError(f"Lambda={Lambda} and pi_A={pi_A} must not be NaN")
     if Lambda <= 0.0:
         return math.inf
     try:
@@ -115,36 +117,37 @@ def check_step_restriction(mesh: TimeMesh, alpha: float, pi_A: float,
 
 
 def _lemma(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
-           pi_A: float, rho: float, Lambda: float, form: str, v0, g):
-    """Envelope factor, complementary sums S = P g, bound and weak term for
-    data g of shape (N,) or (trials, N) and a start value v0 that broadcasts.
+           pi_A: float, rho: float, Lambda: float, form: str, v0, g,
+           strict: bool = True):
+    """Envelope factor, sums S = P g, bound, weak term and step restriction
+    threshold for data g of shape (N,) or (trials, N) and a v0 that broadcasts.
 
     Positive Lambda: B_n = 2 E_alpha(2 max(1,rho) pi_A Lambda t_n^alpha) *
-    (v0 + running max of S); requires the step restriction. Nonpositive
-    Lambda: the factor drops to 1 and no step restriction is needed (running
-    max for the quadratic form, S itself for the linear one). The weak term
+    (v0 + running max of S). A mesh breaking the step restriction raises
+    StepRestrictionViolatedError before any Mittag-Leffler call, or, with
+    ``strict`` False, gets its bound all the same. Nonpositive Lambda: the
+    factor drops to 1 and no step restriction is needed (running max for the
+    quadratic form, S itself for the linear one). The weak term
     pi_A Gamma(1-alpha) max_j t_j^alpha g^j may replace the sums S.
     """
     check_same_problem(ctable.source, mesh, alpha)
     if pi_A is None or not math.isfinite(pi_A):
-        raise ValueError(f"the Gronwall bound needs a finite pi_A, got {pi_A}")
+        raise ValueError(f"the Gronwall bound needs a finite pi_A, got {pi_A}: "
+                         "a kernel table with no finite pi_A fails A1")
     N = mesh.N
     if g.shape[-1] != N:
         raise ValueError(f"g must have N = {N} entries")
-    if Lambda > 0.0:
-        limit = step_restriction_threshold(alpha, pi_A, Lambda)
-        if not mesh.max_step() <= limit:
-            raise StepRestrictionViolatedError(
-                f"max step {mesh.max_step():.3e} exceeds {limit:.3e}")
-        factor = _ml_envelope(alpha, 2.0 * max(1.0, rho) * pi_A * Lambda,
-                              mesh.nodes[1:])
-    else:
-        factor = np.ones(N)
+    limit = step_restriction_threshold(alpha, pi_A, Lambda)
+    if strict and not mesh.max_step() <= limit:
+        raise StepRestrictionViolatedError(
+            f"max step {mesh.max_step():.3e} exceeds {limit:.3e}")
+    factor = np.ones(N) if Lambda <= 0.0 else 2.0 * mittag_leffler(
+        alpha, 2.0 * max(1.0, rho) * pi_A * Lambda * mesh.nodes[1:] ** alpha)
     S = g @ ctable.P.T  # S_k = sum_{j=1..k} P^(k)_{k-j} g^j
     G = S if Lambda <= 0.0 and form == "linear" else np.maximum.accumulate(S, axis=-1)
     weak_term = pi_A * math.gamma(1.0 - alpha) * np.maximum.accumulate(
         mesh.nodes[1:] ** alpha * g, axis=-1)
-    return factor, S, factor * (v0 + G), weak_term
+    return factor, S, factor * (v0 + G), weak_term, limit
 
 
 def gronwall_bound(problem: GronwallProblem, ctable: ComplementaryTable,
@@ -154,9 +157,9 @@ def gronwall_bound(problem: GronwallProblem, ctable: ComplementaryTable,
     hypothesis (see ``_lemma``); a mesh breaking the step restriction is refused."""
     if problem.g is None:
         raise ValueError("problem.g must be set to evaluate the bound")
-    factor, _, bound, weak_term = _lemma(ctable, mesh, alpha, pi_A, rho,
-                                         problem.Lambda, problem.form,
-                                         problem.v0, problem.g)
+    factor, _, bound, weak_term, _ = _lemma(ctable, mesh, alpha, pi_A, rho,
+                                            problem.Lambda, problem.form,
+                                            problem.v0, problem.g)
     return GronwallCertificate(
         bound_per_step=bound,
         weak_bound_per_step=factor * (problem.v0 + weak_term),
@@ -204,9 +207,9 @@ def _run_trials(ctable, mesh, ktable, problem, trials, rng, form):
              - _lambda_convolution(problem.lambdas, Vth ** power))
     # the data g is the hypothesis slack, so the inequality binds wherever g > 0
     g = np.maximum(0.0, slack / Vth if form == "quadratic" else slack)
-    _, S, B, weak_term = _lemma(ctable, mesh, ktable.alpha, ktable.pi_A,
-                                mesh.max_ratio(), problem.Lambda, form,
-                                V[:, :1], g)
+    _, S, B, weak_term, _ = _lemma(ctable, mesh, ktable.alpha, ktable.pi_A,
+                                   mesh.max_ratio(), problem.Lambda, form,
+                                   V[:, :1], g)
 
     margins = (B - V[:, 1:]) / np.maximum(B, 1.0)
     weak_ok = bool(np.all(weak_term >= S - _TRIAL_TOL * np.maximum(1.0, weak_term)))

@@ -234,7 +234,7 @@ def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
 def soe_eval(approx: SOEApprox, t: float) -> float:
     """Evaluate the exponential sum inside the certified window."""
     t = float(t)
-    if t < approx.delta_t * (1.0 - 1e-12) or t > approx.T * (1.0 + 1e-12):
+    if not approx.delta_t * (1.0 - 1e-12) <= t <= approx.T * (1.0 + 1e-12):  # NaN fails it
         raise OutOfWindowError(
             f"t={t} outside certified window [{approx.delta_t}, {approx.T}]")
     return float(approx.weights @ np.exp(-approx.nodes * t))

@@ -15,10 +15,11 @@ from typing import Callable
 import numpy as np
 
 from .complementary import ComplementaryTable, _check_source
+from .gronwall import _lemma
 from .kernels import KernelTable, build_table, check_same_problem
 from .mesh import TimeMesh, graded_mesh
 from .soe import STEP_BLOCK, SOEApprox, _SOEHistory
-from .specialfn import _ml_envelope, mittag_leffler
+from .specialfn import mittag_leffler
 
 __all__ = [
     "SingleModeProblem",
@@ -395,6 +396,8 @@ class StabilityReport:
     envelope: np.ndarray
     envelope_ok: bool
     min_envelope_margin: float
+    step_restriction_ok: bool = True
+    step_restriction_threshold: float = math.inf
 
 
 def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
@@ -405,23 +408,16 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
 
     Checks the per-step energy hypothesis
         sum_k A^(n)_{n-k} d(|u^k|^2) <= 2 kappa |u^{n-th}|^2 + 2 |u^{n-th}| |psi_n|
-    (asserted only when theta <= theta^(n) for all rows) and the closed-form
-    envelope
-        |u^n| <= 2 E_alpha(4 max(1,rho) pi_A max(kappa, 0) t_n^alpha)
-                 (|u^0| + 2 max_k sum_j P^(k)_{k-j} |psi_j|),
-    which is the kappa = 0 envelope for kappa < 0: that hypothesis implies
-    the kappa = 0 one, and the Gronwall lemma gives no factor below 1.
-    Both are allowed 1e-9 relative for rounding: the hypothesis against
-    max(1, |lhs|, rhs), the envelope against max(1, envelope).
+    (asserted only when theta <= theta^(n) for all rows), then evaluates the
+    quadratic Gronwall lemma (``gronwall._lemma``) with Lambda = 2 kappa,
+    g = 2 |psi_n| and v0 = |u^0|: factor 1 for kappa <= 0. On a mesh that
+    breaks the step restriction, ``envelope_ok`` is False. Both checks allow
+    1e-9 relative for rounding: the hypothesis against max(1, |lhs|, rhs),
+    the envelope against max(1, envelope).
     """
     check_same_problem(ktable, mesh)
-    check_same_problem(ctable.source, mesh, ktable.alpha)
     _check_source(ctable, ktable)
-    if not math.isfinite(pi_A):
-        raise ValueError(f"the stability envelope needs a finite pi_A, got {pi_A}: "
-                         "the kernel table fails A1")
     theta = ktable.theta
-    alpha = ktable.alpha
     h = result.h
     x = result.x
     traj = result.trajectory
@@ -445,20 +441,21 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
     worst = float(np.min((rhs - lhs) / scale))
     hyp_ok = bool(worst >= -_STABILITY_TOL)
 
-    rho = max(1.0, mesh.max_ratio())
-    mu = 4.0 * rho * pi_A * max(problem.kappa, 0.0)
-    factor = _ml_envelope(alpha, mu, mesh.nodes[1:])
-    S = ctable.P @ psi_norms
     norms = math.sqrt(h) * np.linalg.norm(traj, axis=1)
-    envelope = factor * (norms[0] + 2.0 * np.maximum.accumulate(S))
+    _, _, envelope, _, limit = _lemma(
+        ctable, mesh, ktable.alpha, pi_A, mesh.max_ratio(), 2.0 * problem.kappa,
+        "quadratic", norms[0], 2.0 * psi_norms, strict=False)
+    restriction_ok = bool(mesh.max_step() <= limit)
     margins = (envelope - norms[1:]) / np.maximum(envelope, 1.0)
     return StabilityReport(
         theta_condition_ok=theta_ok,
         hypothesis_ok=hyp_ok,
         worst_hypothesis_resid=float(worst),
         envelope=envelope,
-        envelope_ok=bool(margins.min() >= -_STABILITY_TOL),
+        envelope_ok=restriction_ok and bool(margins.min() >= -_STABILITY_TOL),
         min_envelope_margin=float(margins.min()),
+        step_restriction_ok=restriction_ok,
+        step_restriction_threshold=limit,
     )
 
 

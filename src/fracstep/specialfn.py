@@ -138,12 +138,6 @@ def _ml_contour(alpha: float, x: np.ndarray) -> np.ndarray:
     return (_CONTOUR_W * (sa / _CONTOUR_S) / (sa + x[:, None])).sum(axis=1).real
 
 
-def _ml_envelope(alpha: float, mu: float, t) -> np.ndarray:
-    """2 E_alpha(mu t^alpha) at each time in ``t``: the Gronwall and stability
-    envelope factor."""
-    return 2.0 * mittag_leffler(alpha, mu * np.asarray(t, dtype=float) ** alpha)
-
-
 def mittag_leffler(alpha: float, z):
     """E_alpha(z) = sum_k z**k / Gamma(1 + k*alpha) for alpha in (0, 1].
 

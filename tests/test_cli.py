@@ -177,14 +177,30 @@ def test_solve_fd1d_stability_exit(capsys):
 def test_solve_fd1d_envelope_of_a_long_positive_series(capsys, scheme):
     # the stability envelope reaches z = 4.93 (alikhanov) and 4.96 (bdf2):
     # E_0.3 of these is about e^205 and e^209, whose series peak near k = 680
-    # and 694, past the 2000 terms the negative axis allows
+    # and 694, past the 2000 terms the negative axis allows. The max step,
+    # 0.0816, breaks the step restriction, so the envelope is not certified.
     code, out, err = run(capsys, "solve", "--problem", "fd1d", "--scheme", scheme,
                          "--mesh", "graded:24,2,1", "--alpha", "0.3", "--M", "12",
                          "--kappa", "0.5")
-    assert (code, err) == (0, "")
+    threshold = {"alikhanov": "4.69e-03", "bdf2": "6.61e-03"}[scheme]
+    assert (code, err) == (0, "stability envelope not certified: max step "
+                              f"8.16e-02 exceeds the step restriction {threshold}\n")
     rows = [l.split(",") for l in out.splitlines() if l[:1].isdigit()]
     assert [int(r[0]) for r in rows] == list(range(25))
     assert all(math.isfinite(float(r[2])) for r in rows)
+
+
+def test_solve_fd1d_reports_a_broken_step_restriction(capsys):
+    # Lambda = 2 kappa = 2 admits steps up to 1/(4 pi) = 0.0796; this mesh
+    # steps 0.125. The run is valid, so its body is written and it exits 0,
+    # but its envelope is reported as not certified.
+    code, out, err = run(capsys, "solve", "--problem", "fd1d", "--scheme", "l1",
+                         "--mesh", "graded:8,1,1", "--alpha", "0.5", "--M", "16",
+                         "--kappa", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "7d49abbc80d6f4ad1c3f7289ec0ce08a1746f7bc94588ea0a95787c97679d689"
+    assert "not certified" in err and "7.96e-02" in err and "1.25e-01" in err
 
 
 @pytest.mark.parametrize("scheme,mesh,alpha,M,kappa", [

@@ -34,6 +34,23 @@ def test_restriction_vacuous_for_nonpositive_constant():
     assert step_restriction_threshold(0.5, 0.1, 5e-324) == math.inf
 
 
+@pytest.mark.parametrize("pi_A,Lambda", [(1.0, math.nan), (math.nan, 1.0),
+                                         (math.nan, -1.0)])
+def test_threshold_refuses_nan(pi_A, Lambda):
+    # a NaN threshold would fail every comparison without saying why
+    with pytest.raises(ValueError, match="NaN"):
+        step_restriction_threshold(0.5, pi_A, Lambda)
+    with pytest.raises(ValueError, match="NaN"):
+        check_step_restriction(uniform_mesh(4, 1.0), 0.5, pi_A, Lambda)
+
+
+def test_threshold_of_infinite_constants_is_zero():
+    assert step_restriction_threshold(0.5, math.inf, 1.0) == 0.0
+    assert step_restriction_threshold(0.5, 1.0, math.inf) == 0.0
+    assert step_restriction_threshold(0.5, math.inf, -1.0) == math.inf
+
+
+
 def test_restriction_comparison():
     mesh = uniform_mesh(100, 1.0)  # tau = 0.01
     assert check_step_restriction(mesh, 0.5, 1.0, 2.0)

@@ -106,6 +106,13 @@ def test_eval_endpoints_and_window(store):
         soe_eval(approx, 1.5)
 
 
+def test_eval_refuses_nan(store):
+    # NaN fails both window comparisons, so it once skipped the check silently
+    with pytest.raises(OutOfWindowError):
+        soe_eval(store.soe(**STD), math.nan)
+
+
+
 def test_eval_monotone_decreasing(store):
     approx = store.soe(**STD)
     ts = np.geomspace(1e-3, 1.0, 50)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -8,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from fracstep.complementary import build_complementary
+from fracstep.gronwall import GronwallProblem, gronwall_bound
 from fracstep.kernels import (KernelTable, alikhanov_kernel, fast_l1_kernel,
                               l1_kernel)
 from fracstep.mesh import graded_mesh, uniform_mesh
@@ -372,7 +374,8 @@ def test_estimate_order_examples():
 
 
 def test_damped_stability_envelope_is_the_kappa_zero_one():
-    # kappa < 0 gives no factor below 1: the envelope is 2 (|u^0| + 2 max_k S_k)
+    # kappa < 0 is the lemma's Lambda <= 0 branch: factor 1, the envelope is
+    # the kappa = 0 bound |u^0| + 2 max_k S_k
     mesh = graded_mesh(32, 2.0, 1.0)
     table = l1_kernel(mesh, 0.5)
     ctable = build_complementary(table)
@@ -386,9 +389,54 @@ def test_damped_stability_envelope_is_the_kappa_zero_one():
     psi_norms = np.array([math.sqrt(res.h) * np.linalg.norm(problem.psi(res.x, t))
                           for t in t_off])
     u0_norm = math.sqrt(res.h) * np.linalg.norm(res.trajectory[0])
-    expected = 2.0 * (u0_norm + 2.0 * np.maximum.accumulate(ctable.P @ psi_norms))
-    assert np.array_equal(rep.envelope, expected)
-    assert rep.envelope_ok and rep.hypothesis_ok
+    cert = gronwall_bound(GronwallProblem(lambdas=np.zeros(mesh.N), g=2.0 * psi_norms,
+                                          v0=u0_norm, Lambda=0.0),
+                          ctable, mesh, 0.5, 1.0, mesh.max_ratio())
+    assert np.array_equal(rep.envelope, cert.bound_per_step)
+    assert rep.envelope_ok and rep.hypothesis_ok and rep.step_restriction_ok
+
+
+def test_stability_envelope_factor_is_one_at_kappa_zero():
+    # norms above the factor-1 envelope but below twice it: the factor 2 the
+    # audit once applied at kappa <= 0 certified them
+    mesh = graded_mesh(32, 2.0, 1.0)
+    table = l1_kernel(mesh, 0.5)
+    ctable = build_complementary(table)
+    problem = FDProblem1D(
+        length=1.0, M=16, kappa=0.0,
+        psi=lambda x, t: np.sin(math.pi * x) * (1.0 + t),
+        u0=lambda x: np.sin(math.pi * x))
+    res = solve_fd1d(problem, mesh, table)
+    env = check_stability_envelope(table, mesh, res, problem, ctable, 1.0).envelope
+    norms = math.sqrt(res.h) * np.linalg.norm(res.trajectory[1:], axis=1)
+    traj = res.trajectory.copy()
+    scale = 1.5 * np.min(env / norms)
+    traj[1:] *= scale
+    assert np.all(scale * norms < 2.0 * env)
+    scaled = dataclasses.replace(res, trajectory=traj)
+    rep = check_stability_envelope(table, mesh, scaled, problem, ctable, 1.0)
+    assert np.array_equal(rep.envelope, env)
+    assert rep.min_envelope_margin < -0.1
+    assert rep.step_restriction_ok and not rep.envelope_ok
+
+
+def test_stability_envelope_reports_a_broken_step_restriction():
+    # max step 0.125 against (2 pi_A Gamma(3/2) 2 kappa)^-2 = 1/(4 pi) = 0.0796:
+    # the envelope is evaluated, not certified
+    mesh = graded_mesh(8, 1.0, 1.0)
+    table = l1_kernel(mesh, 0.5)
+    problem = FDProblem1D(
+        length=1.0, M=16, kappa=1.0,
+        psi=lambda x, t: np.sin(math.pi * x) * np.cos(2.0 * t),
+        u0=lambda x: np.sin(math.pi * x))
+    res = solve_fd1d(problem, mesh, table)
+    rep = check_stability_envelope(table, mesh, res, problem,
+                                   build_complementary(table), pi_A=1.0)
+    assert rep.step_restriction_threshold == pytest.approx(1.0 / (4.0 * math.pi),
+                                                           rel=1e-14)
+    assert not rep.step_restriction_ok and not rep.envelope_ok
+    assert rep.hypothesis_ok and rep.min_envelope_margin > 0.0
+    assert np.all(np.isfinite(rep.envelope))
 
 
 def test_stability_envelope_fd(store):
