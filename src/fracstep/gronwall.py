@@ -17,7 +17,7 @@ from .complementary import ComplementaryTable, _check_source
 from .kernels import (KernelTable, _blocks, apply_discrete_derivative,
                       check_same_problem)
 from .mesh import TimeMesh
-from .specialfn import mittag_leffler
+from .specialfn import _check_alpha, mittag_leffler
 
 __all__ = [
     "GronwallProblem",
@@ -98,7 +98,9 @@ class GronwallCertificate:
 def step_restriction_threshold(alpha: float, pi_A: float, Lambda: float) -> float:
     """Largest admissible step (2 pi_A Gamma(2-alpha) Lambda)^(-1/alpha);
     inf for Lambda <= 0, and where a tiny Lambda sends the power past the
-    double range. A NaN Lambda or pi_A is refused (ValueError)."""
+    double range. A NaN Lambda or pi_A, or alpha outside (0, 1], is refused
+    (ValueError)."""
+    alpha = _check_alpha(alpha)
     if math.isnan(Lambda) or math.isnan(pi_A):
         raise ValueError(f"Lambda={Lambda} and pi_A={pi_A} must not be NaN")
     if Lambda <= 0.0:

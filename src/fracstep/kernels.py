@@ -398,7 +398,7 @@ def check_same_problem(table: KernelTable, mesh: TimeMesh,
     given, at ``alpha``), so no audit certifies another problem's table."""
     if not np.array_equal(mesh.nodes, table.mesh.nodes):
         raise ValueError("mesh differs from the mesh the table was built on")
-    if alpha is not None and abs(float(alpha) - table.alpha) > 1e-15:
+    if alpha is not None and not abs(float(alpha) - table.alpha) <= 1e-15:  # or NaN
         raise ValueError(
             f"alpha={alpha} differs from the table's alpha={table.alpha}")
 

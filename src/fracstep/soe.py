@@ -249,7 +249,7 @@ def _soe_for_mesh(alpha: float, eps: float, mesh) -> SOEApprox:
 def _check_certified(approx: SOEApprox, mesh, alpha: float) -> None:
     """Raise SOENotCertifiedError unless ``approx`` meets the conditions of
     fast L1 (see ``kernels.fast_l1_kernel``) at ``alpha`` on ``mesh``."""
-    if abs(approx.alpha - alpha) > 1e-15:
+    if not abs(approx.alpha - alpha) <= 1e-15:  # or NaN
         raise SOENotCertifiedError(
             f"approximation built for alpha={approx.alpha}, consumer wants {alpha}")
     if approx.delta_t > mesh.tau.min() * (1.0 + 1e-12):

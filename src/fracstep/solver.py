@@ -410,8 +410,9 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
         sum_k A^(n)_{n-k} d(|u^k|^2) <= 2 kappa |u^{n-th}|^2 + 2 |u^{n-th}| |psi_n|
     (asserted only when theta <= theta^(n) for all rows), then evaluates the
     quadratic Gronwall lemma (``gronwall._lemma``) with Lambda = 2 kappa,
-    g = 2 |psi_n| and v0 = |u^0|: factor 1 for kappa <= 0. On a mesh that
-    breaks the step restriction, ``envelope_ok`` is False. Both checks allow
+    g = 2 |psi_n| and v0 = |u^0|: factor 1 for kappa <= 0, against the
+    run's stored ``l2_norms``. On a mesh that breaks the step restriction,
+    ``envelope_ok`` is False. Both checks allow
     1e-9 relative for rounding: the hypothesis against max(1, |lhs|, rhs),
     the envelope against max(1, envelope).
     """
@@ -441,7 +442,7 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
     worst = float(np.min((rhs - lhs) / scale))
     hyp_ok = bool(worst >= -_STABILITY_TOL)
 
-    norms = math.sqrt(h) * np.linalg.norm(traj, axis=1)
+    norms = result.l2_norms
     _, _, envelope, _, limit = _lemma(
         ctable, mesh, ktable.alpha, pi_A, mesh.max_ratio(), 2.0 * problem.kappa,
         "quadratic", norms[0], 2.0 * psi_norms, strict=False)

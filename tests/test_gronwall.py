@@ -34,6 +34,15 @@ def test_restriction_vacuous_for_nonpositive_constant():
     assert step_restriction_threshold(0.5, 0.1, 5e-324) == math.inf
 
 
+@pytest.mark.parametrize("alpha", [0.0, math.nan, -0.5, 1.5])
+def test_threshold_refuses_alpha_outside_unit_interval(alpha):
+    # alpha = 0 once read as "no restriction" (inf); the others gave numbers
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        step_restriction_threshold(alpha, 1.0, 2.0)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        step_restriction_threshold(alpha, 1.0, 0.0)
+
+
 @pytest.mark.parametrize("pi_A,Lambda", [(1.0, math.nan), (math.nan, 1.0),
                                          (math.nan, -1.0)])
 def test_threshold_refuses_nan(pi_A, Lambda):

@@ -10,10 +10,10 @@ from scipy.integrate import quad
 
 from fracstep.complementary import build_complementary
 from fracstep.gronwall import GronwallProblem, gronwall_bound
-from fracstep.kernels import (KernelTable, alikhanov_kernel, fast_l1_kernel,
-                              l1_kernel)
+from fracstep.kernels import (KernelTable, alikhanov_kernel, check_same_problem,
+                              fast_l1_kernel, l1_kernel)
 from fracstep.mesh import graded_mesh, uniform_mesh
-from fracstep.soe import SOENotCertifiedError, _soe_for_mesh
+from fracstep.soe import SOENotCertifiedError, _check_certified, _soe_for_mesh
 from fracstep.solver import (
     DegenerateKernelError,
     FDProblem1D,
@@ -171,6 +171,23 @@ def test_solvers_refuse_an_uncertified_compression(store):
                           fitted)
     with pytest.raises(SOENotCertifiedError, match="horizon"):
         solve_single_mode(problem, graded_mesh(64, 3.0, 2.0), fitted)
+
+
+def test_same_problem_checks_refuse_a_nan_alpha(store):
+    # |nan - alpha| > 1e-15 is False: both checks must refuse NaN, not pass it
+    mesh = graded_mesh(16, 2.0, 1.0)
+    table = l1_kernel(mesh, 0.5)
+    with pytest.raises(ValueError, match="alpha=nan differs"):
+        check_same_problem(table, mesh, math.nan)
+    with pytest.raises(ValueError, match="alpha=nan differs"):
+        solve_single_mode(SingleModeProblem(alpha=math.nan, lambda_L=1.0), mesh,
+                          table, exact=lambda t: 1.0)
+    fitted = store.soe(0.5, 1e-8, float(mesh.tau.min()), mesh.T)
+    with pytest.raises(SOENotCertifiedError, match="consumer wants nan"):
+        _check_certified(fitted, mesh, math.nan)
+    with pytest.raises(SOENotCertifiedError, match="consumer wants nan"):
+        solve_single_mode(SingleModeProblem(alpha=math.nan, lambda_L=1.0), mesh,
+                          fitted)
 
 
 def test_smooth_orders():
@@ -413,7 +430,9 @@ def test_stability_envelope_factor_is_one_at_kappa_zero():
     scale = 1.5 * np.min(env / norms)
     traj[1:] *= scale
     assert np.all(scale * norms < 2.0 * env)
-    scaled = dataclasses.replace(res, trajectory=traj)
+    # the audit reads the stored norms, so they are scaled with the trajectory
+    scaled = dataclasses.replace(res, trajectory=traj,
+                                 l2_norms=math.sqrt(res.h) * np.linalg.norm(traj, axis=1))
     rep = check_stability_envelope(table, mesh, scaled, problem, ctable, 1.0)
     assert np.array_equal(rep.envelope, env)
     assert rep.min_envelope_margin < -0.1

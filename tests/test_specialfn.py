@@ -172,14 +172,52 @@ def test_ml_positive_relative_accuracy(alpha, z):
     assert rel <= _positive_bound(alpha, z), rel
 
 
-def test_ml_raises_when_max_terms_too_small():
+def test_ml_gate_refuses_what_max_terms_refused():
     # the alternating terms of E_0.3(-10) peak near k = 10**(1/0.3) / 0.3,
-    # past 2000; a positive argument meets no term cap, and E_0.3(10), about
-    # e^2155, is refused only for the double range
-    with pytest.raises(NonConvergenceError, match="more than max_terms=2000"):
+    # past the 2000 the former series took; their absolute values sum to
+    # E_0.3(10), about e^2155, far past the gate of e^35. E_0.3(10) itself is
+    # refused only for the double range
+    with pytest.raises(NonConvergenceError,
+                       match=r"cancellation for alpha=0\.3, z=-10\.0 exceeds the "
+                             r"certified precision"):
         mittag_leffler(0.3, -10.0)
     with pytest.raises(NonConvergenceError, match="exceeds the double range"):
         mittag_leffler(0.3, 10.0)
+
+
+def test_ml_refusal_never_prints_inf():
+    # log E_0.5(1e200) leaves the double range, and so would its noise
+    for alpha, z in [(0.5, -1e200), (1.0, -1e300), (0.3, -10.0)]:
+        with pytest.raises(NonConvergenceError) as info:
+            mittag_leffler(alpha, z)
+        assert "inf" not in str(info.value)
+        assert str(info.value).startswith(
+            f"cancellation for alpha={alpha}, z={z} exceeds the certified precision")
+
+
+def test_ml_small_alpha_past_the_former_term_cap():
+    # 2000 terms of E_0.01(-1) did not reach the end of its series; the
+    # contour needs none
+    assert abs(mittag_leffler(0.01, -1.0) - _oracle(0.01, -1.0)) <= 1e-14
+
+
+def test_ml_near_one_keeps_the_last_bits():
+    # the contour sums E_alpha(-x) - 1 and adds the 1 exactly: the plain sum
+    # of s^(alpha-1) / (s^alpha + x) errs by up to 7.4e-15 here
+    for alpha in (0.05, 0.3, 0.5, 0.9, 1.0):
+        xs = np.geomspace(1e-8, 1e-2, 9)
+        got = mittag_leffler(alpha, -xs)
+        ref = np.array([_oracle(alpha, -x) for x in xs])
+        err = np.abs(got - ref)
+        assert err.max() <= 4.4e-16, (alpha, xs[err.argmax()], err.max())
+
+
+@pytest.mark.parametrize("alpha, z", [(0.074, -1.2923), (0.5, -5.742),
+                                      (1.0, -33.32)])
+def test_ml_former_extreme_accepted_points(alpha, z):
+    # the largest |z| the series-and-contour path accepted at these alpha;
+    # 0.074 had the largest log E_alpha(|z|), 34.62, under the gate of 35
+    assert abs(mittag_leffler(alpha, z) - _oracle(alpha, z)) <= 1e-14
 
 
 def test_ml_rejects_bad_alpha():
@@ -255,16 +293,16 @@ def _oracle(alpha, z):
     """mpmath_ml with enough digits to absorb the cancellation and enough
     terms to pass the peak and fall below 1e-30."""
     ln_abs = math.log(abs(z))
-    ln_t = [k * ln_abs - math.lgamma(1.0 + alpha * k) for k in range(1, 5000)]
+    ln_t = [k * ln_abs - math.lgamma(1.0 + alpha * k) for k in range(1, 20000)]
     peak = int(np.argmax(ln_t))
     terms = next(k for k in range(peak, len(ln_t)) if ln_t[k] < -70.0) + 2
     return float(mpmath_ml(alpha, z, dps=30 + int(max(ln_t) / 2.3), terms=terms))
 
 
 def test_ml_array_matches_oracle_up_to_refusal_edge():
-    # x runs from the series band through the whole cancellation band the
-    # contour serves, up to the refusal edge
-    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0):
+    # x runs up to the refusal edge, past the 2000 terms the former series
+    # took at alpha = 0.01
+    for alpha in (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0):
         edge = _refusal_edge(alpha)
         xs = np.linspace(0.05, edge, 10)
         got = mittag_leffler(alpha, -xs)
@@ -368,8 +406,8 @@ def test_log_is_libm_log_bit_for_bit():
 
 
 def test_lgamma_grids_are_cached_read_only_libm_values():
-    grid = _lgamma_grid(0.37, 1, 65)
-    assert grid is _lgamma_grid(0.37, 1, 65)
+    grid = _lgamma_grid(0.37, 65)
+    assert grid is _lgamma_grid(0.37, 65)
     assert _lgamma_grid.cache_info().maxsize is not None
     assert not grid.flags.writeable
-    assert grid.tolist() == [math.lgamma(1.0 + 0.37 * k) for k in range(1, 66)]
+    assert grid.tolist() == [math.lgamma(1.0 + 0.37 * k) for k in range(65)]
