@@ -13,7 +13,6 @@ from fracstep import (
     l1_kernel,
     soe_eval,
     solve_single_mode,
-    solve_single_mode_fast,
     uniform_mesh,
 )
 from fracstep.specialfn import omega
@@ -36,7 +35,7 @@ for N in (128, 256, 512):
     mesh = uniform_mesh(N, T)
     problem = SingleModeProblem(alpha=alpha, lambda_L=1.0)
     direct = solve_single_mode(problem, mesh, l1_kernel(mesh, alpha))
-    fast = solve_single_mode_fast(problem, mesh, approx)
+    fast = solve_single_mode(problem, mesh, approx)
     drift = float(np.max(np.abs(direct.us - fast.us)))
     print(f"{N:>6} {drift:>12.2e} {approx.Nq:>11}")
 print("The state size never grows with N; that is the entire point.")

@@ -108,7 +108,8 @@ def _ml_contour(alpha: float, x: np.ndarray) -> np.ndarray:
     """E_alpha(-x) for x > 0 as 1 - x sum W / (S (S^alpha + x)): the contour
     sum of s^(alpha-1) / (s^alpha + x) = 1/s - x / (s (s^alpha + x)) with
     (1/2 pi i) int e^s / s ds = 1 taken exactly, so a value near 1 keeps its
-    last bits. No alternating terms, so no cancellation."""
+    last bits. No alternating terms, so no cancellation. Clipped to [0, 1],
+    the range of E_alpha(-x), which never adds error."""
     sa = _CONTOUR_S ** alpha
     out = np.empty(len(x))
     step = _BLOCK_ENTRIES // len(sa)
@@ -116,7 +117,44 @@ def _ml_contour(alpha: float, x: np.ndarray) -> np.ndarray:
         xb = x[r0:r0 + step]
         terms = _CONTOUR_W / (_CONTOUR_S * (sa + xb[:, None]))
         out[r0:r0 + step] = 1.0 - xb * terms.sum(axis=1).real
-    return out
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _front(alpha, z):
+    """alpha checked, z as an array, z flattened in C order and log
+    E_alpha(|z|) of every element: the one pass both public functions share."""
+    alpha = _check_alpha(alpha)
+    z_arr = np.asarray(z, dtype=float)
+    flat = z_arr.ravel()
+    return alpha, z_arr, flat, _log_ml(alpha, np.abs(flat))
+
+
+def _accepted(alpha: float, z_arr, log_abs, out, ok, log: bool):
+    """``out`` shaped as ``z_arr`` (a float for a scalar) if ``ok`` holds for
+    every element, else the refusal of the first element in C order where it
+    does not: ValueError for a non-finite z (or z < 0 for log E), and
+    NonConvergenceError for a series too long (log_abs nan), a value past the
+    double range (z >= 0) or the gate (z < 0)."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        z, log_e = float(z_arr.flat[i]), log_abs[i]
+        if log and z < 0.0:
+            raise ValueError("log_mittag_leffler requires z >= 0")
+        if not math.isfinite(z):
+            raise ValueError(f"z must be finite, got {z}")
+        if math.isnan(log_e):
+            raise NonConvergenceError(f"series too long for alpha={alpha}, z={z}")
+        if z >= 0.0:
+            raise NonConvergenceError(f"{'log ' if log else ''}E_alpha(z) exceeds "
+                                      f"the double range for alpha={alpha}, z={z}")
+        # abs_tol E_alpha(|z|) / e^35 passes abs_tol where the gate does; never inf
+        with np.errstate(over="ignore"):
+            noise = _ABS_TOL * np.exp(log_e - _MAX_LOG_ABS)
+        noise = f"{noise:.2e}" if noise < math.inf else "past the double range"
+        raise NonConvergenceError(
+            f"cancellation for alpha={alpha}, z={z} exceeds the certified precision: "
+            f"estimated noise {noise} > abs_tol {_ABS_TOL:.2e}")
+    return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
 def mittag_leffler(alpha: float, z):
@@ -137,65 +175,30 @@ def mittag_leffler(alpha: float, z):
     z = 10 and 2.9e-13 at alpha = 0.9, z = 300.
 
     A negative argument E_alpha(-x) is a trapezoid sum on a parabolic
-    Bromwich contour, certified to 1e-14 absolute (2.2e-16 for x <= 1e-2);
-    where E_alpha(-x) is tiny, no relative digits are promised.
-    Its alternating series has absolute terms that sum to E_alpha(x), so
-    log E_alpha(x) measures its cancellation: where it exceeds 35 the
-    argument is refused (NonConvergenceError) rather than given unverified
-    digits, as is one whose log E_alpha(x) series is too long. The edge lies
-    at x = 5.857 for alpha = 0.5, 35.0 for alpha = 1 and 1.035 for
+    Bromwich contour, certified to 1e-14 absolute (2.2e-16 for x <= 1e-2)
+    and clipped to [0, 1]; where E_alpha(-x) is tiny, no relative digits are
+    promised. Its alternating series has absolute terms that sum to
+    E_alpha(x), so log E_alpha(x) measures its cancellation: where it exceeds
+    35 the argument is refused (NonConvergenceError) rather than given
+    unverified digits, as is one whose log E_alpha(x) series is too long. The
+    edge lies at x = 5.857 for alpha = 0.5, 35.0 for alpha = 1 and 1.035 for
     alpha = 0.01. These settings are fixed.
     """
-    alpha = _check_alpha(alpha)
-    z_arr = np.asarray(z, dtype=float)
-    flat = z_arr.ravel()
-    out = np.ones(flat.shape)
-    errors = []  # (C-order index, exception) of the first failure per kind
-    nonfinite = np.flatnonzero(~np.isfinite(flat))
-    if len(nonfinite):
-        i = nonfinite[0]
-        errors.append((i, ValueError(f"z must be finite, got {float(flat[i])}")))
-    pos = np.flatnonzero(np.isfinite(flat) & (flat > 0.0))
-    if len(pos):
-        with np.errstate(over="ignore"):
-            out[pos] = np.exp(_log_ml(alpha, flat[pos]))
-        bad = pos[~np.isfinite(out[pos])]
-        if len(bad):
-            errors.append((bad[0], _log_ml_error(
-                "E_alpha(z)", alpha, float(flat[bad[0]]), out[bad[0]])))
-    neg = np.flatnonzero(np.isfinite(flat) & (flat < 0.0))
-    if len(neg):
-        x = -flat[neg]
-        log_abs = _log_ml(alpha, x)
-        ok = log_abs <= _MAX_LOG_ABS  # False for nan
-        out[neg[ok]] = _ml_contour(alpha, x[ok])
-        bad = np.flatnonzero(~ok)
-        if len(bad):
-            i = bad[0]
-            errors.append((neg[i], _ml_error(alpha, float(flat[neg[i]]), log_abs[i])))
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
-
-
-def _ml_error(alpha: float, z: float, log_abs: float) -> NonConvergenceError:
-    """The refusal of E_alpha(z < 0) whose log E_alpha(|z|) is ``log_abs``.
-    The noise quoted is abs_tol E_alpha(|z|) / e^35, which passes abs_tol
-    where the gate does; past the double range it is not printed as inf."""
-    if math.isnan(log_abs):
-        return _log_ml_error("E_alpha(z)", alpha, z, log_abs)
+    alpha, z_arr, flat, log_abs = _front(alpha, z)
+    neg = flat < 0.0
     with np.errstate(over="ignore"):
-        noise = _ABS_TOL * np.exp(log_abs - _MAX_LOG_ABS)
-    noise = f"{noise:.2e}" if noise < math.inf else "past the double range"
-    return NonConvergenceError(
-        f"cancellation for alpha={alpha}, z={z} exceeds the certified precision: "
-        f"estimated noise {noise} > abs_tol {_ABS_TOL:.2e}")
+        out = np.exp(log_abs)
+    ok = np.isfinite(flat) & np.where(neg, log_abs <= _MAX_LOG_ABS, out < math.inf)
+    gated = neg & ok
+    if gated.any():
+        out[gated] = _ml_contour(alpha, -flat[gated])
+    return _accepted(alpha, z_arr, log_abs, out, ok, log=False)
 
 
 def _log_ml(alpha: float, z: np.ndarray) -> np.ndarray:
-    """log_mittag_leffler of a 1-D array of finite z >= 0, with inf where
+    """log_mittag_leffler of a 1-D array of z >= 0, with inf where z or
     log E itself leaves the double range and nan where the series would
-    need more than 2**24 terms, in place of the refusals."""
+    need more than 2**24 terms, in place of the refusals (0 for a nan z)."""
     out = np.where(z > 0.0, math.nan, 0.0)  # nan until a row is summed
     with np.errstate(over="ignore"):
         root = z ** (1.0 / alpha)
@@ -232,15 +235,10 @@ def _log_sums(alpha: float, ln_z: np.ndarray, rows: np.ndarray, k_hi: int,
             _log_sums(alpha, ln_z[block][~ok], rows[block][~ok], 2 * k_hi, out)
 
 
-def _log_ml_error(what: str, alpha: float, z: float, value: float):
-    why = ("series too long" if math.isnan(value)
-           else f"{what} exceeds the double range")
-    return NonConvergenceError(f"{why} for alpha={alpha}, z={z}")
-
-
 def log_mittag_leffler(alpha: float, z):
     """log E_alpha(z) for z >= 0, overflow-free; scalar or array ``z``, as
-    mittag_leffler.
+    mittag_leffler, and an array raises what the first failing element in
+    C order would raise.
 
     All series terms are positive, so the sum is evaluated stably in the log
     domain; this covers arguments whose value exceeds the double range, as
@@ -255,17 +253,6 @@ def log_mittag_leffler(alpha: float, z):
     the asymptotic expansion lies below exp(-z**(1/alpha)) relative, and
     where z**(1/alpha) leaves the double range, NonConvergenceError is raised.
     """
-    alpha = _check_alpha(alpha)
-    z_arr = np.asarray(z, dtype=float)
-    flat = z_arr.ravel()
-    bad = np.flatnonzero(~(np.isfinite(flat) & (flat >= 0.0)))
-    if len(bad):
-        zb = flat[bad[0]]
-        raise ValueError("log_mittag_leffler requires z >= 0" if zb < 0.0
-                         else f"z must be finite, got {float(zb)}")
-    out = _log_ml(alpha, flat)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if len(bad):
-        i = bad[0]
-        raise _log_ml_error("log E_alpha(z)", alpha, float(flat[i]), out[i])
-    return float(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
+    alpha, z_arr, flat, log_abs = _front(alpha, z)
+    ok = np.isfinite(flat) & (flat >= 0.0) & np.isfinite(log_abs)
+    return _accepted(alpha, z_arr, log_abs, log_abs, ok, log=True)

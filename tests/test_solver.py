@@ -10,8 +10,9 @@ from scipy.integrate import quad
 
 from fracstep.complementary import build_complementary
 from fracstep.gronwall import GronwallProblem, gronwall_bound
-from fracstep.kernels import (KernelTable, alikhanov_kernel, check_same_problem,
-                              fast_l1_kernel, l1_kernel)
+from fracstep.kernels import (KernelTable, alikhanov_kernel, build_table,
+                              check_same_problem, fast_l1_kernel, l1_kernel,
+                              verify_assumptions)
 from fracstep.mesh import graded_mesh, uniform_mesh
 from fracstep.soe import SOENotCertifiedError, _check_certified, _soe_for_mesh
 from fracstep.solver import (
@@ -456,6 +457,29 @@ def test_stability_envelope_reports_a_broken_step_restriction():
     assert not rep.step_restriction_ok and not rep.envelope_ok
     assert rep.hypothesis_ok and rep.min_envelope_margin > 0.0
     assert np.all(np.isfinite(rep.envelope))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_stability_envelope_certifies_nothing_without_a1(kappa):
+    # this bdf2 table has a non-positive entry, so it fails A1 and its pi_A
+    # measures infinite: the audit must not hand inf to the Gronwall lemma,
+    # and it reports the envelope as not certified
+    mesh = graded_mesh(16, 2.0, 1.0)
+    table = build_table("bdf2", mesh, 0.95)
+    assert verify_assumptions(table, mesh).a2_pi_estimate == math.inf
+    problem = FDProblem1D(
+        length=1.0, M=4, kappa=kappa,
+        psi=lambda x, t: np.sin(math.pi * x) * np.cos(2.0 * t),
+        u0=lambda x: np.sin(math.pi * x))
+    res = solve_fd1d(problem, mesh, table)
+    ctable = build_complementary(table)
+    rep = check_stability_envelope(table, mesh, res, problem, ctable, math.inf)
+    assert not rep.envelope_ok and not rep.step_restriction_ok
+    assert rep.step_restriction_threshold == 0.0
+    assert np.all(rep.envelope == math.inf) and math.isnan(rep.min_envelope_margin)
+    assert rep.hypothesis_ok
+    with pytest.raises(ValueError, match="finite pi_A"):
+        check_stability_envelope(table, mesh, res, problem, ctable, math.nan)
 
 
 def test_stability_envelope_fd(store):

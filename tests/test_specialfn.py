@@ -1,12 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from fracstep import specialfn
 from fracstep.specialfn import (
+    _MAX_LOG_ABS,
     NonConvergenceError,
     _lgamma_grid,
     _log,
+    _log_ml,
     log_mittag_leffler,
     mittag_leffler,
     omega,
@@ -218,6 +222,62 @@ def test_ml_former_extreme_accepted_points(alpha, z):
     # the largest |z| the series-and-contour path accepted at these alpha;
     # 0.074 had the largest log E_alpha(|z|), 34.62, under the gate of 35
     assert abs(mittag_leffler(alpha, z) - _oracle(alpha, z)) <= 1e-14
+
+
+def test_ml_negative_axis_stays_in_unit_interval():
+    # 0 < E_alpha(-x) <= 1 for alpha in (0, 1]; near the gate at alpha = 1
+    # the contour's absolute error once gave E_1(-33.32) = -2.4e-15. The grid
+    # runs from x = 1e-12 to the gate, refined between its last two points
+    for alpha in np.linspace(0.001, 1.0, 41):
+        xs = np.geomspace(1e-12, 40.0, 200)
+        last = np.flatnonzero(_log_ml(alpha, xs) <= _MAX_LOG_ABS)[-1]
+        edge = np.linspace(xs[last], xs[last + 1], 60)
+        x = np.concatenate([xs[:last + 1], edge[_log_ml(alpha, edge) <= _MAX_LOG_ABS]])
+        got = mittag_leffler(alpha, -x)
+        assert np.all((got >= 0.0) & (got <= 1.0)), (alpha, x[np.argmin(got)])
+    assert mittag_leffler(1.0, -33.32) >= 0.0 and mittag_leffler(1.0, -32.887) >= 0.0
+
+
+def _refusal(f, alpha, z):
+    try:
+        f(alpha, z)
+    except (ValueError, NonConvergenceError) as exc:
+        return exc
+    raise AssertionError(f"{f.__name__}({alpha}, {z!r}) was accepted")
+
+
+# at alpha = 0.5, one argument per refusal kind, and the start of its text;
+# 0.75 stands for a series too long (_log_ml is patched to give nan there),
+# which a real argument reaches only after seconds of summation
+REFUSALS = {
+    mittag_leffler: {
+        math.nan: "z must be finite", math.inf: "z must be finite",
+        -math.inf: "z must be finite", 30.0: "E_alpha(z) exceeds the double range",
+        -10.0: "cancellation", 0.75: "series too long", -0.75: "series too long"},
+    log_mittag_leffler: {
+        math.nan: "z must be finite", math.inf: "z must be finite",
+        -math.inf: "log_mittag_leffler requires z >= 0",
+        -1.0: "log_mittag_leffler requires z >= 0",
+        1e300: "log E_alpha(z) exceeds the double range", 0.75: "series too long"},
+}
+
+
+@pytest.mark.parametrize("f", list(REFUSALS), ids=lambda f: f.__name__)
+def test_arrays_raise_the_first_refusal_in_c_order(f, monkeypatch):
+    # an array raises what its first refused element in C order raises alone,
+    # whatever the kinds of the others and wherever accepted elements sit
+    log_ml = specialfn._log_ml
+    monkeypatch.setattr(specialfn, "_log_ml", lambda alpha, z: np.where(
+        z == 0.75, math.nan, log_ml(alpha, z)))
+    alone = {z: _refusal(f, 0.5, z) for z in REFUSALS[f]}
+    for z, start in REFUSALS[f].items():
+        assert str(alone[z]).startswith(start), (z, alone[z])
+    ok = 0.2 if f is log_mittag_leffler else -0.2
+    for a, b in itertools.permutations(REFUSALS[f], 2):
+        for z in (np.array([0.3, a, ok, b, 1.0]), np.array([[0.3, a], [b, ok]]),
+                  np.asfortranarray([[ok, a], [b, 0.3]])):
+            got = _refusal(f, 0.5, z)
+            assert type(got) is type(alone[a]) and str(got) == str(alone[a]), (a, b)
 
 
 def test_ml_rejects_bad_alpha():
