@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complementary import ComplementaryTable, _check_source
-from .kernels import (KernelTable, _blocks, apply_discrete_derivative,
+from .kernels import (KernelTable, _block_budget, apply_discrete_derivative,
                       check_same_problem)
 from .mesh import TimeMesh
 from .specialfn import _check_alpha, mittag_leffler
@@ -183,11 +183,27 @@ class TrialReport:
 
 def _lambda_convolution(lambdas: np.ndarray, W: np.ndarray) -> np.ndarray:
     """C[:, n-1] = sum_{k=1..n} lambda_{n-k} W[:, k-1] for each trial row: W times
-    the lower-triangular Toeplitz matrix of the lambdas, one row block at a time."""
+    the lower-triangular Toeplitz matrix of the lambdas, multiplied only over
+    its band of lags 0..L, L the last nonzero lambda. Each block of R rows
+    takes its part of the band from one (R, R + L) Toeplitz matrix, R as
+    large as a row block of a table whose rows hold L + 1 entries: two
+    nonzero lambdas cost a few products of width R + 1, a dense lambda the
+    whole triangle."""
+    N = W.shape[1]
+    L = int(np.flatnonzero(lambdas).max(initial=0))
+    budget = _block_budget(L + 1, "table")
+    R = max(1, min(N, (math.isqrt(L * L + 4 * budget) - L) // 2))
+    # band[i, j] = lambda_{L+i-j}, 0 outside lags 0..L: rows r0..r0+R-1 over
+    # columns r0-L..r0+R-1, gathered from the lambdas padded by R - 1 zeros
+    padded = np.zeros(L + 2 * R - 1)
+    padded[R - 1 : R + L] = lambdas[: L + 1]
+    band = padded[np.subtract.outer(np.arange(L + R - 1, L + 2 * R - 1),
+                                    np.arange(R + L))]
     out = np.empty_like(W)
-    for rows, lag in _blocks(W.shape[1]):
-        T = np.where(lag >= 0, lambdas[np.maximum(lag, 0)], 0.0)
-        out[:, rows] = W[:, : rows.stop] @ T.T
+    for r0 in range(0, N, R):
+        r1 = min(N, r0 + R)
+        lo = max(0, r0 - L)
+        out[:, r0:r1] = W[:, lo:r1] @ band[: r1 - r0, lo - r0 + L : r1 - r0 + L].T
     return out
 
 

@@ -45,28 +45,44 @@ class NonUniformMeshError(ValueError):
     """The operation is only defined on uniform meshes."""
 
 
-# Row blocks of an (N, N) table hold at most max(width * N, _BLOCK_FLOOR)
+# Row blocks of an (N, N) table hold at most max(width * N, scale * floor)
 # entries: O(width * N) scratch on large tables, and one or two blocks on small
 # ones, where the fixed numpy cost of a block outweighs its entries. A block of
-# the kernel triangle holds about 11 block-sized temporaries (the quadratic
-# schemes; L1 about 7), one of a table consumer about 3, and one of the CSV
-# formatter about 0.3 kB per entry, some 40 doubles, hence the three widths.
+# the kernel triangle holds at most about 6.4 block-sized arrays at once (the
+# quadratic schemes; L1 about 4.5), one of a table consumer about 3, and one
+# of the CSV formatter about 0.3 kB per entry, some 40 doubles, hence the
+# widths. The triangle's block costs the most numpy calls, so its width and
+# floor are as large as keep its scratch at the 10.5 arrays of 4 N entries
+# (4096 on small tables) that it held before it was evaluated in place.
 _BLOCK_FLOOR = 2 ** 12
-_BLOCK_WIDTH = {"triangle": 4, "table": 32, "csv": 1}
+_BLOCK_WIDTH = {"triangle": 6.5, "table": 32, "csv": 1}
+_FLOOR_SCALE = {"triangle": 1.625, "table": 1, "csv": 1}
 
 
-def _blocks(N: int, kind: str = "table"):
-    """Yield (rows, lag) over the row blocks of a lower-triangular (N, N)
-    table, covering rows 0..N-1 in order. Each block rows = r0..r1-1 is the
-    largest with (r1 - r0) * r1 <= max(_BLOCK_WIDTH[kind] * N, _BLOCK_FLOOR),
-    and never empty; lag[i, k] = r0 + i - k is the lag n - k of the entry in
-    row r0 + i and column k < r1, negative above the diagonal."""
-    budget = max(_BLOCK_WIDTH[kind] * N, _BLOCK_FLOOR)
+def _block_budget(N: int, kind: str) -> int:
+    """Entries a row block of kind ``kind`` may hold in a table of N columns:
+    max(_BLOCK_WIDTH[kind] * N, _FLOOR_SCALE[kind] * _BLOCK_FLOOR)."""
+    return int(max(_BLOCK_WIDTH[kind] * N, _FLOOR_SCALE[kind] * _BLOCK_FLOOR))
+
+
+def _block_rows(N: int, kind: str = "table"):
+    """Yield the row blocks rows = r0..r1-1 of a lower-triangular (N, N)
+    table, covering rows 0..N-1 in order: each is the largest with
+    (r1 - r0) * r1 <= _block_budget(N, kind), and never empty."""
+    budget = _block_budget(N, kind)
     r0 = 0
     while r0 < N:
         r1 = min(N, max(r0 + 1, (r0 + math.isqrt(r0 * r0 + 4 * budget)) // 2))
-        yield slice(r0, r1), np.arange(r0, r1)[:, None] - np.arange(r1)
+        yield slice(r0, r1)
         r0 = r1
+
+
+def _blocks(N: int, kind: str = "table"):
+    """Yield (rows, lag) over ``_block_rows(N, kind)``: lag[i, k] = r0 + i - k
+    is the lag n - k of the entry in row r0 + i and column k < r1, negative
+    above the diagonal."""
+    for rows in _block_rows(N, kind):
+        yield rows, np.arange(rows.start, rows.stop)[:, None] - np.arange(rows.stop)
 
 
 class _LowerTable:
@@ -165,11 +181,18 @@ def _moment_series(alpha: float, b: np.ndarray) -> np.ndarray:
         s += np.multiply(power, a, out=scratch)
 
 
+def _singular_moment(alpha: float, h):
+    """First moment over h^2 of omega_{1-a} over [0, h] about its midpoint,
+    a h^-a / (2 Gamma(3-a)); ``specialfn._singular_average`` is its average."""
+    return alpha / (2.0 * math.gamma(3.0 - alpha)) * h ** -alpha
+
+
 def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray,
-                      moments: bool):
+                      moments: bool, out: np.ndarray | None = None):
     """Average and first moment over h^2 of omega_{1-a} over intervals of
     width h whose NEAR endpoint sits at distance u_lo >= 0 from the
-    evaluation point (1-D arrays of one length):
+    evaluation point (arrays of u_lo's shape, or for h one that broadcasts
+    to it, evaluated elementwise):
       avg = (1/h) int omega_{1-a}(dist) ds,
       mom = (1/h^2) int (s - mid) omega_{1-a}(dist) ds   (None unless ``moments``).
     With u_hi = u_lo + h and b = log1p(h/u_lo)/2, so that e^(2b) = u_hi/u_lo,
@@ -180,28 +203,52 @@ def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray,
     h/u_lo so that the rounding of b, which e^(ab) S(b) b^3 magnifies like
     e^(2b), cancels. Only ratios of distances and powers of one distance
     enter, so a short horizon underflows nothing. At u_lo = 0, avg =
-    h^-a/Gamma(2-a) (``specialfn._singular_average``) and mom = a h^-a /
-    (2 Gamma(3-a)); where (h/2D)^2 < 2^-55, D = u_lo + h/2, avg is
+    h^-a/Gamma(2-a) (``specialfn._singular_average``) and mom =
+    ``_singular_moment``; where (h/2D)^2 < 2^-55, D = u_lo + h/2, avg is
     omega_{1-a}(D), which agrees to half an ulp.
     u_lo must be the exact endpoint distance (0 for the singular interval):
     the slow power decay of the weight makes even 1e-17 of endpoint slop
     visible at the 1e-5 level.
+    ``avg`` is written to ``out`` when given, a contiguous array that may be
+    ``u_lo`` itself (u_lo is not read after the first write to ``out``),
+    and the inputs may be of any one shape. The function keeps
+    its own copy of h, spent before the moment series, so with ``moments``
+    at most six arrays of u_lo's shape are alive at once, ``out`` included
+    (four without): ``avg``, b, mom and the series' three.
     """
-    singular = np.flatnonzero(u_lo == 0.0)
-    flat = np.flatnonzero((0.5 * h / (u_lo + 0.5 * h)) ** 2 < 2.0 ** -55)
+    shape = u_lo.shape
+    u_lo = u_lo.reshape(-1)  # contiguous in the kernel triangle: a view
+    if out is not None:
+        out = out.reshape(-1)
+    h_own = np.empty(shape)
+    h_own[...] = h
+    h = h_own.reshape(-1)
+    singular = (u_lo == 0.0).nonzero()[0]
     u_hi = u_lo + h
+    # (h/2D)^2 < 2^-55 implies h < 2^-26.5 u_hi: test only h < 2^-25 u_hi
+    flat = (h < np.multiply(u_hi, 2.0 ** -25)).nonzero()[0]
+    half = 0.5 * h[flat]
+    flat = flat[(half / (u_lo[flat] + half)) ** 2 < 2.0 ** -55]
+    if flat.size:  # rare: omega's checks cost more than the search
+        flat_avg = omega(1.0 - alpha, u_lo[flat] + 0.5 * h[flat])
     with np.errstate(divide="ignore"):  # u_lo = 0, overwritten below
-        b = h / u_lo
+        b = np.divide(h, u_lo, out=None if moments else out)
+    del u_lo  # from here on its buffer may be out
     np.log1p(b, out=b)  # 2b until halved below
+    avg = np.multiply(b, alpha - 1.0, out=out if moments else b)
+    np.expm1(avg, out=avg)
     decay = u_hi ** -alpha
-    avg = np.expm1((alpha - 1.0) * b, out=None if moments else b)
-    avg *= decay * u_hi  # u_hi^(1-a) with no rounding of 1 - a
-    avg /= h * -math.gamma(2.0 - alpha)
+    # u_hi^(1-a) with no rounding of 1 - a; the moment still needs decay
+    scratch = np.multiply(decay, u_hi, out=None if moments else decay)
+    avg *= scratch
+    avg /= np.multiply(h, -math.gamma(2.0 - alpha), out=scratch)
     avg[singular] = _singular_average(alpha, h[singular])
-    avg[flat] = omega(1.0 - alpha, u_lo[flat] + 0.5 * h[flat])
+    if flat.size:
+        avg[flat] = flat_avg
     if not moments:
-        return avg, None
-    mom = np.expm1(b)
+        return avg.reshape(shape), None
+    at_singular = _singular_moment(alpha, h[singular])
+    mom = np.expm1(b, out=scratch)
     b *= 0.5
     b[singular], mom[singular] = 0.0, 1.0  # overwritten below
     np.divide(b, mom, out=mom)
@@ -209,48 +256,55 @@ def _weight_integrals(alpha: float, u_lo: np.ndarray, h: np.ndarray,
     mom *= np.divide(u_hi, h, out=u_hi)
     mom *= decay
     mom *= np.exp(np.multiply(b, alpha, out=decay), out=decay)
-    del u_hi, decay
+    del h, h_own, u_hi, decay
     mom *= b
     mom *= _moment_series(alpha, b)
     mom *= alpha / math.gamma(2.0 - alpha)
-    mom[singular] = alpha / (2.0 * math.gamma(3.0 - alpha)) * h[singular] ** -alpha
-    return avg, mom
+    mom[singular] = at_singular
+    return avg.reshape(shape), mom.reshape(shape)
 
 
 def _triangle(mesh: TimeMesh, alpha: float, offset: float = 0.0,
               moments: bool = False):
     """Yield (rows, inside, avg, mom) over the kernel triangle, one row block
-    of ``_blocks(N, "triangle")`` at a time; ``inside`` masks its entries k <= n.
+    of ``_block_rows(N, "triangle")`` at a time; ``inside`` masks its entries k <= n.
 
     ``avg`` and ``mom`` have shape (len(rows), rows.stop); entry [n-1-rows.start,
     k-1] holds the _weight_integrals of interval k, [t_{k-1}, min(t_k, t_eval)],
     at t_eval = t_n - offset * tau_n for k <= n (so offset > 0 cuts the closing
-    interval at t_eval), and 0 for k > n. ``mom`` is None unless ``moments``.
-    The values of an entry do not depend on the block it falls in.
+    interval at t_eval), and 0 for k > n. The block's rectangle is evaluated
+    whole: each interval k < n ends at t_k <= t_eval, so its width is tau_k,
+    one row of steps for the whole block. The closing intervals are then set
+    from their own widths, and the entries k > n, evaluated as intervals of
+    width tau_k at distance tau_k, to 0. ``mom`` is None unless
+    ``moments``. The values of an entry do not depend on the block it falls
+    in.
     """
-    t = mesh.nodes
-    t_eval = t[1:] - offset * mesh.tau
-    for rows, lag in _blocks(mesh.N, "triangle"):
+    t, tau = mesh.nodes, mesh.tau
+    t_eval = t[1:] - offset * tau
+    for rows in _block_rows(mesh.N, "triangle"):
         w = rows.stop
+        n = np.arange(rows.start, w)  # 0-based row index = diagonal column
+        inside = np.arange(w) <= n[:, None]
+        above = ~inside[:, rows.start :]  # every k > n is in the last columns
         te = t_eval[rows, None]
-        inside = lag >= 0
-        del lag
-        hi = np.minimum(t[1 : w + 1], te)
-        h = (hi - t[:w])[inside]
-        u_lo = np.subtract(te, hi, out=hi)[inside]
+        u_lo = np.minimum(t[1 : w + 1], te)
+        np.subtract(te, u_lo, out=u_lo)
+        # an entry k > n gets u_lo = h = tau_k, a harmless interval
+        np.copyto(u_lo[:, rows.start :], tau[rows.start : w], where=above)
+        avg, mom = _weight_integrals(alpha, u_lo, tau[:w], moments, out=u_lo)
+        del u_lo
+        closing = (n - rows.start, n)
+        h = te[:, 0] - t[rows]
+        avg[closing] = _singular_average(alpha, h)
+        np.copyto(avg[:, rows.start :], 0.0, where=above)
+        if moments:
+            mom[closing] = _singular_moment(alpha, h)
+            np.copyto(mom[:, rows.start :], 0.0, where=above)
+        yield rows, inside, avg, mom
         # drop each array once spent: the next block's scratch and the
         # consumer's come on top of whatever is still alive here
-        del hi
-        avg_in, mom_in = _weight_integrals(alpha, u_lo, h, moments)
-        del u_lo, h
-        avg = np.zeros(inside.shape)
-        avg[inside] = avg_in
-        mom = None
-        if moments:
-            mom = np.zeros(inside.shape)
-            mom[inside] = mom_in
-        del avg_in, mom_in
-        yield rows, inside, avg, mom
+        del inside, avg, mom
 
 
 def l1_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
@@ -276,33 +330,41 @@ def _quadratic_matrix(mesh: TimeMesh, alpha: float, offset_theta: float,
     """
     t, tau, rho = mesh.nodes, mesh.tau, mesh.rho
     K = np.zeros((mesh.N, mesh.N))
-    for rows, _, avg, mom in _triangle(mesh, alpha, offset_theta, moments=True):
+    # b = 2 moment / (tau_k (tau_k + tau_{k+1})), and rho_k b for increment
+    # k+1, as rows over every column; a block's last column is 0 in mom
+    to_b = np.append(2.0 * tau[:-1] / (tau[:-1] + tau[1:]), 0.0)
+    rho_k = np.append(rho, 0.0)
+    for rows, inside, Kb, mom in _triangle(mesh, alpha, offset_theta,
+                                           moments=True):
+        # Kb holds the averages a until it becomes a - b in place
         w = rows.stop
         n = np.arange(rows.start, w)  # 0-based row index = diagonal column
         diag = (n - rows.start, n)
-        # b = 2 moment / (tau_k (tau_k + tau_{k+1})) from mom and step ratios
-        b = np.zeros_like(mom)
-        b[:, :-1] = mom[:, :-1] * (2.0 * tau[: w - 1] / (tau[: w - 1] + tau[1:w]))
-        b[diag] = 0.0
-        Kb = avg - b
-        Kb[diag] = 0.0
-        Kb[:, 1:] += rho[: w - 1] * b[:, :-1]
+        avg_diag = Kb[diag]
         if last_interval_quadratic:
             q = n[n >= 1]
             cell = (q - rows.start, q)
             b0 = mom[cell] * (2.0 * tau[q] / (tau[q - 1] + tau[q])
                               * (tau[q] / tau[q - 1]))
-            Kb[cell] += avg[cell] + rho[q - 1] * b0
+        mom *= to_b[:w]  # mom becomes b
+        mom[diag] = 0.0
+        Kb -= mom
+        Kb[diag] = 0.0
+        mom *= rho_k[:w]
+        # column k's rho_k b goes to column k+1; each row's last, 0, to the
+        # next row's first
+        Kb.reshape(-1)[1:] += mom.reshape(-1)[:-1]
+        if last_interval_quadratic:
+            Kb[cell] += avg_diag[q - rows.start] + rho[q - 1] * b0
             Kb[cell[0], q - 1] -= b0
             if rows.start == 0:
-                Kb[0, 0] = avg[0, 0]  # the BDF2-like first row is L1's
+                Kb[0, 0] = avg_diag[0]  # the BDF2-like first row is L1's
         else:
             # linear interpolant on [t_{n-1}, t_eval]
             width = (t[n + 1] - offset_theta * tau[n]) - t[n]
-            Kb[diag] += avg[diag] * width / tau[n]
+            Kb[diag] += avg_diag * width / tau[n]
         K[rows, :w] = Kb
-        # spent before _triangle builds the next block
-        del avg, mom, b, Kb
+        del inside, Kb, mom  # spent before _triangle builds the next block
     return K
 
 
@@ -425,10 +487,13 @@ def verify_assumptions(table: KernelTable, mesh: TimeMesh,
         worst = max(worst, float(-low.min()), float(rise.max()))
         a1 = a1 and not (np.any(low <= 0.0) or np.any(rise > slack))
         # integral over [t_{k-1}, t_k] / (tau_k A^(n)_{n-k}), infinite if A <= 0
-        denom = (mesh.tau[:w] * Kb)[inside]
-        ratio = np.divide((avg * mesh.tau[:w])[inside], denom, where=denom > 0.0,
-                          out=np.full_like(denom, math.inf))
-        pi_est = max(pi_est, float(ratio.max()))
+        denom = np.multiply(mesh.tau[:w], Kb)
+        positive = denom > 0.0
+        avg *= mesh.tau[:w]
+        ratio = np.divide(avg, denom, out=avg, where=positive)
+        np.copyto(ratio, math.inf, where=~positive)
+        pi_est = max(pi_est, float(ratio.max(where=inside, initial=0.0)))
+        del avg, ratio, denom  # spent before _triangle builds the next block
     # relative cushion so a claim of exactly pi_A survives last-bit rounding
     holds = None if pi_A_claim is None else bool(
         pi_est <= pi_A_claim * (1.0 + 1e-10))

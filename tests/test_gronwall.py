@@ -6,6 +6,7 @@ import pytest
 from fracstep.gronwall import (
     GronwallProblem,
     StepRestrictionViolatedError,
+    _lambda_convolution,
     check_step_restriction,
     exchange_identity_residual,
     gronwall_bound,
@@ -218,3 +219,24 @@ def test_trials_nonpositive_branch(store):
     for verify in (verify_gronwall_quadratic, verify_gronwall_linear):
         rep = verify(ctable, mesh, ktable, problem, trials=40, rng=9)
         assert rep.violations == 0
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 300])
+@pytest.mark.parametrize("kind", ["zero", "two", "gap", "dense"])
+def test_lambda_convolution_multiplies_only_its_band(N, kind):
+    # the band product against the plain sum over lags, with the last
+    # nonzero lambda at lag 0, 1, 4 or N - 1
+    rng = np.random.default_rng(N)
+    lam = np.zeros(N)
+    if kind == "two":
+        lam[:2] = (0.35, 0.15)[: min(N, 2)]
+    elif kind == "gap":
+        lam[min(N, 5) - 1] = 0.2
+    elif kind == "dense":
+        lam = rng.uniform(0.0, 1.0, N)
+    W = rng.uniform(0.1, 2.0, (7, N))
+    expected = np.zeros_like(W)
+    for lag in range(N):
+        expected[:, lag:] += lam[lag] * W[:, : N - lag]
+    got = _lambda_convolution(lam, W)
+    assert np.allclose(got, expected, rtol=1e-13, atol=0.0)

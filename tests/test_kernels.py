@@ -676,7 +676,8 @@ def test_quadratic_tables_scale_with_the_horizon(build, T):
 
 def test_triangle_blocks_cover_every_row_once():
     for kind, N in itertools.product(kernels._BLOCK_WIDTH, range(1, 601)):
-        cap = max(kernels._BLOCK_WIDTH[kind] * N, kernels._BLOCK_FLOOR)
+        cap = int(max(kernels._BLOCK_WIDTH[kind] * N,
+                      kernels._FLOOR_SCALE[kind] * kernels._BLOCK_FLOOR))
         blocks = list(kernels._blocks(N, kind))
         starts = [b.start for b, _ in blocks]
         assert starts == [0] + [b.stop for b, _ in blocks[:-1]]
@@ -691,6 +692,37 @@ def test_triangle_blocks_cover_every_row_once():
     mesh = graded_mesh(300, 2.0, 1.0)
     assert ([rows for rows, _, _, _ in kernels._triangle(mesh, 0.5)]
             == [rows for rows, _ in kernels._blocks(300, "triangle")])
+
+
+def test_triangle_blocks_are_larger_than_four_n_entries():
+    # evaluated in place, a triangle block holds fewer block-sized arrays,
+    # so it may hold more entries: at most 2/3 of the blocks of the
+    # max(4N, 4096)-entry rule (35 at N = 512, 79 at N = 768)
+    for N, before in ((512, 35), (768, 79)):
+        assert len(list(kernels._blocks(N, "triangle"))) <= before * 2 // 3
+
+
+_EDGE_MESHES = {
+    "uniform1": uniform_mesh(1, 1.0), "uniform2": uniform_mesh(2, 1.0),
+    "uniform300": uniform_mesh(300, 1.0), "graded1": graded_mesh(1, 2.0, 1.0),
+    "graded2": graded_mesh(2, 3.0, 1.0), "graded300_8": graded_mesh(300, 8.0, 1.0),
+    "graded16_1e-250": graded_mesh(16, 2.0, 1e-250),
+    "random300": random_mesh(300, 1.0, seed=11),
+}
+
+
+@pytest.mark.parametrize("scheme,mesh", [
+    (scheme, name) for scheme in ("l1", "alikhanov", "bdf2") for name in _EDGE_MESHES
+] + [("bdf2recombined", "uniform2"), ("bdf2recombined", "uniform300")])
+def test_triangle_is_zero_above_the_diagonal(scheme, mesh):
+    # each block's rectangle is evaluated whole, its entries k > n included,
+    # and those are set to 0; no floating-point warning may escape
+    mesh = _EDGE_MESHES[mesh]
+    for alpha in (0.05, 0.5, 0.95):
+        with np.errstate(all="raise"):
+            K = kernels.build_table(scheme, mesh, alpha).K
+        assert np.all(np.triu(K, 1) == 0.0)
+        assert np.all(np.isfinite(K[np.tril_indices(mesh.N)]))
 
 
 def _one_row_blocks(m):

@@ -95,9 +95,10 @@ def test_audits_refuse_a_table_built_for_another_problem(name):
 # Peak traced allocation of each call, in units of one (N, N) float64 table,
 # outputs included; the tables it reads already exist.
 MEMORY_LIMITS = {
-    "l1_kernel": 1.25,
-    "alikhanov_kernel": 1.25,
-    "bdf2_kernel": 1.25,
+    # the table and one kernel-triangle block, its scratch evaluated in place
+    "l1_kernel": 1.12,
+    "alikhanov_kernel": 1.17,
+    "bdf2_kernel": 1.17,
     # the table and the Nq x N states of its N columns (Nq = 240 at
     # N = 512: about half a table); a fall back to O(N^2 Nq) scratch would
     # take about Nq/2 units
