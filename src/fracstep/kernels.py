@@ -17,7 +17,7 @@ import numpy as np
 from . import _floatrepr
 from .mesh import TimeMesh
 from .soe import SOEApprox, _SOEHistory, _soe_for_mesh
-from .specialfn import _singular_average, omega
+from .specialfn import _check_order, _singular_average, omega
 
 __all__ = [
     "KernelTable",
@@ -142,13 +142,6 @@ class AssumptionReport:
     a2_pi_estimate: float
     pi_A_claim: float | None
     a2_holds_for_claim: bool | None
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {alpha}")
-    return alpha
 
 
 @lru_cache(maxsize=256)
@@ -309,7 +302,7 @@ def _triangle(mesh: TimeMesh, alpha: float, offset: float = 0.0,
 
 def l1_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
     """Piecewise-linear (L1) kernels; theta = 0, lower-bound constant 1."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_order(alpha)
     K = np.zeros((mesh.N, mesh.N))
     # a^(n)_{n-k} = (1/tau_k) int_{t_{k-1}}^{t_k} omega_{1-a}(t_n - s) ds
     for rows, _, avg, _ in _triangle(mesh, alpha):
@@ -374,7 +367,7 @@ def alikhanov_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
     The lower-bound constant 11/4 is guaranteed when all step ratios stay
     at or below 7/4.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_order(alpha)
     theta = alpha / 2.0
     K = _quadratic_matrix(mesh, alpha, theta, last_interval_quadratic=False)
     return KernelTable(K, theta, alpha, "alikhanov", 11.0 / 4.0, mesh)
@@ -386,7 +379,7 @@ def bdf2_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
     Positivity/monotonicity may fail, notably for alpha close to 1; no
     lower-bound constant is claimed.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_order(alpha)
     K = _quadratic_matrix(mesh, alpha, 0.0, last_interval_quadratic=True)
     return KernelTable(K, 0.0, alpha, "bdf2", None, mesh)
 
@@ -401,7 +394,7 @@ def fast_l1_kernel(mesh: TimeMesh, alpha: float, soe: SOEApprox) -> KernelTable:
     eps <= min(omega_{1-a}(T)/3, a * omega_{2-a}(1)) for the 3/2 lower-bound
     constant to hold.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_order(alpha)
     history = _SOEHistory(soe, mesh, alpha, (mesh.N,))
     K = np.empty((mesh.N, mesh.N))
     for n, (row, phi) in enumerate(history, 1):

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specialfn import _singular_average, omega
+from .specialfn import _check_order, _singular_average, omega
 
 __all__ = [
     "SOEApprox",
@@ -169,9 +169,7 @@ def _kernel_cap(alpha: float, T: float) -> float:
 
 def build_soe(alpha: float, eps: float, delta_t: float, T: float) -> SOEApprox:
     """Grow quadrature nodes until the uniform error on [delta_t, T] is <= eps."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = _check_order(alpha)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < delta_t < T < math.inf:

@@ -19,7 +19,7 @@ from .gronwall import _lemma
 from .kernels import KernelTable, build_table, check_same_problem
 from .mesh import TimeMesh, graded_mesh
 from .soe import STEP_BLOCK, SOEApprox, _SOEHistory
-from .specialfn import mittag_leffler
+from .specialfn import _check_order, mittag_leffler
 
 __all__ = [
     "SingleModeProblem",
@@ -172,10 +172,8 @@ def _march(u0, shift, psi, mesh: TimeMesh, kernel, alpha) -> np.ndarray:
 
 def caputo_of_power(alpha: float, sigma: float, t):
     """Memory derivative of t**sigma: Gamma(sigma+1)/Gamma(sigma+1-alpha) * t**(sigma-alpha)."""
-    alpha = float(alpha)
+    alpha = _check_order(alpha)
     sigma = float(sigma)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     t_arr = np.asarray(t, dtype=float)

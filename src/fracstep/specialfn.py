@@ -104,6 +104,15 @@ def _check_alpha(alpha) -> float:
     return alpha
 
 
+def _check_order(alpha) -> float:
+    """The fractional order of a discrete Caputo derivative as a float in
+    (0, 1); NaN is refused."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
+
+
 def _ml_contour(alpha: float, x: np.ndarray) -> np.ndarray:
     """E_alpha(-x) for x > 0 as 1 - x sum W / (S (S^alpha + x)): the contour
     sum of s^(alpha-1) / (s^alpha + x) = 1/s - x / (s (s^alpha + x)) with
@@ -215,7 +224,9 @@ def _log_sums(alpha: float, ln_z: np.ndarray, rows: np.ndarray, k_hi: int,
     k = 0..k_hi, to ``out[rows]`` (``ln_z`` is ln z of each row) for the rows
     whose last term lies 45 below their largest. The others go on to k_hi
     doubled, up to 2**24, block by block, so rows reach their last width in
-    increasing order.
+    increasing order; past the cached widths, a row already past its largest
+    term goes on only if its term at 2**24 lies 45 below that largest, as
+    the widest row would decide.
 
     A row's outcome depends only on its own argument: every row meets the
     same widths in the same order, whatever else is in its block."""
@@ -232,7 +243,15 @@ def _log_sums(alpha: float, ln_z: np.ndarray, rows: np.ndarray, k_hi: int,
         sums = np.exp(ln_t[ok] - m[ok, None]).sum(axis=1)
         out[rows[block][ok]] = m[ok] + _log(sums)
         if k_hi < 2 ** 24 and not ok.all():
-            _log_sums(alpha, ln_z[block][~ok], rows[block][~ok], 2 * k_hi, out)
+            more = ~ok
+            if 2 * k_hi + 1 > _LGAMMA_CACHE_WIDTH:
+                # log-concave terms falling at the last index have their
+                # final max, so a row whose term at k = 2**24 is not 45 below
+                # it would be refused at that width: refuse it now (nan stays)
+                last = 2.0 ** 24 * ln_z[block] - math.lgamma(1.0 + alpha * 2 ** 24)
+                more &= ~((ln_t[:, -1] < ln_t[:, -2]) & ~(last < m - 45.0))
+            if more.any():
+                _log_sums(alpha, ln_z[block][more], rows[block][more], 2 * k_hi, out)
 
 
 def log_mittag_leffler(alpha: float, z):

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -18,6 +17,8 @@ from fracstep.mesh import parse_mesh_spec
 from fracstep.soe import build_soe
 from fracstep.solver import SingleModeProblem, solve_single_mode
 from fracstep.gronwall import TrialReport
+
+import pins
 
 
 def run(capsys, *argv):
@@ -80,7 +81,7 @@ def test_audit_reports_bdf2_failure(capsys):
                        "--mesh", "graded:32,1,1", "--alpha", "0.9")
     assert code == 0
     # a non-positive entry makes the A2 constant infinite, and the body
-    # prints it as null, as the bdf2 body pinned in AUDIT_SHA256 does
+    # prints it as null, as the pinned bdf2 audit body does
     payload = loads(out)
     assert payload["a1_holds"] is False
     assert payload["a2_pi_estimate"] is None
@@ -194,12 +195,10 @@ def test_solve_fd1d_reports_a_broken_step_restriction(capsys):
     # Lambda = 2 kappa = 2 admits steps up to 1/(4 pi) = 0.0796; this mesh
     # steps 0.125. The run is valid, so its body is written and it exits 0,
     # but its envelope is reported as not certified.
-    code, out, err = run(capsys, "solve", "--problem", "fd1d", "--scheme", "l1",
-                         "--mesh", "graded:8,1,1", "--alpha", "0.5", "--M", "16",
-                         "--kappa", "1")
+    [case] = pins.cases("test_solve_fd1d_reports_a_broken_step_restriction")
+    pins.check(case)
+    code, _, err = run(capsys, *case.run)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "7d49abbc80d6f4ad1c3f7289ec0ce08a1746f7bc94588ea0a95787c97679d689"
     assert "not certified" in err and "7.96e-02" in err and "1.25e-01" in err
 
 
@@ -370,26 +369,7 @@ def test_soe_build_json(capsys):
     assert all(w > 0 for w in payload["weights"])
 
 
-# sha256 of `soe build` bodies at eps = 1e-10 and T = 1: every node, weight,
-# Nq and certification residual of the ladder's chosen rung. Re-pinned when
-# the Gauss rules came from the Jacobi matrix (Golub-Welsch): nodes and
-# weights moved by at most 7.2e-14 relative, no Nq moved.
-SOE_SHA256 = {
-    ("0.3", "1e-9"):
-        "6dcc0cd192cda404afa706dc12efeb98637698f2e29f9e6c1907e8bf47f45b54",
-    ("0.3", "1e-4"):
-        "22cabab7dc71ce787737d68da74ae06a6dddf45559bf5dd6520780e3d180d8e3",
-    ("0.7", "1e-4"):
-        "8a3c51a54c318d490537a198827e8141d522ddd4971adc8e39256dbeaa885bfe",
-}
-
-
-@pytest.mark.parametrize("alpha,delta_t", sorted(SOE_SHA256))
-def test_soe_build_bytes_pinned(capsys, alpha, delta_t):
-    code, out, _ = run(capsys, "soe", "build", "--alpha", alpha, "--eps",
-                       "1e-10", "--delta-t", delta_t, "--T", "1")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SOE_SHA256[alpha, delta_t]
+test_soe_build_bytes_pinned = pins.pin_test("test_soe_build_bytes_pinned")
 
 
 def test_soe_build_refusal_pinned(capsys):
@@ -431,42 +411,7 @@ def test_fastl1_refusal_names_the_rounding_floor(capsys):
     assert "eps is below the rounding floor" in err and floor > 1e-10
 
 
-# sha256 of the `kernels dump` body per scheme at alpha = 0.4; recombination
-# exists only on uniform meshes, so bdf2recombined is pinned on graded:64,1,1.
-# The N = 300 tables span many row blocks of the kernel evaluator.
-# Re-pinned when the singular L1 average became h^-a/Gamma(2-a): entries moved
-# by at most 2.0e-15 relative (bdf2, whose entries cancel: 8.9e-15 of its
-# row's largest entry). Re-pinned when the quadratic schemes took their first
-# moments from one positive series: alikhanov entries moved by at most 3.2e-15
-# relative, bdf2recombined by 5.9e-16, bdf2 by 7.2e-15 of its row's largest
-# entry (3.9e-14 relative; A^(2)_1 on graded:64,2,1, whose value is -1.2e-15,
-# went from -3.0e-14 to 0.0).
-DUMP_SHA256 = {
-    ("l1", "graded:64,2,1"):
-        "8a2b618035bf8852a9e1abd5ce4a98251699d4134e6596894f319d30a216142a",
-    ("fastl1", "graded:64,2,1"):
-        "1eb79d1436ff9002b24f3aa5826f7b4e0b60ba4976ccdc8ac4cf6f2531e6f79d",
-    ("alikhanov", "graded:64,2,1"):
-        "3256a19f750aa8f186e7422a285eb0825a91617cac36dc41eac74e7af5f79272",
-    ("bdf2", "graded:64,2,1"):
-        "eb55502e9c530597aaa7b43d3e14568a942d86f9288cccdfda3885589235c74c",
-    ("bdf2recombined", "graded:64,1,1"):
-        "221d41b1a5b87abee2590ceb85bf9bb27e07d1e8d87235754cb163413cebae16",
-    ("l1", "graded:300,3,1"):
-        "abbc52069f318126d514c160f0131570372463b65e17111809ba8a46cd52191e",
-    ("alikhanov", "graded:300,3,1"):
-        "1fdd7b08863642bfdeb3b42b660bb13ef49be9263cb61f4ab758f4ca0266766b",
-    ("bdf2", "graded:300,3,1"):
-        "2f93c75ecab7553632192c84e097dd23fe2e65d041cec7af9a1be1cbc1670316",
-}
-
-
-@pytest.mark.parametrize("scheme,mesh", sorted(DUMP_SHA256))
-def test_kernels_dump_bytes_pinned(capsys, scheme, mesh):
-    code, out, _ = run(capsys, "kernels", "dump", "--scheme", scheme,
-                       "--mesh", mesh, "--alpha", "0.4")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[scheme, mesh]
+test_kernels_dump_bytes_pinned = pins.pin_test("test_kernels_dump_bytes_pinned")
 
 
 def test_solve_body_spanning_format_blocks(capsys):
@@ -484,57 +429,8 @@ def test_solve_body_spanning_format_blocks(capsys):
     assert body == ["n,t_n,value,exact,error"] + lines
 
 
-# sha256 of `audit` bodies at alpha = 0.4 and N = 300 (bdf2 fails A1 there,
-# so its body prints a2_pi_estimate as null). Re-pinned with the singular L1
-# average and the Golub-Welsch rules: values moved by at most 1.1e-14 relative.
-# Re-pinned (bdf2 only) with the positive first-moment series: its
-# a1_worst_violation moved by 9.2e-15 relative.
-AUDIT_SHA256 = {
-    ("l1", "graded:300,3,1"):
-        "788add39b8f30ca30209ab161acd7ca4a57ea1af26a06d77838dde36498d8288",
-    ("fastl1", "graded:300,3,1"):
-        "73df8598573247fe600fff2a5a00d3e078f0e3f617a6c18c8bfb02b4fa25bfa3",
-    ("alikhanov", "graded:300,3,1"):
-        "0577ca9603129a8de670ce1041181e95facaa848acdbccf7f78cd47c591a822c",
-    ("bdf2", "graded:300,3,1"):
-        "f201c6693dccb636b704c10cd1ceeb7de7fdfa150affb32cf6d74715562a5840",
-    ("bdf2recombined", "graded:300,1,1"):
-        "3728d8ff80b0865a0947d22731fe4384b793413524e1290cc85f429a8de72ff5",
-}
-
-
-@pytest.mark.parametrize("scheme,mesh", sorted(AUDIT_SHA256))
-def test_audit_bytes_pinned(capsys, scheme, mesh):
-    code, out, _ = run(capsys, "audit", "--scheme", scheme, "--mesh", mesh,
-                       "--alpha", "0.4")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_SHA256[scheme, mesh]
-
-
-# sha256 of `gronwall verify` bodies at alpha = 0.4 with the default 100
-# trials and seed 0; the trials and the certified bound share one evaluator,
-# which must reproduce them byte for byte. Re-pinned when P came from a numpy
-# block inverse: bdf2recombined margins moved by at most 2.4e-16 relative;
-# and when positive Mittag-Leffler arguments took exp of the log-domain sum:
-# l1, alikhanov and bdf2recombined margins moved by at most 5.0e-16 relative.
-GRONWALL_SHA256 = {
-    ("l1", "graded:64,2,1"):
-        "84e84bd12ded669e7f5234b32948d38ed930c4fa3b80379df393ccf3d1a9483e",
-    ("alikhanov", "graded:64,2,1"):
-        "f14569d2a20e644675828cb3755428ba715c1e8cc4948daab01ed2a6cb528de8",
-    ("fastl1", "graded:64,2,1"):
-        "3f658eded3768a28df7e7d342a26192f77df854bfee26a9f6a239f4eb36f235b",
-    ("bdf2recombined", "graded:64,1,1"):
-        "885fb1e6d47d6b92dc0462778e2ade1102cf0addcbd5834d5622c60dcf50eb19",
-}
-
-
-@pytest.mark.parametrize("scheme,mesh", sorted(GRONWALL_SHA256))
-def test_gronwall_verify_bytes_pinned(capsys, scheme, mesh):
-    code, out, _ = run(capsys, "gronwall", "verify", "--scheme", scheme,
-                       "--mesh", mesh, "--alpha", "0.4")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GRONWALL_SHA256[scheme, mesh]
+test_audit_bytes_pinned = pins.pin_test("test_audit_bytes_pinned")
+test_gronwall_verify_bytes_pinned = pins.pin_test("test_gronwall_verify_bytes_pinned")
 
 
 def test_gronwall_verify_leaves_built_table_alone(capsys, monkeypatch):
@@ -601,51 +497,8 @@ def test_negative_values_with_an_exponent_parse(capsys, argv, option, exponent, 
     assert run(capsys, *argv, option, exponent) == want
 
 
-# sha256 of `solve` bodies at alpha = 0.4 (fd1d with M = 16, kappa = 0.5);
-# the marching loop must reproduce them byte for byte. Re-pinned when the dense
-# history began to sum K's rows in storage order (dense single-mode bodies moved
-# by at most 4.3e-16 relative) and fd1d began to march in its grid sine modes
-# (fd1d bodies moved by at most 5.8e-15); the fast L1 single-mode body kept its bits.
-# Re-pinned when the L1 average took its closed form (values moved by at most
-# 1.0e-15 relative; the fast L1 bodies kept their bits). Re-pinned when the
-# singular L1 average became h^-a/Gamma(2-a) and the Mittag-Leffler terms took
-# libm's lgamma: solutions moved by at most 1.1e-15 relative and exact values
-# by 2.8e-15; the error columns by at most 1.2e-15 of max |u|. Re-pinned when
-# the quadratic schemes took their first moments from one positive series: the
-# alikhanov and bdf2recombined solutions moved by at most 4.0e-16 relative
-# (fd1d alikhanov 6.1e-16) and their error columns by at most 2.2e-16 of
-# max |u|; the exact columns kept their bits. Re-pinned when E_alpha(-x) took
-# the contour for every accepted x: the single-mode exact columns moved by at
-# most 3.2e-15 absolute (7.0e-15 relative) and the error columns by as much;
-# the solutions and the fd1d bodies kept their bits.
-SOLVE_SHA256 = {
-    ("single-mode", "l1", "graded:64,2,1"):
-        "e3d8b457c0dd09766ad30f9e3b2e7b3a00a721201f3ec13deaa019af5e1fb4f2",
-    ("single-mode", "alikhanov", "graded:64,2,1"):
-        "4539978cbfa9f433f091b4f970f5edff63c05e455e1efcc668c9fa0def48fd6a",
-    ("single-mode", "bdf2recombined", "graded:64,1,1"):
-        "5f21a1e09ef494201415046745e9084423dfd5fe6b5fad0da46d134aa3cc3bb6",
-    ("fd1d", "l1", "graded:64,2,1"):
-        "36c8fb25a53037e854867e16d5b8bd96eca30a526ca2491fcadc33a2889d6dff",
-    ("fd1d", "alikhanov", "graded:64,2,1"):
-        "96e3a43cf41d3337f4440028bd60568e731507ecb3a5a424f794bbdf0da483e4",
-    ("single-mode", "fastl1", "graded:64,2,1"):
-        "a68886fcbeb48b5ed06b4177faf9f02ccb6568357c5adbf6d285bef330d37fe6",
-    ("fd1d", "fastl1", "graded:64,2,1"):
-        "3ac1b8bff19f0a60adbd3c67b624d8fba07bfa23b469c6744f2dfc99de6a6b36",
-}
-
-
-@pytest.mark.parametrize("problem,scheme,mesh", sorted(SOLVE_SHA256))
-def test_solve_bytes_pinned(capsys, problem, scheme, mesh):
-    argv = ["solve", "--problem", problem, "--scheme", scheme, "--mesh", mesh,
-            "--alpha", "0.4"]
-    if problem == "fd1d":
-        argv += ["--M", "16", "--kappa", "0.5"]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        SOLVE_SHA256[problem, scheme, mesh]
+test_solve_bytes_pinned = pins.pin_test("test_solve_bytes_pinned")
+test_benchmark_cli_bytes_pinned = pins.pin_test("test_benchmark_cli_bytes_pinned")
 
 
 def test_solve_fastl1_marches_without_a_table(capsys, monkeypatch):

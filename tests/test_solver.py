@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 import re
 import warnings
@@ -32,7 +31,7 @@ from fracstep.solver import (
     solve_single_mode_fast,
 )
 
-from conftest import make_mesh
+import pins
 
 
 def test_caputo_power_values():
@@ -499,81 +498,7 @@ def test_stability_envelope_fd(store):
     assert rep.min_envelope_margin > 0.0
 
 
-# sha256 of march outputs at the edges of the 64-step blocks in which the SOE
-# history forms its factors and the march converts its coefficients (N = 1,
-# 63, 65, 129; the CLI's solve pins are all at N = 64): alpha = 0.4 on
-# graded:N,2,1, dense on the alikhanov table, SOE at eps = 1e-8. Single mode:
-# lambda_L = 2, kappa = 0.5, psi = cos(t_{n-theta}); fd1d: M = 16, kappa = 0.5.
-MARCH_SHA256 = {
-    ("fd1d", "dense", 1):
-        "49773adb2b140ca89aeef7eb40cf9fb120e718db2637cb3420d088661362c584",
-    ("fd1d", "dense", 63):
-        "fbb365ea35a2008bfdf0944992b7e1ef200939d4a5be0b1317c5c2bc6e30fa8e",
-    ("fd1d", "dense", 65):
-        "3a68b431020b5813e4650969cb3a50bcd91d122f5a90de474b29e59adeffe5a9",
-    ("fd1d", "dense", 129):
-        "3b1c61cbe1739b4fc99edb16a442c161dad9348e5b74a8af798e3fcba1f45217",
-    ("fd1d", "soe", 1):
-        "f6520f49cf81331630aa4f0ffe260a08ce33153cb4f737b220c5eac33a7603b7",
-    ("fd1d", "soe", 63):
-        "618b31a95acf87899caa1944953810817ab031c1af98280c206016ae49407e83",
-    ("fd1d", "soe", 65):
-        "4e4b526b236d0d78ea009772c39cf62933c33040a402a8727cccf13ade95f45c",
-    ("fd1d", "soe", 129):
-        "1c9bb1a690fb9b062a226091d78f2e2e60d63ff8cd9d60e42213bfa10e1e499c",
-    ("single-mode", "dense", 1):
-        "95f781e786e92501557ad28cd4c77d30e7e2ed1a55fedae535b469a38652ac93",
-    ("single-mode", "dense", 63):
-        "c252a7fb44bf266db65481e7c1d88a6911e78c3085be9c489833e689f15cd474",
-    ("single-mode", "dense", 65):
-        "00a3c78f0e903169cdcf05e2e94c09217b42181f4292d64f9c62c7e603753fd8",
-    ("single-mode", "dense", 129):
-        "8a947f671a8b031b5fc029690cab9d3e55b0800636d61c41bb2764939931a072",
-    ("single-mode", "soe", 1):
-        "7e54415d7bd709a0f9fe39fe6f9f0b96244fde9e23a1d8f7b6700ce50785475b",
-    ("single-mode", "soe", 63):
-        "7a02b2a9bef17803faafe419d082fc7a4cbbd828d8d3f0a9307ada884e5a05bf",
-    ("single-mode", "soe", 65):
-        "6a23a767641ba49f3a2eb1d79aa3d781629d5e76e71a0cb5e4ddd64d365c2b89",
-    ("single-mode", "soe", 129):
-        "d25c288e7d8b7da765ceb765392fe720bc43c1519416a9ac96c7cf3e67e8d260",
-}
-FAST_L1_K_SHA256 = {
-    1: "72baff2a5ea7e1705a671b89ef86d8e64fec39c86a6bc37455466b69800da80f",
-    63: "70ea685a29ebc02f5090204756f50a2ee3d59a4292307dad639b064058c3a976",
-    65: "41caca821be923d636f370b5fe2e7f5bb4ed94131e7eed4cf89f9f489f861899",
-    129: "14f747af4d7f863bfcf2cb531c5c078b8fe17def2600d496deb9f7521d56be20",
-}
-
-
-def _sha256(values) -> str:
-    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
-
-
-def _block_edge_case(N):
-    mesh = graded_mesh(N, 2.0, 1.0)
-    return mesh, {"dense": alikhanov_kernel(mesh, 0.4),
-                  "soe": _soe_for_mesh(0.4, 1e-8, mesh)}
-
-
-@pytest.mark.parametrize("problem,backend,N", sorted(MARCH_SHA256))
-def test_march_bits_pinned_at_block_edges(problem, backend, N):
-    mesh, kernels = _block_edge_case(N)
-    kernel = kernels[backend]
-    if problem == "single-mode":
-        theta = getattr(kernel, "theta", 0.0)
-        sm = SingleModeProblem(alpha=0.4, lambda_L=2.0, kappa=0.5,
-                               psi=np.cos(mesh.offset_nodes(theta)), u0=1.0)
-        values = solve_single_mode(sm, mesh, kernel).us
-    else:
-        fd = FDProblem1D(length=1.0, M=16, kappa=0.5,
-                         psi=lambda x, t: np.sin(np.pi * x) * np.cos(2.0 * t),
-                         u0=lambda x: np.sin(np.pi * x) + 0.3 * np.sin(3.0 * np.pi * x))
-        values = solve_fd1d(fd, mesh, kernel).trajectory
-    assert _sha256(values) == MARCH_SHA256[problem, backend, N]
-
-
-@pytest.mark.parametrize("N", sorted(FAST_L1_K_SHA256))
-def test_fast_l1_table_bits_pinned_at_block_edges(N):
-    mesh, kernels = _block_edge_case(N)
-    assert _sha256(fast_l1_kernel(mesh, 0.4, kernels["soe"]).K) == FAST_L1_K_SHA256[N]
+test_march_bits_pinned_at_block_edges = pins.pin_test(
+    "test_march_bits_pinned_at_block_edges")
+test_fast_l1_table_bits_pinned_at_block_edges = pins.pin_test(
+    "test_fast_l1_table_bits_pinned_at_block_edges")

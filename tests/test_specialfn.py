@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ def _refusal(f, alpha, z):
 
 # at alpha = 0.5, one argument per refusal kind, and the start of its text;
 # 0.75 stands for a series too long (_log_ml is patched to give nan there),
-# which a real argument reaches only after seconds of summation
+# which a real argument reaches only at alpha below 6.7e-6
 REFUSALS = {
     mittag_leffler: {
         math.nan: "z must be finite", math.inf: "z must be finite",
@@ -305,6 +306,15 @@ def test_log_ml_handles_huge_values():
 def test_log_ml_rejects_negative():
     with pytest.raises(ValueError):
         log_mittag_leffler(0.5, -1.0)
+
+
+def test_series_too_long_is_refused_once_its_terms_fall():
+    # the terms peak near k = 4.6e5; once they fall, the term at k = 2**24
+    # decides the refusal, with no rows built past 2**19 + 1 terms
+    start = time.perf_counter()
+    with pytest.raises(NonConvergenceError, match="series too long"):
+        log_mittag_leffler(1e-6, 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("alpha,root", [(0.1, 40.0), (0.1, 200.0), (0.3, 55.0),
