@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,6 +240,128 @@ def test_ml_negative_axis_stays_in_unit_interval():
     assert mittag_leffler(1.0, -33.32) >= 0.0 and mittag_leffler(1.0, -32.887) >= 0.0
 
 
+def _log_series(alpha, x, bits=256):
+    """log E_alpha(x) for x > 0 and a Fraction alpha = p/q from its series,
+    in integers scaled by 2^bits. Along each residue r of k mod q,
+    Gamma(1 + alpha k) steps by Gamma(a + p) = Gamma(a) a (a + 1) ... (a + p - 1),
+    so mpmath's gamma runs once per residue, not per term, and alpha = 1/1000
+    costs integer products alone; a residue stops once its terms fall 2^-128
+    below its largest, which log-concave terms never climb back from."""
+    mpmath = pytest.importorskip("mpmath")
+    p, q = alpha.numerator, alpha.denominator
+    with mpmath.workdps(2 * bits // 3):
+        x, one = mpmath.mpf(x), mpmath.mpf(2) ** bits
+        x_q, total = int(x ** q * one), 0
+        for r in range(q):
+            t = top = int(x ** r / mpmath.gamma(1 + mpmath.mpf(p * r) / q) * one)
+            j = 0
+            while t > top >> 128:
+                total += t
+                top = max(top, t)
+                den = math.prod(q + p * r + q * (p * j + i) for i in range(p))
+                t = (t * x_q >> bits) * q ** p // den
+                j += 1
+        return mpmath.log(mpmath.mpf(total) / one)
+
+
+def _gate_edge(alpha):
+    """The largest x whose log E_alpha(x) series passes the gate."""
+    lo, hi = ((_MAX_LOG_ABS + d + math.log(alpha)) ** alpha
+              for d in (-specialfn._BOUND_MARGIN, specialfn._BOUND_MARGIN))
+    while _log_ml(alpha, np.array([hi]))[0] <= _MAX_LOG_ABS:
+        lo, hi = hi, 2.0 * hi - lo
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _log_ml(alpha, np.array([mid]))[0] <= _MAX_LOG_ABS:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 1000), Fraction(1, 100), Fraction(1, 10),
+                                   Fraction(3, 10), Fraction(1, 2), Fraction(9, 10),
+                                   Fraction(1)], ids=str)
+def test_log_ml_bound_holds_against_the_series_oracle(alpha):
+    # log E_alpha(x) <= x^(1/alpha) - ln alpha, with equality at alpha = 1,
+    # from x = 0.1 up to the gate's edge, where the bound lies within 1e-12
+    # of log E, far inside the margin that lets it clear the gate
+    mpmath = pytest.importorskip("mpmath")
+    edge = _gate_edge(float(alpha))
+    for x in (0.1, 0.5 * edge, 0.9 * edge, edge):
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha.numerator) / alpha.denominator
+            gap = float(mpmath.mpf(x) ** (1 / a) - mpmath.log(a) - _log_series(alpha, x))
+        if alpha == 1:
+            assert abs(gap) < 1e-30, (x, gap)
+        else:
+            assert gap > 0.0, (alpha, x, gap)
+    assert gap < 1e-12, (alpha, gap)
+
+
+def test_log_ml_exceeds_the_bound_only_by_rounding():
+    # the summed log E passes x^(1/alpha) - ln alpha by rounding alone, as
+    # _front forms the bound, from x = 1e-8 to just past the gate: 3e-14 at
+    # most, far inside the margin of 1e-6
+    for alpha in np.linspace(0.001, 1.0, 41):
+        x = np.geomspace(1e-8, 38.0 - math.log(alpha), 200) ** alpha
+        excess = _log_ml(alpha, x) - (x ** (1.0 / alpha) - math.log(alpha))
+        assert excess.max() <= 3e-14, (alpha, x[excess.argmax()], excess.max())
+    assert specialfn._BOUND_MARGIN >= 1e7 * 3e-14
+
+
+@pytest.mark.parametrize("alpha, sliver", [(0.01, 3.4e-10), (0.3, None), (0.5, 8.5e-8),
+                                           (0.9, None), (1.0, 1e-6)])
+def test_ml_accepts_exactly_where_the_series_passes_the_gate(alpha, sliver):
+    # the bound clears every x up to its limit without the series; across the
+    # sliver from there to the edge and past it, the series still decides, so
+    # the edge is where it was
+    limit = (_MAX_LOG_ABS - specialfn._BOUND_MARGIN + math.log(alpha)) ** alpha
+    edge = _gate_edge(alpha)
+    if sliver is not None:
+        assert edge - limit == pytest.approx(sliver, rel=0.05)
+    x = np.linspace(limit - (edge - limit), edge + (edge - limit), 301)
+    x = np.concatenate([x, np.nextafter(edge, [0.0, math.inf])])
+    passes = (_log_ml(alpha, x) <= _MAX_LOG_ABS).tolist()
+    assert passes.count(True) > 150 and passes.count(False) > 50
+    scalar = [_outcome(lambda: mittag_leffler(alpha, -v)) for v in x]
+    assert [not isinstance(r, Exception) for r in scalar] == passes
+    accepted = -x[np.array(passes)]
+    assert mittag_leffler(alpha, accepted).tolist() == [r for r in scalar
+                                                        if not isinstance(r, Exception)]
+
+
+def test_bound_moves_no_bit_and_no_refusal(monkeypatch):
+    # over 60 alpha, scalar and array calls give the series-only path's bits
+    # and refusal texts (an infinite margin lets the bound clear nothing),
+    # and so do a few alpha below _LONG_SERIES_ALPHA, where the series alone
+    # decides; 1e-6 refuses z = -1 as too long, which the bound would clear
+    rng = np.random.default_rng(32)
+    cases = [(alpha, 10.0 ** rng.uniform(-8, 2, 20)) for alpha in np.geomspace(1e-3, 1.0, 60)]
+    cases = [(alpha, np.concatenate([-z, z])) for alpha, z in cases]
+    cases += [(1e-6, np.array([-0.5, -0.9])), (3e-6, np.array([-0.99])),
+              (6.6e-6, np.array([-0.999]))]
+
+    def outcomes():
+        got = []
+        for alpha, z in cases:
+            for v in z:
+                got.append(_outcome(lambda: mittag_leffler(alpha, v)))
+            accepted = [v for v, r in zip(z, got[-len(z):]) if not isinstance(r, Exception)]
+            for arr in (z, z[::-1].reshape(-1, 1), np.array(accepted)):
+                got.append(_outcome(lambda: mittag_leffler(alpha, arr)))
+        return [(type(r).__name__, str(r)) if isinstance(r, Exception)
+                else np.asarray(r).tobytes() for r in got]
+
+    with_bound = outcomes()
+    assert sum(isinstance(r, tuple) for r in with_bound) > 100
+    monkeypatch.setattr(specialfn, "_BOUND_MARGIN", math.inf)
+    assert outcomes() == with_bound
+    monkeypatch.undo()
+    with pytest.raises(NonConvergenceError, match="series too long"):
+        mittag_leffler(1e-6, -1.0)
+
+
 def _refusal(f, alpha, z):
     try:
         f(alpha, z)
@@ -247,14 +370,18 @@ def _refusal(f, alpha, z):
     raise AssertionError(f"{f.__name__}({alpha}, {z!r}) was accepted")
 
 
+# an argument at alpha = 0.5 inside the sliver, half the bound's margin
+# below the gate: the bound does not clear it, so its series decides it
+SLIVER = -math.sqrt(_MAX_LOG_ABS - specialfn._BOUND_MARGIN / 2 + math.log(0.5))
+
 # at alpha = 0.5, one argument per refusal kind, and the start of its text;
-# 0.75 stands for a series too long (_log_ml is patched to give nan there),
-# which a real argument reaches only at alpha below 6.7e-6
+# 0.75 and SLIVER stand for a series too long (_log_ml is patched to give nan
+# there), which a real argument reaches only at alpha below 6.7e-6
 REFUSALS = {
     mittag_leffler: {
         math.nan: "z must be finite", math.inf: "z must be finite",
         -math.inf: "z must be finite", 30.0: "E_alpha(z) exceeds the double range",
-        -10.0: "cancellation", 0.75: "series too long", -0.75: "series too long"},
+        -10.0: "cancellation", 0.75: "series too long", SLIVER: "series too long"},
     log_mittag_leffler: {
         math.nan: "z must be finite", math.inf: "z must be finite",
         -math.inf: "log_mittag_leffler requires z >= 0",
@@ -269,7 +396,7 @@ def test_arrays_raise_the_first_refusal_in_c_order(f, monkeypatch):
     # whatever the kinds of the others and wherever accepted elements sit
     log_ml = specialfn._log_ml
     monkeypatch.setattr(specialfn, "_log_ml", lambda alpha, z: np.where(
-        z == 0.75, math.nan, log_ml(alpha, z)))
+        np.isin(z, (0.75, -SLIVER)), math.nan, log_ml(alpha, z)))
     alone = {z: _refusal(f, 0.5, z) for z in REFUSALS[f]}
     for z, start in REFUSALS[f].items():
         assert str(alone[z]).startswith(start), (z, alone[z])
