@@ -186,10 +186,16 @@ def _digit_rows(f):
     f = f * _POW10[np.minimum(17 - n_digits, 16)]
     # bytes 4-23 as five chunks of four digits, the first holding one digit
     chunks = np.empty((5, f.size), dtype=np.intp)
-    hi, lo = np.divmod(f, np.uint64(10 ** 8))
-    chunks[0], mid = np.divmod(hi, np.uint64(10 ** 8))
-    chunks[1], chunks[2] = np.divmod(mid, np.uint64(10 ** 4))
-    chunks[3], chunks[4] = np.divmod(lo, np.uint64(10 ** 4))
+    # floor division and a multiply-subtract: numpy's uint64 divmod misses
+    # the libdivide path that // takes, at about five times the cost
+    e4, e8 = np.uint64(10 ** 4), np.uint64(10 ** 8)
+    hi = f // e8
+    lo = f - hi * e8
+    top = hi // e8
+    mid = hi - top * e8
+    q_mid, q_lo = mid // e4, lo // e4
+    chunks[0], chunks[1], chunks[2] = top, q_mid, mid - q_mid * e4
+    chunks[3], chunks[4] = q_lo, lo - q_lo * e4
     rows = np.zeros((f.size, 8), dtype=np.uint32)
     np.take(tab["four"], chunks.T, out=rows[:, 1:6], mode="clip")
     chunks += _CHUNK_OFFSET

@@ -33,6 +33,11 @@ _LEMMA_SLACK = 1e-10
 # Lemma 2.2/2.3 data: powers omega_{1+k alpha}, k = 1.._POWERS, and rates mu
 _POWERS = 5
 _RATES = (0.5, 2.0, 10.0)
+# Spread of log E_a(mu t^a) a row group of the Mittag-Leffler sums may span,
+# per rate: a term that the group's shared scale underflows, exp(x) with
+# x < -745, lies below e^(-745 + _LOG_SPREAD) = e^-145 of its own P entry
+# in its row's sum
+_LOG_SPREAD = 600.0
 # Rows and columns of the diagonal blocks build_complementary inverts, and the
 # strict upper triangle of such a block
 _INV_BLOCK = 32
@@ -41,6 +46,10 @@ _BLOCK_UPPER = ~np.tri(_INV_BLOCK, dtype=bool)
 # only up to its own last column, so the products skip most of the zero upper
 # triangle (half the flops of one full product at large N)
 _INV_PANEL = 256
+# Columns per product of identity_residual: each panel of K is read from its
+# diagonal down, skipping the zero triangle above it; a table of at most this
+# many columns is one panel and one product per row block
+_RESIDUAL_PANEL = 128
 
 
 class ZeroDiagonalError(ValueError):
@@ -113,15 +122,22 @@ def identity_residual(ctable: ComplementaryTable, seed=None) -> float:
     """max over pairs m <= n of |sum_j P^(n)_{n-j} A^(j)_{j-m} - 1|, i.e. the
     exact max |P K - tril(1)| over every entry, at every N.
 
+    Each row block of P multiplies K one panel of _RESIDUAL_PANEL columns
+    m0..m1-1 at a time, from the panel's diagonal down: K[j, m] = 0 for j < m,
+    so P[rows, m0:] @ K[m0:, m0:m1] is the block's whole product there and
+    the zero triangle above each panel is never read.
+
     ``seed`` is unused; it is accepted so existing callers keep working.
     """
     K = ctable.source.K
     worst = 0.0
     for rows, lag in _blocks(ctable.N):
         stop = rows.stop  # P and K vanish beyond the block's last column
-        S = ctable.P[rows, :stop] @ K[:stop, :stop]
-        S -= lag >= 0
-        worst = max(worst, float(np.max(np.abs(S))))
+        for m0 in range(0, stop, _RESIDUAL_PANEL):
+            m1 = min(m0 + _RESIDUAL_PANEL, stop)
+            S = ctable.P[rows, m0:stop] @ K[m0:stop, m0:m1]
+            S -= lag[:, m0:m1] >= 0
+            worst = max(worst, float(np.max(np.abs(S))))
     return worst
 
 
@@ -174,6 +190,22 @@ class Lemma22Report:
     ml_holds: bool
 
 
+def _row_groups(logE: np.ndarray):
+    """Split the rows of ``logE`` (rows, rates), nondecreasing down each
+    column up to rounding, into runs of consecutive rows that share
+    floor(log E / _LOG_SPREAD) in every column, so that no run spreads by
+    more than _LOG_SPREAD at any rate. Yields (run, top): the run's rows as a
+    slice, and the running maximum of each column at its last row, which is
+    at least every log E in the run and before it."""
+    top = np.maximum.accumulate(logE, axis=0)
+    bucket = np.floor(top / _LOG_SPREAD)
+    ends = [*np.flatnonzero(np.any(bucket[1:] != bucket[:-1], axis=1)) + 1, len(top)]
+    start = 0
+    for stop in ends:
+        yield slice(start, stop), top[stop - 1]
+        start = stop
+
+
 def check_lemma22_23(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
                      pi_A: float, rho: float) -> Lemma22Report:
     """History-sum inequalities against power-law and Mittag-Leffler data.
@@ -186,6 +218,15 @@ def check_lemma22_23(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
     by its logs: divided by E_n, no term overflows doubles at small alpha.
     Both are allowed 1e-10 for rounding: relative to max(1, rhs) for the power
     laws, absolute on the log margin for Mittag-Leffler.
+
+    The Mittag-Leffler sums of a row group (``_row_groups``), whose log E
+    spreads by at most _LOG_SPREAD = 600 at each rate, share one scale: the
+    group's largest log E, M. One (rows, columns) @ (columns, rates) product
+    gives S_n = sum_j P^(n)_{n-j} E_j / e^M, and the log of the sum is
+    log S_n + M - log E_n. Where E_j / e^M underflows, the term dropped is
+    below e^-145 times its P entry; the rows of a group whose log E spreads
+    further, as at alpha = 0.05, fall into groups of one row, each scaled by
+    its own E_n as in the plain sum.
     """
     check_same_problem(ctable.source, mesh, alpha)
     fac = max(1.0, rho) * pi_A
@@ -204,13 +245,19 @@ def check_lemma22_23(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
         rel = (P @ lhs_w[:stop] - rhs_w[rows]) / np.maximum(1.0, rhs_w[rows])
         power_excess = max(power_excess, float(np.max(rel[tail], initial=-math.inf)))
         np.maximum(P, 0.0, out=P)  # a negative rounding entry adds nothing
-        for i in range(len(_RATES)):
-            # ratios past the diagonal meet P = 0; the cap keeps them finite
-            ratio = logE[:stop, i] - logE[rows, i, None]
-            np.exp(np.minimum(ratio, 0.0, out=ratio), out=ratio)
-            with np.errstate(divide="ignore"):  # an empty sum logs to -inf
-                margin = rhs_log[rows, i] - np.log(np.einsum("ij,ij->i", P, ratio))
-            log_margin = min(log_margin, float(np.min(margin[tail], initial=math.inf)))
+        S = np.empty((len(P), len(_RATES)))
+        shift = np.empty_like(S)  # M - log E_n of each row
+        for run, top in _row_groups(logE[rows]):
+            width = rows.start + run.stop  # P vanishes past the run's last row
+            # columns past the diagonal meet P = 0; the cap keeps them finite
+            scaled = np.subtract(logE[:width], top)
+            np.exp(np.minimum(scaled, 0.0, out=scaled), out=scaled)
+            S[run] = P[run, :width] @ scaled
+            shift[run] = top
+        shift -= logE[rows]
+        with np.errstate(divide="ignore"):  # an empty sum logs to -inf
+            margin = rhs_log[rows] - (np.log(S) + shift)
+        log_margin = min(log_margin, float(np.min(margin[tail], initial=math.inf)))
 
     return Lemma22Report(
         powerlaw_max_excess=power_excess,

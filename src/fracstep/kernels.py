@@ -9,7 +9,7 @@ Numerical quadrature appears only in the test suite as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -133,6 +133,18 @@ class KernelTable(_LowerTable):
     scheme_id: str
     pi_A: float | None
     mesh: TimeMesh
+    # (K, alpha, mesh) of a table that l1_kernel built, whose K holds the very
+    # interval averages the A2 audit measures against; None on any other
+    # table, and on a copy made by dataclasses.replace or by hand
+    _l1_averages: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    def _holds_l1_averages(self) -> bool:
+        """True while K is still the read-only array that l1_kernel built
+        for this alpha and mesh."""
+        own = self._l1_averages
+        return (own is not None and not self.K.flags.writeable
+                and all(a is b for a, b in zip(own, (self.K, self.alpha, self.mesh))))
 
 
 @dataclass(frozen=True)
@@ -308,7 +320,9 @@ def l1_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
     for rows, _, avg, _ in _triangle(mesh, alpha):
         K[rows, : rows.stop] = avg
         del avg  # spent before _triangle builds the next block
-    return KernelTable(K, 0.0, alpha, "l1", 1.0, mesh)
+    table = KernelTable(K, 0.0, alpha, "l1", 1.0, mesh)
+    table._l1_averages = (table.K, table.alpha, table.mesh)
+    return table
 
 
 def _quadratic_matrix(mesh: TimeMesh, alpha: float, offset_theta: float,
@@ -465,12 +479,25 @@ def verify_assumptions(table: KernelTable, mesh: TimeMesh,
 
     Monotonicity tolerates rounding of size A1_SLACK * A^(n)_0 per row. A
     non-positive entry makes the constant infinite.
+
+    The integrals are tau_k times the interval averages of ``_triangle``.
+    A table that ``l1_kernel`` built holds those very averages in K, so while
+    its K is still that read-only array (for its own alpha and mesh) the
+    averages are read from K and not evaluated again: each ratio is then
+    tau_k A / (tau_k A), 1 where tau_k A > 0 as computed, with every report
+    field keeping its bits. Any other table, an "l1" one built by hand or by
+    ``dataclasses.replace`` included, is measured against ``_triangle``.
     """
     check_same_problem(table, mesh)
     if pi_A_claim is not None and not math.isfinite(pi_A_claim):
         raise ValueError(f"pi_A_claim must be finite, got {pi_A_claim}")
+    if table._holds_l1_averages():
+        blocks = ((rows, lag >= 0, None) for rows, lag in _blocks(table.N))
+    else:
+        blocks = ((rows, inside, avg)
+                  for rows, inside, avg, _ in _triangle(mesh, table.alpha))
     worst, a1, pi_est = 0.0, True, 0.0
-    for rows, inside, avg, _ in _triangle(mesh, table.alpha):
+    for rows, inside, avg in blocks:
         w = rows.stop
         Kb = table.K[rows, :w]
         low = Kb.min(axis=1, where=inside, initial=np.inf)
@@ -482,11 +509,12 @@ def verify_assumptions(table: KernelTable, mesh: TimeMesh,
         # integral over [t_{k-1}, t_k] / (tau_k A^(n)_{n-k}), infinite if A <= 0
         denom = np.multiply(mesh.tau[:w], Kb)
         positive = denom > 0.0
-        avg *= mesh.tau[:w]
-        ratio = np.divide(avg, denom, out=avg, where=positive)
+        # no avg: the averages are K's own, so tau_k avg is denom to the bit
+        num = denom if avg is None else np.multiply(avg, mesh.tau[:w], out=avg)
+        ratio = np.divide(num, denom, out=num, where=positive)
         np.copyto(ratio, math.inf, where=~positive)
         pi_est = max(pi_est, float(ratio.max(where=inside, initial=0.0)))
-        del avg, ratio, denom  # spent before _triangle builds the next block
+        del avg, num, ratio, denom  # spent before _triangle builds the next block
     # relative cushion so a claim of exactly pi_A survives last-bit rounding
     holds = None if pi_A_claim is None else bool(
         pi_est <= pi_A_claim * (1.0 + 1e-10))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from fracstep import complementary
 from fracstep.complementary import (
     ComplementaryTable,
     ZeroDiagonalError,
@@ -53,6 +54,37 @@ def test_identity_at_larger_scale():
     mesh = graded_mesh(512, 2.0, 1.0)
     ct = build_complementary(l1_kernel(mesh, 0.5))
     assert identity_residual(ct) <= 1e-11
+
+
+def _dense_residual(ct):
+    """max |P K - tril(1)| by one full product."""
+    return float(np.max(np.abs(ct.P @ ct.source.K - np.tri(ct.N))))
+
+
+@pytest.mark.parametrize("N", [127, 128, 129, 300, 768])
+def test_identity_residual_panels_match_the_dense_product(N):
+    mesh = graded_mesh(N, 2.0, 1.0)
+    ct = build_complementary(l1_kernel(mesh, 0.5))
+    got, dense = identity_residual(ct), _dense_residual(ct)
+    # each entry of P K is summed in another order: a few ulp of 1 apart
+    assert abs(got - dense) <= 8 * 2.0 ** -52
+    assert got <= 1e-11
+
+
+@pytest.mark.parametrize("n,j", [(290, 200), (290, 20), (140, 139)])
+def test_identity_residual_sees_one_perturbed_entry(n, j):
+    # P^(n+1)_{n-j} off by 1e-12 relative moves entry (n, j) of P K by
+    # 1e-12 P[n, j] K[j, j], in a column panel past the first for j >= 128
+    mesh = uniform_mesh(300, 1.0)
+    table = l1_kernel(mesh, 0.5)
+    ct = build_complementary(table)
+    base = identity_residual(ct)
+    shift = 1e-12 * ct.P[n, j] * table.K[j, j]
+    assert shift > 10.0 * base
+    P = ct.P.copy()
+    P[n, j] *= 1.0 + 1e-12
+    bad = identity_residual(ComplementaryTable(P=P, source=table))
+    assert bad >= shift - base
 
 
 def test_nonnegative_under_a1(store):
@@ -205,6 +237,33 @@ def test_lemma22_23_matches_logsumexp_form(scheme, N):
                                                 mesh.max_ratio())
                 verdicts.add((got[1], got[3]))
     assert N < 17 or len(verdicts) > 1  # the verdicts compared are not all alike
+
+
+@pytest.mark.parametrize("scheme", ["l1", "alikhanov"])
+@pytest.mark.parametrize("mesh", [graded_mesh(64, 3.0, 1.0),
+                                  random_mesh(300, 1.0, seed=300)],
+                         ids=["graded3-64", "random-300"])
+def test_lemma22_23_row_groups_past_the_spread(scheme, mesh, monkeypatch):
+    # at alpha = 0.3 and mu = 10, log E_a(mu t^a) spreads by about 2,150 over
+    # [0, 1], past _LOG_SPREAD: a row block splits into several groups, each
+    # scaled by its own largest log E, and still matches the undivided sums
+    runs = []
+
+    def counted(logE):
+        groups = list(row_groups(logE))
+        top = np.maximum.accumulate(logE, axis=0)
+        for run, _ in groups:
+            assert np.all(top[run.stop - 1] - logE[run] <= complementary._LOG_SPREAD)
+        runs.append(len(groups))
+        return iter(groups)
+
+    row_groups = complementary._row_groups
+    monkeypatch.setattr(complementary, "_row_groups", counted)
+    table = build_table(scheme, mesh, 0.3)
+    ct = build_complementary(table)
+    for scale in (1.0, 0.125):
+        _assert_matches_logsumexp(ct, mesh, 0.3, scale * table.pi_A, mesh.max_ratio())
+    assert max(runs) > 1
 
 
 def test_lemma22_23_sees_one_inflated_entry(store):

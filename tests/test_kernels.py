@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -457,6 +458,63 @@ def test_verify_assumptions_row_slack():
         wobbly = KernelTable(K=K, theta=0.0, alpha=0.5, scheme_id="l1",
                              pi_A=None, mesh=mesh)
         assert verify_assumptions(wobbly, mesh).a1_holds is holds
+
+
+def _report_bits(report):
+    """Each AssumptionReport field, floats as their hex bits."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(report))
+
+
+@pytest.mark.parametrize("N", [1, 17, 300])
+def test_l1_audit_reads_its_own_table_bit_for_bit(N):
+    # an l1_kernel table's audit reads the averages from K; a replaced copy
+    # of the same table evaluates them again, and every field keeps its bits
+    meshes = {"uniform": uniform_mesh(N, 1.0), "graded2": graded_mesh(N, 2.0, 1.0),
+              "graded3": graded_mesh(N, 3.0, 1.0),
+              "random": random_mesh(N, 1.0, seed=N)}
+    for mesh in meshes.values():
+        for alpha in (0.05, 0.5, 0.95):
+            table = l1_kernel(mesh, alpha)
+            copy = dataclasses.replace(table)
+            assert table._holds_l1_averages() and not copy._holds_l1_averages()
+            for claim in (None, table.pi_A):
+                own = verify_assumptions(table, mesh, claim)
+                assert own.a2_pi_estimate == 1.0
+                assert _report_bits(own) == _report_bits(
+                    verify_assumptions(copy, mesh, claim))
+
+
+def test_l1_audit_never_enters_the_triangle(monkeypatch):
+    mesh = graded_mesh(300, 2.0, 1.0)
+    table = l1_kernel(mesh, 0.5)
+
+    def no_triangle(*args, **kwargs):
+        raise AssertionError("the audit evaluated the averages again")
+
+    monkeypatch.setattr(kernels, "_triangle", no_triangle)
+    report = verify_assumptions(table, mesh, table.pi_A)
+    assert report.a1_holds and report.a2_pi_estimate == 1.0
+    with pytest.raises(AssertionError, match="evaluated the averages again"):
+        verify_assumptions(dataclasses.replace(table), mesh)
+
+
+def test_l1_audit_recomputes_a_relabelled_table():
+    # the label "l1" is not the table l1_kernel built: lowering one entry by
+    # 1e-3 relative raises its A2 ratio to about 1/(1 - 1e-3), which only a
+    # fresh evaluation of the averages sees (raising it would lower the
+    # ratio, which the other entries' 1 hides)
+    mesh = graded_mesh(40, 2.0, 1.0)
+    table = l1_kernel(mesh, 0.5)
+    K = table.K.copy()
+    K[30, 12] *= 1.0 - 1e-3
+    for tampered in (KernelTable(K=K, theta=0.0, alpha=0.5, scheme_id="l1",
+                                 pi_A=1.0, mesh=mesh),
+                     dataclasses.replace(table, K=K)):
+        assert tampered.scheme_id == "l1" and not tampered._holds_l1_averages()
+        report = verify_assumptions(tampered, mesh, 1.0)
+        assert report.a2_pi_estimate == pytest.approx(1.0 / (1.0 - 1e-3), rel=1e-12)
+        assert report.a2_pi_estimate > 1.0 and not report.a2_holds_for_claim
 
 
 def _row_by_row_audit(table, mesh):
