@@ -97,6 +97,11 @@ class _LowerTable:
     def __post_init__(self):
         self._matrix.setflags(write=False)
 
+    def __setstate__(self, state):
+        # copy.deepcopy and pickle restore the fields without __post_init__
+        self.__dict__.update(state)
+        self._matrix.setflags(write=False)
+
     @property
     def _matrix(self) -> np.ndarray:
         return getattr(self, self._array)
@@ -401,21 +406,44 @@ def bdf2_kernel(mesh: TimeMesh, alpha: float) -> KernelTable:
 def fast_l1_kernel(mesh: TimeMesh, alpha: float, soe: SOEApprox) -> KernelTable:
     """L1 kernels with the history part compressed by decaying exponentials.
 
-    Column k of the (Nq, N) SOE states holds the history of the unit step at
-    t_k, so row n holds the coefficients the fast L1 march applies at step n.
-    The approximation must be certified on a window covering every gap
-    t_n - s that occurs, and its tolerance must satisfy
+    Entry [n-1, k-1], k < n, is the SOE history at step n of the unit step
+    at t_k, so row n holds the coefficients the fast L1 march applies at
+    step n. The approximation must be certified on a window covering every
+    gap t_n - s that occurs, and its tolerance must satisfy
     eps <= min(omega_{1-a}(T)/3, a * omega_{2-a}(1)) for the 3/2 lower-bound
     constant to hold.
+
+    The table is built by the blocks of ``_SOEHistory.blocks``, from their
+    per-step decays d_n and phi. Row c of S holds the Nq states of column c,
+    phi_c d_{c+1} ... d_n after step n. The block's own columns are walked
+    step by step, each from the row after it starts. The columns started
+    before the block, rows b..e-1, take one product, K[b:e, :b] =
+    (w G) @ S[:b]^T, where G holds the cumulative products of the block's
+    decays (every exponent <= 0, no division), and S[:b] *= G[-1] carries
+    their states to the block's end.
     """
     alpha = _check_order(alpha)
-    history = _SOEHistory(soe, mesh, alpha, (mesh.N,))
-    K = np.empty((mesh.N, mesh.N))
-    for n, (row, phi) in enumerate(history, 1):
-        K[n - 1] = row  # 0 from column n-1 on, not yet started
-        K[n - 1, n - 1] = history.diagonal[n - 1]
-        # pushing the unit step at t_n adds phi to column n-1, 0 to the rest
-        history.H[:, n - 1 : n] = phi
+    history = _SOEHistory(soe, mesh, alpha)
+    w = history.weights
+    K = np.zeros((mesh.N, mesh.N))
+    S = np.empty((mesh.N, soe.Nq))
+    for b, decays, phis in history.blocks():
+        e = b + len(decays)
+        # column c starts at phi_c and decays from row c + 1 on
+        S[b:e] = phis
+        for i in range(1, e - b):
+            started = S[b : b + i]
+            np.multiply(started, decays[i], out=started)
+            np.dot(started, w, out=K[b + i, b : b + i])
+        if b:
+            # decays becomes G in place, then w G
+            np.cumprod(decays, axis=0, out=decays)
+            last = decays[-1].copy()
+            decays *= w
+            np.matmul(decays, S[:b].T, out=K[b:e, :b])
+            S[:b] *= last
+        del decays, phis  # spent before the next block's factors are formed
+    np.fill_diagonal(K, history.diagonal)
     return KernelTable(K, 0.0, alpha, "fastl1", 1.5, mesh)
 
 

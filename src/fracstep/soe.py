@@ -14,7 +14,8 @@ before the grid check: the probe's sum over all nodes and the pruned sum
 differ there by rounding and by the pruned terms, which sum to under
 1e-4 eps, so the grid check would reject it too. The check sweeps the
 grid in blocks of SWEEP_BLOCK points, forming exp(-theta t) for one block
-at a time in one scratch buffer, and stops at the first block whose error
+at a time in one scratch buffer, leaves out the trailing nodes whose terms
+underflow to 0 on the whole block, and stops at the first block whose error
 exceeds eps. The sum has the bits of its column of the dense (Nq, grid)
 product, which is never formed. All nodes and weights are strictly
 positive.
@@ -44,6 +45,8 @@ NODE_BUDGET = 512
 CERT_POINTS_PER_OCTAVE = 40
 SWEEP_BLOCK = 256  # grid points per block of the certification sweep
 STEP_BLOCK = 64  # steps whose decay factors _SOEHistory forms in one call
+# exp(-x) is exactly 0 in double from x = 745.14 on, below half the least subnormal
+EXP_UNDERFLOW = 745.2
 
 
 class SOENotCertifiedError(ValueError):
@@ -109,16 +112,22 @@ def _residual(nodes, weights, target, grid, eps):
     OpenBLAS's x86 AVX-512 (SkylakeX) gemv, which sums a grid point over the
     nodes in one order whatever the block's width but takes the columns left
     over from its vector width in another: blocks 7 wide moved sums by an
-    ulp."""
+    ulp. The trailing run of nodes, in the given order, with theta t >=
+    EXP_UNDERFLOW at a block's smallest point is left out of that block and
+    every later one: the grid ascends, so each of their terms is exactly 0
+    there, and a sum over the nodes before them has the same bits."""
     n = len(nodes)
     scratch = np.empty(n * min(SWEEP_BLOCK, len(grid)))
     negated = -nodes[:, None]
     res = 0.0
     for j in range(0, len(grid), SWEEP_BLOCK):
         t, f = grid[j:j + SWEEP_BLOCK], target[j:j + SWEEP_BLOCK]
+        if n and nodes[n - 1] * t[0] >= EXP_UNDERFLOW:
+            live = np.flatnonzero(nodes[:n] * t[0] < EXP_UNDERFLOW)
+            n = int(live[-1]) + 1 if live.size else 0
         e = scratch[:n * len(t)].reshape(n, len(t))
-        np.exp(np.multiply(negated, t, out=e), out=e)
-        err = float(np.max(np.abs(f - weights @ e)))
+        np.exp(np.multiply(negated[:n], t, out=e), out=e)
+        err = float(np.max(np.abs(f - weights[:n] @ e)))
         if not err <= eps:
             return math.inf
         res = max(res, err)
@@ -286,13 +295,25 @@ class _SOEHistory:
         self.nodes = approx.nodes.reshape((-1,) + (1,) * len(shape))
         self.H = np.zeros((approx.Nq,) + shape)
 
+    def blocks(self):
+        """Yield (start, decay, phi) for each block of up to STEP_BLOCK steps,
+        the steps start + 1 on: exp(-theta tau_n) and phi of each of its
+        steps, formed in one call, each of shape (steps,) + the nodes' shape
+        and the caller's to overwrite. The march walks them step by step;
+        ``kernels.fast_l1_kernel`` also takes their cumulative products."""
+        for start in range(0, len(self.tau), STEP_BLOCK):
+            tau = self.tau[start:start + STEP_BLOCK]
+            nx = tau.reshape((-1,) + (1,) * self.nodes.ndim) * self.nodes
+            np.negative(nx, out=nx)
+            phi = np.expm1(nx)
+            phi /= nx
+            yield start, np.exp(nx, out=nx), phi
+            del nx, phi  # before the next block's are formed
+
     def __iter__(self):
         H, weights = self.H, self.weights
-        for start in range(0, len(self.tau), STEP_BLOCK):
-            # decay factors and phi of STEP_BLOCK steps in one call
-            tau = self.tau[start:start + STEP_BLOCK]
-            nx = -(tau.reshape((-1,) + (1,) * self.nodes.ndim) * self.nodes)
-            for decay, phi in zip(np.exp(nx), np.expm1(nx) / nx):
+        for _, decays, phis in self.blocks():
+            for decay, phi in zip(decays, phis):
                 H *= decay
                 # the bits of weights @ H, with less overhead per call
                 yield weights.dot(H), phi

@@ -122,7 +122,7 @@ _file("test_soe_build_bytes_pinned", _soe_build, """
 # recombination exists only on uniform meshes; N = 300 spans many row blocks
 _file("test_kernels_dump_bytes_pinned", _cli("kernels dump"), """
     8a2b618035bf8852a9e1abd5ce4a98251699d4134e6596894f319d30a216142a l1-graded:64,2,1
-    1eb79d1436ff9002b24f3aa5826f7b4e0b60ba4976ccdc8ac4cf6f2531e6f79d fastl1-graded:64,2,1
+    6a700a91a26a0fb8eec5333f69bdbc8f8f70fec19cfaf0a2d209537a5a20a722 fastl1-graded:64,2,1
     3256a19f750aa8f186e7422a285eb0825a91617cac36dc41eac74e7af5f79272 alikhanov-graded:64,2,1
     eb55502e9c530597aaa7b43d3e14568a942d86f9288cccdfda3885589235c74c bdf2-graded:64,2,1
     221d41b1a5b87abee2590ceb85bf9bb27e07d1e8d87235754cb163413cebae16 bdf2recombined-graded:64,1,1
@@ -132,7 +132,7 @@ _file("test_kernels_dump_bytes_pinned", _cli("kernels dump"), """
 # bdf2 fails A1 here, so its body prints a2_pi_estimate as null
 _file("test_audit_bytes_pinned", _cli("audit"), """
     788add39b8f30ca30209ab161acd7ca4a57ea1af26a06d77838dde36498d8288 l1-graded:300,3,1
-    73df8598573247fe600fff2a5a00d3e078f0e3f617a6c18c8bfb02b4fa25bfa3 fastl1-graded:300,3,1
+    d02744f0e7f6a2bd8ae3e7a7e9d4fa55c27ac672947028710141845e4c727ead fastl1-graded:300,3,1
     0577ca9603129a8de670ce1041181e95facaa848acdbccf7f78cd47c591a822c alikhanov-graded:300,3,1
     f201c6693dccb636b704c10cd1ceeb7de7fdfa150affb32cf6d74715562a5840 bdf2-graded:300,3,1
     3728d8ff80b0865a0947d22731fe4384b793413524e1290cc85f429a8de72ff5 bdf2recombined-graded:300,1,1""")
@@ -183,9 +183,9 @@ _file("test_march_bits_pinned_at_block_edges", _march, """
     d25c288e7d8b7da765ceb765392fe720bc43c1519416a9ac96c7cf3e67e8d260 single-mode-soe-129""")
 _file("test_fast_l1_table_bits_pinned_at_block_edges", _fast_l1_table, """
     72baff2a5ea7e1705a671b89ef86d8e64fec39c86a6bc37455466b69800da80f 1
-    70ea685a29ebc02f5090204756f50a2ee3d59a4292307dad639b064058c3a976 63
-    41caca821be923d636f370b5fe2e7f5bb4ed94131e7eed4cf89f9f489f861899 65
-    14f747af4d7f863bfcf2cb531c5c078b8fe17def2600d496deb9f7521d56be20 129""")
+    1caaefcd148bfb80cb922af5d4673aa251d371f1e9962c0d10c93942b7e626f2 63
+    67e82596b80e8b6b6737eb4f3a29e20549337c0edf8bb354060c961846be7838 65
+    4b408f9850bf75e43dffedff7f11b3d64780f05c9e41b98e3133d9aec0492605 129""")
 # the factor window is still [1.02/rho_bound, 1.5] at rho_bound <= 1.78
 _file("test_random_mesh_nodes_pinned", _nodes, """
     dd5c2fade43cf80ebbf7f4232ee57a879d55a31a302e59fb6171f264ae38e999 513-513""")

@@ -35,7 +35,7 @@ from fracstep.kernels import (
     verify_assumptions,
 )
 from fracstep.mesh import graded_mesh, mesh_from_nodes, random_mesh, uniform_mesh
-from fracstep.soe import SOENotCertifiedError, build_soe
+from fracstep.soe import STEP_BLOCK, SOENotCertifiedError, build_soe
 from fracstep.specialfn import _singular_average, omega
 
 from conftest import make_mesh
@@ -310,10 +310,10 @@ def test_fast_l1_table_matches_40_digit_sum(store):
 
 
 def _unit_step_march(mesh, alpha, approx):
-    """The build that writing phi into one state column replaced, kept as its
-    bit-for-bit reference: the SOE march of the (N+1, N) sequence whose
-    column k steps from 0 to 1 at t_k, every column decayed and pushed at
-    every step."""
+    """The build that writing phi into one state column replaced, kept as the
+    reference of the blocked build: the SOE march of the (N+1, N) sequence
+    whose column k steps from 0 to 1 at t_k, every column decayed and pushed
+    at every step."""
     v = np.tri(mesh.N + 1, mesh.N, -1)
     nodes = approx.nodes[:, None]
     diagonal = _singular_average(alpha, mesh.tau)
@@ -338,7 +338,57 @@ def test_fast_l1_table_matches_unit_step_march(store, family, N, alpha):
     # a one-step mesh is certified on [T/2, T], as _soe_for_mesh does
     approx = store.soe(alpha, 1e-10, min(float(mesh.tau.min()), 0.5), 1.0)
     K = fast_l1_kernel(mesh, alpha, approx).K
-    assert np.array_equal(K, _unit_step_march(mesh, alpha, approx))
+    ref = _unit_step_march(mesh, alpha, approx)
+    assert np.array_equal(K != 0.0, ref != 0.0)
+    assert np.array_equal(np.diag(K), np.diag(ref))
+    # the blocked build multiplies each state by its decays in another
+    # association and sums it over the nodes in another order: 3.8e-15 at
+    # most over N = 1 to 4096, four mesh families and alpha 0.1 to 0.9
+    low = ref != 0.0
+    assert np.max(np.abs(K[low] - ref[low]) / ref[low], initial=0.0) <= 1e-14
+
+
+def _block_edge_entries(N):
+    """0-based (row, column) entries below the diagonal where the blocked
+    build changes path: the first row of each block of STEP_BLOCK steps with
+    the column started just before it and the block's last row with column
+    0 (one product each), the block's first and last rows of its own first
+    column (walked step by step), and the table's last subdiagonal entry."""
+    entries = {(N - 1, N - 2)}
+    for b in range(0, N, STEP_BLOCK):
+        e = min(b + STEP_BLOCK, N)
+        entries |= {(b, b - 1), (e - 1, 0), (b + 1, b), (e - 1, b)}
+    return sorted((r, c) for r, c in entries if 0 <= c < r < N)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+@pytest.mark.parametrize("N", [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1,
+                               2 * STEP_BLOCK, 2 * STEP_BLOCK + 1, 300])
+@pytest.mark.parametrize("family", ["uniform", "graded2", "graded3", "random"])
+def test_blocked_fast_l1_table_at_block_edges(store, family, N, alpha):
+    # against the per-row closed form everywhere, and against a 40-digit sum
+    # of the same exponentials at the entries where the build changes path
+    mpmath = pytest.importorskip("mpmath")
+    mesh = random_mesh(N, 1.0, seed=N) if family == "random" \
+        else make_mesh(family, N)
+    approx = store.soe(alpha, 1e-10, min(float(mesh.tau.min()), 0.5), 1.0)
+    K = fast_l1_kernel(mesh, alpha, approx).K
+    ref = _fast_l1_row_by_row(mesh, alpha, approx)
+    assert np.array_equal(K != 0.0, ref != 0.0)
+    assert np.array_equal(np.diag(K), np.diag(ref))
+    low = ref != 0.0
+    assert np.max(np.abs(K[low] - ref[low]) / ref[low], initial=0.0) <= 1e-13
+    with mpmath.workdps(40):
+        theta = [mpmath.mpf(float(x)) for x in approx.nodes]
+        w = [mpmath.mpf(float(x)) for x in approx.weights]
+        for r, c in _block_edge_entries(N):
+            gap = mpmath.mpf(float(mesh.nodes[r + 1])) - mpmath.mpf(float(mesh.nodes[c + 1]))
+            h = mpmath.mpf(float(mesh.tau[c]))
+            # a term with theta gap > 800 lies below e^-800 of its weight
+            exact = mpmath.fsum(wq * mpmath.exp(-th * gap) * -mpmath.expm1(-th * h)
+                                / (th * h) for wq, th in zip(w, theta)
+                                if th * gap <= 800)
+            assert abs(K[r, c] - exact) <= 2e-14 * exact, (r, c)
 
 
 # ---------------------------------------------------------------------------

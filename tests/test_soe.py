@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fracstep import soe
 from fracstep.kernels import apply_discrete_derivative, fast_l1_kernel, l1_kernel
 from fracstep.mesh import graded_mesh, uniform_mesh
 from fracstep.soe import (
+    EXP_UNDERFLOW,
     NODE_BUDGET,
     STEP_BLOCK,
     SWEEP_BLOCK,
@@ -349,6 +351,42 @@ def test_sweep_is_the_dense_product_in_any_node_order(eps, delta_t, T):
     assert _residual(nodes, weights, target, grid, eps) == dense[0]
     # a sum that errs by more than eps anywhere is refused with no residual
     assert _residual(nodes, weights, target, grid, 0.5 * dense[0]) == math.inf
+
+
+def _unskipped_residual(nodes, weights, target, grid, eps):
+    """The sweep with every node in every block, kept as the reference of
+    ``_residual``, which leaves out the trailing nodes whose terms underflow."""
+    n = len(nodes)
+    scratch = np.empty(n * min(SWEEP_BLOCK, len(grid)))
+    negated = -nodes[:, None]
+    res = 0.0
+    for j in range(0, len(grid), SWEEP_BLOCK):
+        t, f = grid[j:j + SWEEP_BLOCK], target[j:j + SWEEP_BLOCK]
+        e = scratch[:n * len(t)].reshape(n, len(t))
+        np.exp(np.multiply(negated, t, out=e), out=e)
+        err = float(np.max(np.abs(f - weights @ e)))
+        if not err <= eps:
+            return math.inf
+        res = max(res, err)
+    return res
+
+
+def test_underflow_skip_keeps_every_build(monkeypatch):
+    # every term left out is exactly 0, so each build, refusals included, is
+    # the unskipped sweep's to the bit; most certified builds leave some out
+    assert np.exp(np.full(17, -EXP_UNDERFLOW)).max() == 0.0 == math.exp(-EXP_UNDERFLOW)
+    sweep = list(itertools.product((0.1, 0.3, 0.5, 0.7, 0.9), (1e-6, 1e-8, 1e-10, 1e-12),
+                                   (1e-2, 1e-5, 1e-8, 1e-12, 1e-16), (1.0, 10.0)))
+    skipped = [_outcome(_built, *args) for args in sweep]
+    monkeypatch.setattr(soe, "_residual", _unskipped_residual)
+    for args, outcome in zip(sweep, skipped):
+        assert outcome == _outcome(_built, *args), args
+    certified = [(args, np.frombuffer(outcome[0])) for args, outcome in
+                 zip(sweep, skipped) if not isinstance(outcome, str)]
+    left_out = sum(nodes[-1] * grid[SWEEP_BLOCK::SWEEP_BLOCK].max(initial=0.0)
+                   >= EXP_UNDERFLOW for nodes, grid in
+                   ((nodes, _certification_grid(*args[2:])) for args, nodes in certified))
+    assert 0 < len(certified) < len(sweep) and left_out > len(certified) // 2
 
 
 @pytest.mark.parametrize("N", [4096, 10**5])
