@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complementary import ComplementaryTable, _check_source
-from .kernels import (KernelTable, _block_budget, apply_discrete_derivative,
-                      check_same_problem)
+from .kernels import KernelTable, apply_discrete_derivative, check_same_problem
 from .mesh import TimeMesh
 from .specialfn import _check_alpha, mittag_leffler
 
@@ -118,6 +117,22 @@ def check_step_restriction(mesh: TimeMesh, alpha: float, pi_A: float,
     return mesh.max_step() <= step_restriction_threshold(alpha, pi_A, Lambda)
 
 
+def _refusals(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
+              pi_A: float, Lambda: float, strict: bool = True) -> float:
+    """The step restriction threshold, after ``_lemma``'s refusals of its
+    problem: a table of another mesh or alpha, an infinite pi_A and, when
+    ``strict``, a mesh breaking the step restriction."""
+    check_same_problem(ctable.source, mesh, alpha)
+    if pi_A is None or not math.isfinite(pi_A):
+        raise ValueError(f"the Gronwall bound needs a finite pi_A, got {pi_A}: "
+                         "a kernel table with no finite pi_A fails A1")
+    limit = step_restriction_threshold(alpha, pi_A, Lambda)
+    if strict and not mesh.max_step() <= limit:
+        raise StepRestrictionViolatedError(
+            f"max step {mesh.max_step():.3e} exceeds {limit:.3e}")
+    return limit
+
+
 def _lemma(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
            pi_A: float, rho: float, Lambda: float, form: str, v0, g,
            strict: bool = True):
@@ -132,17 +147,10 @@ def _lemma(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
     quadratic form, S itself for the linear one). The weak term
     pi_A Gamma(1-alpha) max_j t_j^alpha g^j may replace the sums S.
     """
-    check_same_problem(ctable.source, mesh, alpha)
-    if pi_A is None or not math.isfinite(pi_A):
-        raise ValueError(f"the Gronwall bound needs a finite pi_A, got {pi_A}: "
-                         "a kernel table with no finite pi_A fails A1")
+    limit = _refusals(ctable, mesh, alpha, pi_A, Lambda, strict)
     N = mesh.N
     if g.shape[-1] != N:
         raise ValueError(f"g must have N = {N} entries")
-    limit = step_restriction_threshold(alpha, pi_A, Lambda)
-    if strict and not mesh.max_step() <= limit:
-        raise StepRestrictionViolatedError(
-            f"max step {mesh.max_step():.3e} exceeds {limit:.3e}")
     factor = np.ones(N) if Lambda <= 0.0 else 2.0 * mittag_leffler(
         alpha, 2.0 * max(1.0, rho) * pi_A * Lambda * mesh.nodes[1:] ** alpha)
     S = g @ ctable.P.T  # S_k = sum_{j=1..k} P^(k)_{k-j} g^j
@@ -182,28 +190,13 @@ class TrialReport:
 
 
 def _lambda_convolution(lambdas: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """C[:, n-1] = sum_{k=1..n} lambda_{n-k} W[:, k-1] for each trial row: W times
-    the lower-triangular Toeplitz matrix of the lambdas, multiplied only over
-    its band of lags 0..L, L the last nonzero lambda. Each block of R rows
-    takes its part of the band from one (R, R + L) Toeplitz matrix, R as
-    large as a row block of a table whose rows hold L + 1 entries: two
-    nonzero lambdas cost a few products of width R + 1, a dense lambda the
-    whole triangle."""
+    """C[:, n-1] = sum_{k=1..n} lambda_{n-k} W[:, k-1] for each trial row: one
+    shifted multiply-add per nonzero lambda, so the two lags the hypothesis
+    trials use cost two passes over W."""
     N = W.shape[1]
-    L = int(np.flatnonzero(lambdas).max(initial=0))
-    budget = _block_budget(L + 1, "table")
-    R = max(1, min(N, (math.isqrt(L * L + 4 * budget) - L) // 2))
-    # band[i, j] = lambda_{L+i-j}, 0 outside lags 0..L: rows r0..r0+R-1 over
-    # columns r0-L..r0+R-1, gathered from the lambdas padded by R - 1 zeros
-    padded = np.zeros(L + 2 * R - 1)
-    padded[R - 1 : R + L] = lambdas[: L + 1]
-    band = padded[np.subtract.outer(np.arange(L + R - 1, L + 2 * R - 1),
-                                    np.arange(R + L))]
-    out = np.empty_like(W)
-    for r0 in range(0, N, R):
-        r1 = min(N, r0 + R)
-        lo = max(0, r0 - L)
-        out[:, r0:r1] = W[:, lo:r1] @ band[: r1 - r0, lo - r0 + L : r1 - r0 + L].T
+    out = np.zeros_like(W)
+    for lag in np.flatnonzero(lambdas):
+        out[:, lag:] += lambdas[lag] * W[:, : N - lag]
     return out
 
 
@@ -216,24 +209,33 @@ def _run_trials(ctable, mesh, ktable, problem, trials, rng, form):
     if len(problem.lambdas) != N:
         raise ValueError(
             f"lambdas must have N = {N} entries, got {len(problem.lambdas)}")
+    _refusals(ctable, mesh, ktable.alpha, ktable.pi_A, problem.Lambda)
 
     V = np.random.default_rng(rng).uniform(0.1, 2.0, size=(trials, N + 1))
     # v^{k-theta} for k = 1..N, per trial row
     Vth = problem.theta * V[:, :-1] + (1.0 - problem.theta) * V[:, 1:]
     power = 2 if form == "quadratic" else 1
-    slack = (apply_discrete_derivative(ktable, (V ** power).T).T
-             - _lambda_convolution(problem.lambdas, Vth ** power))
-    # the data g is the hypothesis slack, so the inequality binds wherever g > 0
-    g = np.maximum(0.0, slack / Vth if form == "quadratic" else slack)
-    _, S, B, weak_term, _ = _lemma(ctable, mesh, ktable.alpha, ktable.pi_A,
-                                   mesh.max_ratio(), problem.Lambda, form,
-                                   V[:, :1], g)
-
-    margins = (B - V[:, 1:]) / np.maximum(B, 1.0)
+    # a lambda near the double range can carry the slack, or its bound, past
+    # that range: refused by name below, not by the arithmetic's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = (apply_discrete_derivative(ktable, (V ** power).T).T
+                 - _lambda_convolution(problem.lambdas, Vth ** power))
+        # the data g is the hypothesis slack, so the inequality binds wherever g > 0
+        g = np.maximum(0.0, slack / Vth if form == "quadratic" else slack)
+        _, S, B, weak_term, _ = _lemma(ctable, mesh, ktable.alpha, ktable.pi_A,
+                                       mesh.max_ratio(), problem.Lambda, form,
+                                       V[:, :1], g)
+        margins = (B - V[:, 1:]) / np.maximum(B, 1.0)
+    min_margin = float(margins.min())
+    # an overflow leaves a NaN margin (inf / inf) or an infinite weak term
+    if not (math.isfinite(min_margin) and math.isfinite(weak_term.max())):
+        raise OverflowError(
+            f"the {form} hypothesis slack or its bound leaves the double range "
+            f"at Lambda = {problem.Lambda:.3e}")
     weak_ok = bool(np.all(weak_term >= S - _TRIAL_TOL * np.maximum(1.0, weak_term)))
     return TrialReport(
         trials=trials, violations=int(np.sum(np.min(margins, axis=1) < -_TRIAL_TOL)),
-        min_margin=float(margins.min()), mean_margin=float(margins.mean()),
+        min_margin=min_margin, mean_margin=float(margins.mean()),
         weak_dominates=weak_ok)
 
 
@@ -245,7 +247,9 @@ def verify_gronwall_quadratic(ctable: ComplementaryTable, mesh: TimeMesh,
     trial must stay below its certificate up to 1e-9 relative to
     max(1, bound), and the weak term above the sums S up to 1e-9 relative to
     max(1, weak term). The form is the function's own: ``problem.form`` is
-    read only by ``gronwall_bound``."""
+    read only by ``gronwall_bound``. A problem the bound refuses is refused
+    before any trial is drawn, and a slack or bound past the double range
+    raises OverflowError."""
     return _run_trials(ctable, mesh, ktable, problem, trials, rng, "quadratic")
 
 

@@ -146,10 +146,11 @@ class KernelTable(_LowerTable):
 
     def _holds_l1_averages(self) -> bool:
         """True while K is still the read-only array that l1_kernel built
-        for this alpha and mesh."""
+        for this alpha and mesh. alpha is compared by value: pickle restores
+        K and mesh once for both references, but each float anew."""
         own = self._l1_averages
         return (own is not None and not self.K.flags.writeable
-                and all(a is b for a, b in zip(own, (self.K, self.alpha, self.mesh))))
+                and own[0] is self.K and own[1] == self.alpha and own[2] is self.mesh)
 
 
 @dataclass(frozen=True)

@@ -281,10 +281,9 @@ class _SOEHistory:
     Per node theta the states follow, from H(t_0) = 0,
         H(t_n) = exp(-theta tau_n) H(t_{n-1}) + phi * incr_n,
         phi = (1 - exp(-theta tau_n)) / (theta tau_n).
-    Iterating decays the states over each step n = 1..N in turn and yields
-    their weighted sum with the step's phi; the caller adds the step's
-    increment times phi to ``H`` before asking for the next step.
-    ``steps()`` is the march's form of that loop."""
+    ``blocks()`` forms the decays and phis of up to STEP_BLOCK steps at a
+    time, the factors ``kernels.fast_l1_kernel`` builds its table from;
+    ``steps()`` walks them step by step, the march's loop."""
 
     theta = 0.0
 
@@ -310,20 +309,16 @@ class _SOEHistory:
             yield start, np.exp(nx, out=nx), phi
             del nx, phi  # before the next block's are formed
 
-    def __iter__(self):
-        H, weights = self.H, self.weights
-        for _, decays, phis in self.blocks():
-            for decay, phi in zip(decays, phis):
-                H *= decay
-                # the bits of weights @ H, with less overhead per call
-                yield weights.dot(H), phi
-
     def steps(self):
         """Yield the history term of each step, a float for one mode, and take
         the step's increment back by ``send``: increment times phi is added to
         the states in place."""
-        H, scalar = self.H, self.H.ndim == 1
+        H, weights, scalar = self.H, self.weights, self.H.ndim == 1
         product = np.empty_like(H)
-        for term, phi in self:
-            increment = yield float(term) if scalar else term
-            H += np.multiply(phi, increment, out=product)
+        for _, decays, phis in self.blocks():
+            for decay, phi in zip(decays, phis):
+                H *= decay
+                # the bits of weights @ H, with less overhead per call
+                term = weights.dot(H)
+                increment = yield float(term) if scalar else term
+                H += np.multiply(phi, increment, out=product)

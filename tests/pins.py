@@ -142,6 +142,10 @@ _file("test_gronwall_verify_bytes_pinned", _cli("gronwall verify"), """
     f14569d2a20e644675828cb3755428ba715c1e8cc4948daab01ed2a6cb528de8 alikhanov-graded:64,2,1
     3f658eded3768a28df7e7d342a26192f77df854bfee26a9f6a239f4eb36f235b fastl1-graded:64,2,1
     885fb1e6d47d6b92dc0462778e2ade1102cf0addcbd5834d5622c60dcf50eb19 bdf2recombined-graded:64,1,1""")
+# a Lambda far below 0 whose slack and bound stay inside the double range
+_file("test_gronwall_verify_refuses_a_constant_past_the_double_range",
+      _cli("gronwall verify", "--trials", "3", "--Lambda", "-1e300", alpha="0.5"), """
+    117285f415ab85a73eb08f0aa21bbc5317d31aa63a920e881b995f14e6c7cd6b l1-graded:32,2,1""")
 _file("test_solve_bytes_pinned", _solve, """
     e3d8b457c0dd09766ad30f9e3b2e7b3a00a721201f3ec13deaa019af5e1fb4f2 single-mode-l1-graded:64,2,1
     4539978cbfa9f433f091b4f970f5edff63c05e455e1efcc668c9fa0def48fd6a single-mode-alikhanov-graded:64,2,1

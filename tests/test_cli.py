@@ -112,6 +112,28 @@ def test_gronwall_verify_without_step_restriction(capsys, Lambda):
     assert payload["results"]["quadratic"]["violations"] == 0
 
 
+@pytest.mark.parametrize("Lambda, code, err", [
+    ("1e308", cli.EXIT_VALIDATION,
+     "validation error: max step 6.152e-02 exceeds 0.000e+00\n"),
+    ("-1e308", cli.EXIT_NUMERICAL,
+     "numerical failure: the quadratic hypothesis slack or its bound leaves "
+     "the double range at Lambda = -1.000e+308\n")],
+    ids=["step-restriction", "slack-overflow"])
+def test_gronwall_verify_refuses_a_constant_past_the_double_range(capsys, Lambda,
+                                                                  code, err):
+    # 1e308 breaks the step restriction, refused before any trial is drawn;
+    # at -1e308 the slack overflows, refused by name and not by numpy's
+    # warnings, which are errors here. -1e300 still runs, to its pinned body
+    argv = ("gronwall", "verify", "--scheme", "l1", "--mesh", "graded:32,2,1",
+            "--alpha", "0.5", "--trials", "3", "--Lambda")
+    [case] = pins.cases("test_gronwall_verify_refuses_a_constant_past_the_double_range")
+    assert case.run == argv + ("-1e300",)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, *argv, Lambda) == (code, "", err)
+        pins.check(case)
+
+
 def test_gronwall_verify_violation_exit_code(capsys, monkeypatch):
     fake = TrialReport(trials=5, violations=2, min_margin=-0.1,
                        mean_margin=0.0, weak_dominates=True)

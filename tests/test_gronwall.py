@@ -222,10 +222,11 @@ def test_trials_nonpositive_branch(store):
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 300])
-@pytest.mark.parametrize("kind", ["zero", "two", "gap", "dense"])
+@pytest.mark.parametrize("kind", ["zero", "two", "gap", "dense", "nonpositive"])
 def test_lambda_convolution_multiplies_only_its_band(N, kind):
-    # the band product against the plain sum over lags, with the last
-    # nonzero lambda at lag 0, 1, 4 or N - 1
+    # the lag-shift sum against a dense product with the lower-triangular
+    # Toeplitz matrix T[n, k] = lambda_{n-k}, with the last nonzero lambda at
+    # lag 0, 1, 4 or N - 1, and nonpositive lambdas as the Lambda <= 0 branch
     rng = np.random.default_rng(N)
     lam = np.zeros(N)
     if kind == "two":
@@ -234,9 +235,11 @@ def test_lambda_convolution_multiplies_only_its_band(N, kind):
         lam[min(N, 5) - 1] = 0.2
     elif kind == "dense":
         lam = rng.uniform(0.0, 1.0, N)
+    elif kind == "nonpositive":
+        lam = -rng.uniform(0.0, 1.0, N)
+        lam[1::3] = 0.0
     W = rng.uniform(0.1, 2.0, (7, N))
-    expected = np.zeros_like(W)
-    for lag in range(N):
-        expected[:, lag:] += lam[lag] * W[:, : N - lag]
+    lag = np.subtract.outer(np.arange(N), np.arange(N))
+    T = np.where(lag >= 0, lam[np.maximum(lag, 0)], 0.0)
     got = _lambda_convolution(lam, W)
-    assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+    assert np.allclose(got, W @ T.T, rtol=1e-13, atol=0.0)

@@ -403,18 +403,20 @@ def test_build_holds_no_grid_sized_matrix(N):
 
 
 def _per_step_march(approx, mesh, increments):
-    """Terms, phis and final states of the recurrence, one step at a time."""
+    """Terms, decays, phis and final states of the recurrence, one step at a
+    time."""
     nodes = approx.nodes.reshape((-1,) + (1,) * (increments.ndim - 1))
     H = np.zeros((approx.Nq,) + increments.shape[1:])
-    terms, phis = [], []
+    terms, decays, phis = [], [], []
     for n in range(1, mesh.N + 1):
         x = nodes * mesh.tau[n - 1]
         phi = -np.expm1(-x) / x
-        H *= np.exp(-x)
+        decays.append(np.exp(-x))
+        H *= decays[-1]
         terms.append(approx.weights @ H)
         phis.append(phi)
         H += phi * increments[n - 1]
-    return terms, phis, H
+    return terms, decays, phis, H
 
 
 @pytest.mark.parametrize("N", [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1,
@@ -425,15 +427,16 @@ def test_blocked_history_matches_per_step_recurrence(store, N, state):
     approx = store.soe(0.4, 1e-8, min(float(mesh.tau.min()), 0.5 * mesh.T), mesh.T)
     shape = {"scalar": (), "M": (3,), "N": (N,)}[state]
     increments = np.random.default_rng(N).standard_normal((N,) + shape)
-    terms, phis, H = _per_step_march(approx, mesh, increments)
-    # the per-step factors, with the push made here as fast_l1_kernel does
+    terms, decays, phis, H = _per_step_march(approx, mesh, increments)
+    # the blocks' factors, the ones fast_l1_kernel reads, step by step
     history = _SOEHistory(approx, mesh, 0.4, shape)
-    for n, (term, phi) in enumerate(history, 1):
-        assert np.array_equal(term, terms[n - 1])
-        assert np.array_equal(phi, phis[n - 1])
-        history.H += phi * increments[n - 1]
-    assert n == N
-    assert np.array_equal(history.H, H)
+    starts = []
+    for start, block_decays, block_phis in history.blocks():
+        starts.append(start)
+        stop = start + len(block_decays)
+        assert np.array_equal(block_decays, decays[start:stop])
+        assert np.array_equal(block_phis, phis[start:stop])
+    assert starts == list(range(0, N, STEP_BLOCK)) and stop == N
     # the march's steps, which push in place
     history = _SOEHistory(approx, mesh, 0.4, shape)
     for n, term in enumerate(_run_steps(history, increments), 1):

@@ -66,12 +66,15 @@ def _bits(report):
                          ids=["deepcopy", "pickle"])
 def test_copied_and_unpickled_tables_stay_read_only(duplicate):
     # both paths restore the fields without __post_init__; each copy is as
-    # read-only as the table it copies, and audits to the same bits
+    # read-only as the table it copies, and audits to the same bits. An l1
+    # copy still holds its averages, so its audit reads them from its K:
+    # pickle restores alpha as a new float, compared by value
     mesh = graded_mesh(40, 2.0, 1.0)
     approx = build_soe(0.5, 1e-10, float(mesh.tau.min()), mesh.T)
     for table in (l1_kernel(mesh, 0.5), fast_l1_kernel(mesh, 0.5, approx)):
         ct = build_complementary(table)
         twin, ct_twin = duplicate(table), duplicate(ct)
+        assert twin._holds_l1_averages() is (table.scheme_id == "l1")
         for M, original in ((twin.K, table.K), (ct_twin.P, ct.P),
                             (ct_twin.source.K, table.K)):
             assert not M.flags.writeable and np.array_equal(M, original)
