@@ -119,9 +119,9 @@ def check_step_restriction(mesh: TimeMesh, alpha: float, pi_A: float,
 
 def _refusals(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
               pi_A: float, Lambda: float, strict: bool = True) -> float:
-    """The step restriction threshold, after ``_lemma``'s refusals of its
-    problem: a table of another mesh or alpha, an infinite pi_A and, when
-    ``strict``, a mesh breaking the step restriction."""
+    """The step restriction threshold, after the refusals that every caller
+    of ``_lemma`` runs first: a table of another mesh or alpha, an infinite
+    pi_A and, when ``strict``, a mesh breaking the step restriction."""
     check_same_problem(ctable.source, mesh, alpha)
     if pi_A is None or not math.isfinite(pi_A):
         raise ValueError(f"the Gronwall bound needs a finite pi_A, got {pi_A}: "
@@ -134,20 +134,17 @@ def _refusals(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
 
 
 def _lemma(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
-           pi_A: float, rho: float, Lambda: float, form: str, v0, g,
-           strict: bool = True):
-    """Envelope factor, sums S = P g, bound, weak term and step restriction
-    threshold for data g of shape (N,) or (trials, N) and a v0 that broadcasts.
+           pi_A: float, rho: float, Lambda: float, form: str, v0, g):
+    """Envelope factor, sums S = P g, bound and weak term for data g of shape
+    (N,) or (trials, N) and a v0 that broadcasts, on a problem that passed
+    ``_refusals``.
 
     Positive Lambda: B_n = 2 E_alpha(2 max(1,rho) pi_A Lambda t_n^alpha) *
-    (v0 + running max of S). A mesh breaking the step restriction raises
-    StepRestrictionViolatedError before any Mittag-Leffler call, or, with
-    ``strict`` False, gets its bound all the same. Nonpositive Lambda: the
-    factor drops to 1 and no step restriction is needed (running max for the
-    quadratic form, S itself for the linear one). The weak term
-    pi_A Gamma(1-alpha) max_j t_j^alpha g^j may replace the sums S.
+    (v0 + running max of S). Nonpositive Lambda: the factor drops to 1 and no
+    step restriction is needed (running max for the quadratic form, S itself
+    for the linear one). The weak term pi_A Gamma(1-alpha) max_j t_j^alpha g^j
+    may replace the sums S.
     """
-    limit = _refusals(ctable, mesh, alpha, pi_A, Lambda, strict)
     N = mesh.N
     if g.shape[-1] != N:
         raise ValueError(f"g must have N = {N} entries")
@@ -157,22 +154,36 @@ def _lemma(ctable: ComplementaryTable, mesh: TimeMesh, alpha: float,
     G = S if Lambda <= 0.0 and form == "linear" else np.maximum.accumulate(S, axis=-1)
     weak_term = pi_A * math.gamma(1.0 - alpha) * np.maximum.accumulate(
         mesh.nodes[1:] ** alpha * g, axis=-1)
-    return factor, S, factor * (v0 + G), weak_term, limit
+    return factor, S, factor * (v0 + G), weak_term
+
+
+def _check_range(what: str, Lambda: float, *extremes: float) -> None:
+    """Refuse by name (OverflowError) a result whose extremes are not all
+    finite: an overflow leaves an infinite or NaN extreme."""
+    if not all(map(math.isfinite, extremes)):
+        raise OverflowError(
+            f"the {what} leaves the double range at Lambda = {Lambda:.3e}")
 
 
 def gronwall_bound(problem: GronwallProblem, ctable: ComplementaryTable,
                    mesh: TimeMesh, alpha: float, pi_A: float,
                    rho: float) -> GronwallCertificate:
     """Per-step bound B_n and its weak variant on any sequence satisfying the
-    hypothesis (see ``_lemma``); a mesh breaking the step restriction is refused."""
+    hypothesis (see ``_lemma``); a mesh breaking the step restriction is
+    refused, and so is data that carries the bound past the double range
+    (OverflowError)."""
     if problem.g is None:
         raise ValueError("problem.g must be set to evaluate the bound")
-    factor, _, bound, weak_term, _ = _lemma(ctable, mesh, alpha, pi_A, rho,
-                                            problem.Lambda, problem.form,
-                                            problem.v0, problem.g)
+    _refusals(ctable, mesh, alpha, pi_A, problem.Lambda)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor, _, bound, weak_term = _lemma(ctable, mesh, alpha, pi_A, rho,
+                                             problem.Lambda, problem.form,
+                                             problem.v0, problem.g)
+        weak_bound = factor * (problem.v0 + weak_term)
+    _check_range(f"{problem.form} bound", problem.Lambda, bound.max(), weak_bound.max())
     return GronwallCertificate(
         bound_per_step=bound,
-        weak_bound_per_step=factor * (problem.v0 + weak_term),
+        weak_bound_per_step=weak_bound,
         envelope_factor=factor,
         step_restriction_ok=True,
         form=problem.form,
@@ -222,16 +233,14 @@ def _run_trials(ctable, mesh, ktable, problem, trials, rng, form):
                  - _lambda_convolution(problem.lambdas, Vth ** power))
         # the data g is the hypothesis slack, so the inequality binds wherever g > 0
         g = np.maximum(0.0, slack / Vth if form == "quadratic" else slack)
-        _, S, B, weak_term, _ = _lemma(ctable, mesh, ktable.alpha, ktable.pi_A,
-                                       mesh.max_ratio(), problem.Lambda, form,
-                                       V[:, :1], g)
+        _, S, B, weak_term = _lemma(ctable, mesh, ktable.alpha, ktable.pi_A,
+                                    mesh.max_ratio(), problem.Lambda, form,
+                                    V[:, :1], g)
         margins = (B - V[:, 1:]) / np.maximum(B, 1.0)
     min_margin = float(margins.min())
     # an overflow leaves a NaN margin (inf / inf) or an infinite weak term
-    if not (math.isfinite(min_margin) and math.isfinite(weak_term.max())):
-        raise OverflowError(
-            f"the {form} hypothesis slack or its bound leaves the double range "
-            f"at Lambda = {problem.Lambda:.3e}")
+    _check_range(f"{form} hypothesis slack or its bound", problem.Lambda,
+                 min_margin, weak_term.max())
     weak_ok = bool(np.all(weak_term >= S - _TRIAL_TOL * np.maximum(1.0, weak_term)))
     return TrialReport(
         trials=trials, violations=int(np.sum(np.min(margins, axis=1) < -_TRIAL_TOL)),

@@ -50,13 +50,15 @@ class NonUniformMeshError(ValueError):
 # ones, where the fixed numpy cost of a block outweighs its entries. A block of
 # the kernel triangle holds at most about 6.4 block-sized arrays at once (the
 # quadratic schemes; L1 about 4.5), one of a table consumer about 3, and one
-# of the CSV formatter about 0.3 kB per entry, some 40 doubles, hence the
+# of the CSV formatter about 0.2 kB per entry, some 25 doubles, hence the
 # widths. The triangle's block costs the most numpy calls, so its width and
 # floor are as large as keep its scratch at the 10.5 arrays of 4 N entries
-# (4096 on small tables) that it held before it was evaluated in place.
+# (4096 on small tables) that it held before it was evaluated in place. The
+# CSV block's fixed cost is also large, so its floor is twice the others':
+# the dump of an N = 512 table holds about 1.6 MB of scratch at once.
 _BLOCK_FLOOR = 2 ** 12
 _BLOCK_WIDTH = {"triangle": 6.5, "table": 32, "csv": 1}
-_FLOOR_SCALE = {"triangle": 1.625, "table": 1, "csv": 1}
+_FLOOR_SCALE = {"triangle": 1.625, "table": 1, "csv": 2}
 
 
 def _block_budget(N: int, kind: str) -> int:
@@ -493,8 +495,9 @@ def build_table(scheme: str, mesh: TimeMesh, alpha: float,
 def check_same_problem(table: KernelTable, mesh: TimeMesh,
                        alpha: float | None = None) -> None:
     """Raise ValueError unless ``table`` was built on ``mesh`` (and, when
-    given, at ``alpha``), so no audit certifies another problem's table."""
-    if not np.array_equal(mesh.nodes, table.mesh.nodes):
+    given, at ``alpha``), so no audit certifies another problem's table.
+    The table's own mesh, frozen, is not compared node by node."""
+    if mesh is not table.mesh and not np.array_equal(mesh.nodes, table.mesh.nodes):
         raise ValueError("mesh differs from the mesh the table was built on")
     if alpha is not None and not abs(float(alpha) - table.alpha) <= 1e-15:  # or NaN
         raise ValueError(

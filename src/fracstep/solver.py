@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .complementary import ComplementaryTable, _check_source
-from .gronwall import _lemma
+from .gronwall import _lemma, _refusals
 from .kernels import KernelTable, build_table, check_same_problem
 from .mesh import TimeMesh, graded_mesh
 from .soe import STEP_BLOCK, SOEApprox, _SOEHistory
@@ -441,9 +441,11 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
     if pi_A == math.inf:  # no lemma applies without A1: no step is small enough
         envelope, limit, margin = np.full(mesh.N, math.inf), 0.0, math.nan
     else:
-        _, _, envelope, _, limit = _lemma(
+        limit = _refusals(ctable, mesh, ktable.alpha, pi_A, 2.0 * problem.kappa,
+                          strict=False)
+        _, _, envelope, _ = _lemma(
             ctable, mesh, ktable.alpha, pi_A, mesh.max_ratio(), 2.0 * problem.kappa,
-            "quadratic", norms[0], 2.0 * psi_norms, strict=False)
+            "quadratic", norms[0], 2.0 * psi_norms)
         margin = float(np.min((envelope - norms[1:]) / np.maximum(envelope, 1.0)))
     restriction_ok = bool(mesh.max_step() <= limit)
     return StabilityReport(

@@ -84,6 +84,106 @@ def test_empty_input():
     assert _lines(np.array([])) == ""
 
 
+def test_special_values_amid_normal_ones():
+    # one block meets every fallback: zeros, infinities and nans (written
+    # over the digits), subnormals of fewer than 16 digits (counted by
+    # search) and the two smallest (a 1-digit decimal), at both ends and in
+    # the middle of normal doubles; and a block with no subnormal
+    rng = np.random.default_rng(24)
+    normal = rng.random(3000) * 10.0 ** rng.integers(-300, 300, 3000)
+    odd = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+           -1e-323, 2.5e-310, -1.2345e-315, 2.2250738585072014e-308]
+    assert_matches_repr(np.concatenate([odd, normal[:1000], odd[::-1],
+                                        normal[1000:], odd]))
+    assert_matches_repr(np.concatenate([odd[:6], normal, odd[5::-1]]))
+
+
+def test_interval_ends_from_the_middle_product():
+    # the ends of the rounding interval are derived from the words of the
+    # product at its middle, cp; each must equal the rounded product of its
+    # own, for every g of the table, every shift h and any significand, the
+    # irregular lower end (cp - 2^h, below a power of two) included
+    rng = np.random.default_rng(25)
+    table = _floatrepr._tables()["g"]
+    k = np.repeat(np.arange(table.shape[1]), 4 * 64)
+    h = np.tile(np.repeat(np.arange(2, 6, dtype=np.uint64), 64), table.shape[1])
+    c = rng.integers(1, 2 ** 53, size=k.size, dtype=np.uint64)
+    c[::16] = 1 << 52                       # powers of two
+    c[1::16] = 2 ** 53 - 1                  # the largest significand
+    c[2::16] = rng.integers(1, 2 ** 20, size=c[2::16].size, dtype=np.uint64)
+    g = np.take(table, k, axis=1)
+    cp = c << np.uint64(2) << h
+    words = _floatrepr._products(g, cp)
+    s = h + np.uint64(1)
+    for shift, op, wraps in ((s, np.add, np.less), (s, np.subtract, np.greater),
+                             (h, np.subtract, np.greater)):
+        want = _floatrepr._rop(g, op(cp, np.uint64(1) << shift))
+        assert np.array_equal(_floatrepr._rop_moved(g, words, shift, op, wraps), want)
+
+
+def _reference_tables():
+    """The tables as the big-int and string construction once built them:
+    g as the 32-bit halves of g1 and g0, the masks as a tuple."""
+    below, p = [], 1
+    for _ in range(1 - _floatrepr._K_MIN):
+        r = p.bit_length() - 126
+        below.append((p >> r if r >= 0 else p << -r) + 1)
+        p *= 10
+    above, q = [], 1 << 1200
+    for k in range(1, _floatrepr._K_MAX + 1):
+        q //= 10
+        above.append((q >> (1200 - 126 - _floatrepr._flog2pow10(k))) + 1)
+    g = [gk.to_bytes(16, "little") for gk in below[::-1] + above]
+    lo, hi = np.frombuffer(b"".join(g), dtype=np.uint64).reshape(-1, 2).T
+    i = np.arange(10 ** 4, dtype=np.int16)
+    four = i[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10
+    last = np.select([i % 10 > 0, i % 100 > 0, i % 1000 > 0, i > 0], [4, 3, 2, 1])
+    cls = np.arange(21)[:, None, None]
+    nd = np.arange(18)[:, None]
+    pos = np.arange(32)
+    decpt = cls - 3
+    expo, frac = cls == 20, cls <= 3
+    whole = ~expo & ~frac
+    digits = np.where(expo, (pos == 7) | (pos >= 25),
+                      (pos >= 7) & (pos < 7 + np.where(frac, nd, decpt)))
+    shifted = np.where(expo, (pos >= 9) & (pos < 8 + nd),
+                       whole & (pos >= 8 + decpt)
+                       & (pos < 8 + np.maximum(nd, decpt + 1)))
+    point = np.where(expo, (nd > 1) & (pos == 8),
+                     np.where(frac, (pos >= 1) & (pos < 3 - decpt), pos == 7 + decpt))
+    masks = np.stack([digits, shifted, point], axis=2)
+    masks = np.stack([masks, masks])
+    masks[1, :, :, 2, 0] = True
+    masks = (masks * np.uint8(0xFF)).view(np.uint64).reshape(-1, 3, 4)
+    masks[:, 2] &= _floatrepr._CONST
+    return dict(
+        g=((hi << np.uint64(1)) | (lo >> np.uint64(63)), lo & np.uint64((1 << 63) - 1)),
+        four=(four + ord("0")).astype(np.uint8).view(np.uint32).ravel(),
+        last=np.where(last > 0, last + np.arange(-3, 17, 4)[:, None], 0)
+        .astype(np.int8).ravel(),
+        exp=np.frombuffer(b"".join((b"\0e%+03d" % e).ljust(8, b"\0")
+                                   for e in range(-324, 309)), dtype=np.uint64),
+        masks=tuple(masks[:, i] for i in range(3)))
+
+
+def test_tables_match_their_reference_construction():
+    tables, ref = _floatrepr._tables(), _reference_tables()
+    assert np.array_equal(tables["g"], np.stack(ref["g"]))
+    assert np.array_equal(tables["masks"], np.stack(ref["masks"]))
+    for name in ("four", "last", "exp"):
+        assert tables[name].dtype == ref[name].dtype
+        assert np.array_equal(tables[name], ref[name]), name
+    # the layout class by decpt, at decpt + 323, and 0.0, inf and nan
+    decpt = np.arange(-323, 310)
+    assert np.array_equal(tables["cls"],
+                          np.where((decpt < -3) | (decpt > 16), 20, decpt + 3) * 18)
+    special = [row.tobytes().replace(b"\0", b"").decode()
+               for row in tables["special"].reshape(-1, 32)]
+    assert special == [repr(v) for v in (0.0, math.inf, math.nan, -0.0, -math.inf, math.nan)]
+    for name, table in tables.items():
+        assert not table.flags.writeable, name
+
+
 def _rows_csv_by_repr(table, header_lines=()) -> str:
     """The reference: one f-string with ``repr`` per entry."""
     out = [f"# {line}\n" for line in header_lines] + ["n,lag,value\n"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,21 @@ def test_bound_rejects_oversized_steps(store):
                               v0=1.0, Lambda=50.0, theta=0.0)
     with pytest.raises(StepRestrictionViolatedError):
         gronwall_bound(problem, ctable, mesh, 0.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("form", ["quadratic", "linear"])
+def test_bound_refuses_data_past_the_double_range(store, form):
+    # the sums S = P g of data near the largest double leave the double
+    # range: refused by name, as the trials refuse such a slack, and neither
+    # by numpy's overflow warning nor by an infinite bound
+    mesh, ktable, ctable = store.ctable("l1", "graded2", 16, 0.5)
+    problem = GronwallProblem(lambdas=np.zeros(16), g=np.full(16, 1.7e308),
+                              v0=0.0, Lambda=0.0, form=form)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=rf"^the {form} bound leaves the "
+                           r"double range at Lambda = 0\.000e\+00$"):
+            gronwall_bound(problem, ctable, mesh, 0.5, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("pi_A", [math.inf, math.nan])
