@@ -266,7 +266,7 @@ def repr_chars(x) -> np.ndarray:
     bits = x.view(np.uint64)
     mag = bits & _MASK63
     special = (mag - np.uint64(1)) >= _INF - np.uint64(1)  # 0, inf and nan
-    np.copyto(mag, np.uint64(1 << 52), where=special)  # a double Schubfach takes
+    np.copyto(mag, np.uint64(1 << 52), where=special)  # formatted, then written over
     d, decpt = _decimal(mag)
     rows, nd = _digit_rows(d)
     decpt += 323
