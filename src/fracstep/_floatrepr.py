@@ -33,7 +33,7 @@ _INF = np.uint64(0x7FF << 52)
 # 0.2 kB of scratch per formatted double, freed to the heap between writes.
 # Table dumps walk their table by kernels._blocks(N, "csv") instead.
 BLOCK = 2 ** 11
-_CHUNK_OFFSET = np.arange(5, dtype=np.uint64)[:, None] * np.uint64(10 ** 4)
+_CHUNK_OFFSET = np.arange(5)[:, None] * 10 ** 4
 _POW10 = np.array([10 ** i for i in range(17)], dtype=np.uint64)
 
 # A formatted double occupies 32 bytes: '-' at 0, the "0.000" of the fixed
@@ -238,11 +238,11 @@ def _digit_rows(d):
     digits of d, with leading zeros, at bytes 7-23 of a formatted double, and
     nd is the 1-based position of its last nonzero digit."""
     tab = _tables()
-    # bytes 4-23 as five chunks of four digits, the first holding one digit;
+    # bytes 4-23 as five chunks of four digits, the first holding one digit
+    chunks = np.empty((5, d.size), dtype=np.intp)
     # floor division and a multiply-subtract: numpy's uint64 divmod misses
     # the libdivide path that // takes, at about five times the cost
     e4, e8 = np.uint64(10 ** 4), np.uint64(10 ** 8)
-    chunks = np.empty((5, d.size), dtype=np.uint64)
     hi = d // e8
     lo = d - hi * e8
     top = hi // e8
@@ -250,11 +250,10 @@ def _digit_rows(d):
     q_mid, q_lo = mid // e4, lo // e4
     chunks[0], chunks[1], chunks[2] = top, q_mid, mid - q_mid * e4
     chunks[3], chunks[4] = q_lo, lo - q_lo * e4
-    index = chunks.view(np.intp)
     rows = np.zeros((d.size, 8), dtype=np.uint32)
-    rows[:, 1:6] = tab["four"][index.T]
+    rows[:, 1:6] = tab["four"][chunks.T]
     chunks += _CHUNK_OFFSET
-    nd = np.maximum.reduce(tab["last"][index])
+    nd = np.maximum.reduce(tab["last"][chunks])
     return rows.view(np.uint64), nd
 
 

@@ -50,12 +50,12 @@ class NonUniformMeshError(ValueError):
 # ones, where the fixed numpy cost of a block outweighs its entries. A block of
 # the kernel triangle holds at most about 6.4 block-sized arrays at once (the
 # quadratic schemes; L1 about 4.5), one of a table consumer about 3, and one
-# of the CSV formatter about 0.2 kB per entry, some 24 doubles, hence the
+# of the CSV formatter about 0.2 kB per entry, some 23 doubles, hence the
 # widths. The triangle's block costs the most numpy calls, so its width and
 # floor are as large as keep its scratch at the 10.5 arrays of 4 N entries
 # (4096 on small tables) that it held before it was evaluated in place. The
 # CSV block's fixed cost is also large, so its floor is twice the others':
-# the dump of an N = 512 table holds about 1.6 MB of scratch at once.
+# the dump of an N = 512 table holds about 1.5 MB of scratch at once.
 _BLOCK_FLOOR = 2 ** 12
 _BLOCK_WIDTH = {"triangle": 6.5, "table": 32, "csv": 1}
 _FLOOR_SCALE = {"triangle": 1.625, "table": 1, "csv": 2}
