@@ -69,8 +69,9 @@ class ComplementaryTable(_LowerTable):
 
 def _check_source(ctable: ComplementaryTable, ktable: KernelTable) -> None:
     """Raise ValueError unless ``ctable`` inverts ``ktable``'s coefficients,
-    so no audit pairs one scheme's P with another scheme's K."""
-    if not np.array_equal(ctable.source.K, ktable.K):
+    so no audit pairs one scheme's P with another scheme's K. The table's own
+    source is not compared entry by entry."""
+    if ctable.source is not ktable and not np.array_equal(ctable.source.K, ktable.K):
         raise ValueError("kernel table differs from the one the complementary "
                          "table was built from")
 

@@ -9,6 +9,7 @@ estimation for manufactured and decaying exact solutions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,8 +94,13 @@ class FDProblem1D:
     u0: Callable | np.ndarray | None = None
 
     def __post_init__(self):
-        if self.M < 1:
+        M = self.M
+        if isinstance(M, bool) or not isinstance(M, numbers.Integral):
+            raise ValueError(f"M must be an integer number of interior points, got {M!r}")
+        if M < 1:
             raise ValueError("need at least one interior point")
+        # a numpy integer would carry its width into M + 1 and j m
+        object.__setattr__(self, "M", int(M))
         if not 0.0 < self.length < math.inf:
             raise ValueError(
                 f"domain length must be positive and finite, got {self.length}")
@@ -241,12 +247,42 @@ class FDResult:
     max_errors: np.ndarray | None
 
 
-def _dst1(v):
-    """sum_m v_m sin(pi j m / (M+1)), j = 1..M, over the last axis, from the FFT
-    of the odd extension of v; applied twice it is (M+1)/2 times the identity."""
-    zero = np.zeros(v.shape[:-1] + (1,))
-    odd = np.concatenate([zero, v, zero, -v[..., ::-1]], axis=-1)
-    return -0.5 * np.fft.rfft(odd)[..., 1:-1].imag
+# the DST-I matrix is formed in column panels of at most this many bytes
+_SINE_PANEL_BYTES = 1 << 21
+
+
+def _sine_transform(M: int):
+    """The DST-I of length M as a function ``(v, scale=1.0) -> scale * v @ S``
+    of a 2-D ``v``, with S[j, m] = sin(pi j m / (M+1)), j, m = 1..M. S is
+    symmetric and S S = (M+1)/2 I, so scale 2/(M+1) projects onto the sine
+    modes and scale 1 maps them back.
+
+    j m is reduced mod 2(M+1) in integers and each entry read from a table of
+    sin(pi k / (M+1)), k = 0..2M+1, evaluated at first-quadrant angles, so
+    every entry is within about an ulp. S is formed in column panels of at
+    most _SINE_PANEL_BYTES: one panel that holds all of S is formed once and
+    serves every call; past that, each call forms the panels again one at a
+    time, so the whole (M, M) matrix is never held."""
+    k = np.arange(M + 2)
+    half = np.sin(np.pi / (M + 1) * np.minimum(k, M + 1 - k))
+    table = np.concatenate([half, -half[1:-1]])
+    j = np.arange(1, M + 1)
+    width = max(1, _SINE_PANEL_BYTES // (8 * M))
+    starts = range(0, M, width)
+
+    def panel(c):
+        phase = np.outer(j, j[c:c + width])
+        phase %= 2 * (M + 1)
+        return table[phase]
+
+    kept = [panel(0)] if len(starts) == 1 else None
+
+    def transform(v, scale=1.0):
+        out = np.empty(v.shape)
+        for c, S in zip(starts, kept or map(panel, starts)):
+            np.matmul(v, S if scale == 1.0 else scale * S, out=out[:, c:c + width])
+        return out
+    return transform
 
 
 def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh,
@@ -258,11 +294,20 @@ def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh,
     eigenvalues lambda_j = (4/h^2) sin^2(j pi h / (2 length)); each mode takes
     the single-mode step with shift lambda_j - kappa, then the grid is rebuilt.
 
+    Both sine transforms are BLAS products with the DST-I matrix of
+    ``_sine_transform``, formed once per call. That is O(M^2) flops per row
+    against the O(M log M) of an FFT, but the faster at the sizes run here:
+    per transform of 513 rows on one OpenBLAS thread, 0.045, 0.071, 0.28 and
+    1.1 ms at M = 48, 64, 128 and 256, where a complex FFT of the odd
+    extension took 0.43, 0.57, 1.6 and 10.8 ms (length 2(M+1) = 514 = 2 * 257
+    falls to Bluestein). From M of about 500 the FFT is faster: 3.8 against
+    4.1 ms at M = 511, 12 against 24 ms at M = 1024.
+
     The sine transforms round relative to the whole grid vector, not to each
     entry: a value far below max |u^n| carries an absolute error near
     eps max |u^n|. Against the explicit three-point scheme the residual of
     every entry stays within 1e-13 of its terms' scale; the worst case seen,
-    6.6e-14, is at kappa = 30 and M = 17, where growing modes leave some grid
+    2.2e-14, is at kappa = 30 and M = 256, where growing modes leave some grid
     values far below the largest."""
     x, h, M = problem.grid(), problem.h, problem.M
     theta = _SOEHistory.theta if isinstance(kernel, SOEApprox) else kernel.theta
@@ -273,12 +318,13 @@ def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh,
         for n, t in enumerate(mesh.offset_nodes(theta), start=1):
             data[n] = problem.psi(x, t)
     _check_finite(data)
-    data = _dst1(data) * (2.0 / (M + 1))
+    sine = _sine_transform(M)
+    data = sine(data, 2.0 / (M + 1))
     j = np.arange(1, M + 1)
     lam = 4.0 * np.sin(0.5 * np.pi * j * h / problem.length) ** 2 / h ** 2
     modes = _march(data[0], lam - problem.kappa, data[1:], mesh, kernel,
                    kernel.alpha)
-    traj = _dst1(modes)
+    traj = sine(modes)
     l2 = math.sqrt(h) * np.linalg.norm(traj, axis=1)
     mx = np.abs(traj).max(axis=1)
     l2_err = max_err = None

@@ -150,13 +150,13 @@ _file("test_solve_bytes_pinned", _solve, """
     e3d8b457c0dd09766ad30f9e3b2e7b3a00a721201f3ec13deaa019af5e1fb4f2 single-mode-l1-graded:64,2,1
     4539978cbfa9f433f091b4f970f5edff63c05e455e1efcc668c9fa0def48fd6a single-mode-alikhanov-graded:64,2,1
     5f21a1e09ef494201415046745e9084423dfd5fe6b5fad0da46d134aa3cc3bb6 single-mode-bdf2recombined-graded:64,1,1
-    36c8fb25a53037e854867e16d5b8bd96eca30a526ca2491fcadc33a2889d6dff fd1d-l1-graded:64,2,1
-    96e3a43cf41d3337f4440028bd60568e731507ecb3a5a424f794bbdf0da483e4 fd1d-alikhanov-graded:64,2,1
+    388870393a9af093a2da9cce588fc31a004b31d0ff5f081cd5581d3315715b6b fd1d-l1-graded:64,2,1
+    271d82542f6064613df2f101d067474bbe3a3917bf6c1272c06ba4d366d4b8d5 fd1d-alikhanov-graded:64,2,1
     a68886fcbeb48b5ed06b4177faf9f02ccb6568357c5adbf6d285bef330d37fe6 single-mode-fastl1-graded:64,2,1
-    3ac1b8bff19f0a60adbd3c67b624d8fba07bfa23b469c6744f2dfc99de6a6b36 fd1d-fastl1-graded:64,2,1""")
+    1083dd39cabdf48e60fbdcb5b7d4facd816a94d3760be91e3ef11e56cdd96e0c fd1d-fastl1-graded:64,2,1""")
 _file("test_solve_fd1d_reports_a_broken_step_restriction",
       _cli("solve --problem fd1d", "--M", "16", "--kappa", "1", alpha="0.5"), """
-    7d49abbc80d6f4ad1c3f7289ec0ce08a1746f7bc94588ea0a95787c97679d689 l1-graded:8,1,1""")
+    422d8344cf6583b4712bb7aaa13f933e058d23ae42726369e46f7e2edc99c618 l1-graded:8,1,1""")
 # the CLI ops of the benchmark whose digests perfbench/reference.json holds
 _file("test_benchmark_cli_bytes_pinned", {
     "cli-single-mode": _cli("solve", "--lambda", "2")("alikhanov-graded:512,3,1"),
@@ -169,14 +169,14 @@ _file("test_benchmark_cli_bytes_pinned", {
 # N = 1, 63, 65 and 129 sit at the edges of the 64-step blocks in which the
 # SOE history forms its factors and the march converts its coefficients
 _file("test_march_bits_pinned_at_block_edges", _march, """
-    49773adb2b140ca89aeef7eb40cf9fb120e718db2637cb3420d088661362c584 fd1d-dense-1
-    fbb365ea35a2008bfdf0944992b7e1ef200939d4a5be0b1317c5c2bc6e30fa8e fd1d-dense-63
-    3a68b431020b5813e4650969cb3a50bcd91d122f5a90de474b29e59adeffe5a9 fd1d-dense-65
-    3b1c61cbe1739b4fc99edb16a442c161dad9348e5b74a8af798e3fcba1f45217 fd1d-dense-129
-    f6520f49cf81331630aa4f0ffe260a08ce33153cb4f737b220c5eac33a7603b7 fd1d-soe-1
-    618b31a95acf87899caa1944953810817ab031c1af98280c206016ae49407e83 fd1d-soe-63
-    4e4b526b236d0d78ea009772c39cf62933c33040a402a8727cccf13ade95f45c fd1d-soe-65
-    1c9bb1a690fb9b062a226091d78f2e2e60d63ff8cd9d60e42213bfa10e1e499c fd1d-soe-129
+    27db0d332498e5dbae832ec16a5dea2a9de43990cf7cb853f11002b25e9f0c60 fd1d-dense-1
+    db883d8c1a18cc1c87e340d9f34b7b86ec498b92378bb61742c67a96a3fd2fdc fd1d-dense-63
+    9bb108f8fe65d2f99576632523a34be216b6b2235b192f8d717f5360e076339a fd1d-dense-65
+    987bc88692c4a5a977e98252493f579fa5184ea12cbb0ab1beb28d024a7d9f0c fd1d-dense-129
+    d1b9ba295baf94d1962c7eeede9e8cd58d6c72f52d12eb6c3426c366ab25ed43 fd1d-soe-1
+    6c24ca4dc848839c53d65bb10f22521c94e085ed7c22fc5b6dfedf1620a7f41c fd1d-soe-63
+    759271c4e679dc03051cd93d2f573a09f4497a2bec892f5ae5bbd40372255a78 fd1d-soe-65
+    4b7a6eb84e1576ec23abfbb034a82638fdc8e92418742ccbf8d2d8e027c6ab3b fd1d-soe-129
     95f781e786e92501557ad28cd4c77d30e7e2ed1a55fedae535b469a38652ac93 single-mode-dense-1
     c252a7fb44bf266db65481e7c1d88a6911e78c3085be9c489833e689f15cd474 single-mode-dense-63
     00a3c78f0e903169cdcf05e2e94c09217b42181f4292d64f9c62c7e603753fd8 single-mode-dense-65

@@ -161,6 +161,29 @@ def test_lemma21_flags_corrupted_source():
     assert rep.min_entry < 0.0
 
 
+def test_check_source_compares_only_a_separately_built_table(monkeypatch):
+    mesh = uniform_mesh(6, 1.0)
+    table = l1_kernel(mesh, 0.5)
+    ct = build_complementary(table)
+    compared, array_equal_ = [], np.array_equal
+
+    def array_equal(a, b):
+        compared.append(1)
+        return array_equal_(a, b)
+
+    monkeypatch.setattr(complementary.np, "array_equal", array_equal)
+    complementary._check_source(ct, table)  # its own source: no compare
+    assert not compared
+    complementary._check_source(ct, l1_kernel(mesh, 0.5))
+    assert compared
+    K = table.K.copy()
+    K[4, 3] *= 1.0 + 1e-12
+    other = KernelTable(K=K, theta=0.0, alpha=0.5, scheme_id="l1", pi_A=None,
+                        mesh=mesh)
+    with pytest.raises(ValueError, match="kernel table differs"):
+        complementary._check_source(ct, other)
+
+
 def test_lemma22_23_l1_uniform(store):
     mesh, table, ct = store.ctable("l1", "uniform", 64, 0.5)
     rep = check_lemma22_23(ct, mesh, 0.5, 1.0, rho=1.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from fracstep.kernels import (KernelTable, alikhanov_kernel, build_table,
                               check_same_problem, fast_l1_kernel, l1_kernel,
                               verify_assumptions)
 from fracstep.mesh import graded_mesh, uniform_mesh
+from fracstep import solver
 from fracstep.soe import SOENotCertifiedError, _check_certified, _soe_for_mesh
 from fracstep.solver import (
     DegenerateKernelError,
@@ -251,6 +253,77 @@ def test_fd_zero_data_zero_solution():
     assert np.all(res.trajectory == 0.0)
 
 
+@pytest.mark.parametrize("M", [2.5, 3.0, True, np.True_, "4", None])
+def test_fd_problem_refuses_a_non_integer_M(M):
+    # a float or a bool used to pass and die in np.zeros with a numpy message
+    with pytest.raises(ValueError, match="M must be an integer"):
+        FDProblem1D(length=1.0, M=M)
+
+
+@pytest.mark.parametrize("M", [np.int64(255), np.int32(255), np.uint8(255)])
+def test_fd_problem_takes_a_numpy_integer_M(M):
+    # as the int it holds: M + 1 = 256 wraps to 0 in uint8
+    problem = FDProblem1D(length=1.0, M=M, u0=lambda x: np.sin(np.pi * x))
+    assert type(problem.M) is int and problem.h == 1.0 / 256
+    mesh = uniform_mesh(4, 1.0)
+    plain = solve_fd1d(dataclasses.replace(problem, M=255), mesh, l1_kernel(mesh, 0.5))
+    got = solve_fd1d(problem, mesh, l1_kernel(mesh, 0.5))
+    assert np.array_equal(got.trajectory, plain.trajectory)
+
+
+def _mp_sine_transform(v, dps=30):
+    """sum_m v_m sin(pi j m / (M+1)), j = 1..M, of each row of ``v`` at ``dps``
+    digits, with mpmath's own sinpi of j m / (M+1)."""
+    mpmath = pytest.importorskip("mpmath")
+    M = v.shape[-1]
+    with mpmath.workdps(dps):
+        sin = {jm: mpmath.sinpi(mpmath.mpf(jm) / (M + 1))
+               for jm in {j * m for j in range(1, M + 1) for m in range(1, M + 1)}}
+        return np.array([[float(mpmath.fsum(mpmath.mpf(float(x)) * sin[j * m]
+                                            for m, x in enumerate(row, 1)))
+                          for j in range(1, M + 1)] for row in v])
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 16, 17, 48, 128, 256])
+def test_sine_transform_matches_a_30_digit_sum(M, monkeypatch):
+    # each output within M eps sum |v| of the 30-digit sum, whether S is held
+    # as one panel or formed in panels of 5 columns, the last one ragged
+    v = np.random.default_rng(M).standard_normal((2, M)) * [[1.0], [1e3]]
+    v[1, ::3] *= 1e-9  # entries far apart in size
+    want = _mp_sine_transform(v)
+    bound = M * np.finfo(float).eps * np.abs(v).sum(axis=1, keepdims=True)
+    for panel_bytes in (solver._SINE_PANEL_BYTES, 8 * M * 5):
+        monkeypatch.setattr(solver, "_SINE_PANEL_BYTES", panel_bytes)
+        sine = solver._sine_transform(M)
+        for scale in (1.0, 2.0 / (M + 1)):
+            assert np.all(np.abs(sine(v, scale) - scale * want) <= scale * bound)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 16, 17, 48, 128, 256])
+def test_sine_matrix_squares_to_a_multiple_of_the_identity(M):
+    # S is exactly symmetric, and S S = (M+1)/2 I to M eps of that diagonal
+    sine = solver._sine_transform(M)
+    S = sine(np.eye(M))
+    assert np.array_equal(S, S.T)
+    half = 0.5 * (M + 1)
+    assert np.all(np.abs(sine(S) - half * np.eye(M)) <= M * np.finfo(float).eps * half)
+
+
+def test_sine_transform_never_forms_the_whole_matrix():
+    # the (4096, 4096) matrix alone would take 134 MB
+    M = 4096
+    v = np.random.default_rng(0).standard_normal((2, M))
+    tracemalloc.start()
+    try:
+        sine = solver._sine_transform(M)
+        back = sine(sine(v, 2.0 / (M + 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e7, f"peak {peak / 1e6:.2f} MB"
+    assert np.abs(back - v).max() <= 1e-12 * np.abs(v).max()
+
+
 @pytest.mark.parametrize("M", [1, 9])
 def test_fd_refuses_a_non_finite_forcing(M):
     mesh = uniform_mesh(8, 1.0)
@@ -267,7 +340,7 @@ def test_fd_refuses_a_non_finite_forcing(M):
 
 
 @pytest.mark.parametrize("scheme", ["l1", "alikhanov", "fastl1"])
-@pytest.mark.parametrize("M", [1, 2, 17])
+@pytest.mark.parametrize("M", [1, 2, 17, 128, 256])
 @pytest.mark.parametrize("kappa", [-2.0, 0.0, 0.5, 30.0])
 def test_fd_trajectory_solves_the_three_point_scheme(store, scheme, M, kappa):
     # sum_k A^(n)_{n-k} (u^k - u^{k-1}) + (L_h - kappa)(th u^{n-1} + (1-th) u^n)
