@@ -132,8 +132,18 @@ def mesh_from_nodes(nodes) -> TimeMesh:
 
 
 def load_txt(path) -> TimeMesh:
+    """Mesh from a file of one node per line, as ``save_txt`` writes it;
+    blank lines are skipped, and any other line that is not a number is
+    refused with the path and its line number."""
+    vals = []
     with open(path) as fh:
-        vals = [float(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    vals.append(float(line))
+                except ValueError:
+                    raise InvalidMeshError(f"{path}, line {number}: not a number: "
+                                           f"{line.strip()!r}") from None
     return mesh_from_nodes(vals)
 
 
@@ -192,13 +202,15 @@ def check_A3(mesh: TimeMesh, rho_bound: float) -> MeshReport:
 
 
 def parse_mesh_spec(spec: str) -> TimeMesh:
-    """Parse 'graded:N,gamma,T' or 'file:<path>' mesh descriptions."""
+    """Parse 'graded:N,gamma,T' or 'file:<path>' mesh descriptions. Every
+    refusal is an InvalidMeshError that names the spec."""
     kind, _, rest = spec.partition(":")
-    if kind == "graded":
+    try:
+        if kind == "file":
+            return load_txt(rest)
         parts = rest.split(",")
-        if len(parts) != 3:
-            raise InvalidMeshError(f"expected graded:N,gamma,T, got {spec!r}")
+        if kind != "graded" or len(parts) != 3:
+            raise InvalidMeshError("expected graded:N,gamma,T or file:<path>")
         return graded_mesh(int(parts[0]), float(parts[1]), float(parts[2]))
-    if kind == "file":
-        return load_txt(rest)
-    raise InvalidMeshError(f"unknown mesh spec {spec!r}")
+    except ValueError as exc:  # an InvalidMeshError, or int() or float() of a part
+        raise InvalidMeshError(f"mesh spec {spec!r}: {exc}") from None

@@ -63,7 +63,8 @@ class SingleModeProblem:
 
     ``psi`` holds the forcing sampled at the offset points t_{n-theta}
     (length N) or None for the homogeneous problem, whose exact solution is
-    u0 * E_alpha(-lambda_L t^alpha).
+    u0 * E_alpha(-lambda_L t^alpha). lambda_L is nonnegative; kappa may take
+    either sign, as in ``FDProblem1D``, whose modes all step with it.
     """
 
     alpha: float
@@ -73,10 +74,11 @@ class SingleModeProblem:
     u0: float = 1.0
 
     def __post_init__(self):
-        for name in ("lambda_L", "kappa"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite, "
-                                 f"got {getattr(self, name)}")
+        if not 0.0 <= self.lambda_L < math.inf:
+            raise ValueError(
+                f"lambda_L must be nonnegative and finite, got {self.lambda_L}")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa}")
 
 
 @dataclass
@@ -84,7 +86,12 @@ class FDProblem1D:
     """Zero-boundary 1D problem on (0, length) with M interior points.
 
     The spatial operator is the 3-point stencil of -u_xx with the Dirichlet
-    rows eliminated; ``psi(x, t)`` and ``u0(x)`` accept numpy arrays.
+    rows eliminated. ``solve_fd1d`` calls each function once, on whole
+    arrays: ``u0(x)``, unless u0 is an array, with the (M,) grid x, and
+    ``psi(x, t)`` with x and the (N, 1) column t of offset nodes
+    t_{n-theta}. Each result is broadcast to its grid, (M,) or (N, M), so
+    a function constant in x or t may return fewer axes; one that does not
+    broadcast is refused by name.
     """
 
     length: float
@@ -206,13 +213,25 @@ def _check_finite(*data) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
+def _sample(name: str, out: np.ndarray, fn, *args) -> np.ndarray:
+    """``out`` filled by one call ``fn(*args)``, broadcast, or refused by name."""
+    value = np.asarray(fn(*args), dtype=float)
+    try:
+        out[...] = value
+    except ValueError:
+        raise ValueError(f"{name} gave shape {value.shape}, which does not "
+                         f"broadcast to {out.shape}") from None
+    return out
+
+
 def solve_single_mode(problem: SingleModeProblem, mesh: TimeMesh,
                       kernel: KernelTable | SOEApprox,
                       exact=None) -> SingleModeResult:
     """March the scalar scheme on a kernel table, or on an SOE approximation
     (fast L1 with O(Nq) history memory). Errors are reported against
-    ``exact(t)`` or, for the homogeneous decaying problem, against the
-    Mittag-Leffler solution."""
+    ``exact(t)``, called once with the (N+1,) array of nodes and its result
+    broadcast to it (a constant may return a scalar), or, for the
+    homogeneous decaying problem, against the Mittag-Leffler solution."""
     psi = np.zeros(mesh.N) if problem.psi is None else np.asarray(problem.psi, float)
     if psi.shape != (mesh.N,):
         raise ValueError(f"psi must hold one value per step, N = {mesh.N}, "
@@ -222,7 +241,7 @@ def solve_single_mode(problem: SingleModeProblem, mesh: TimeMesh,
                 problem.alpha)
     reference = None
     if exact is not None:
-        reference = np.array([exact(t) for t in mesh.nodes])
+        reference = _sample("exact", np.empty(mesh.N + 1), exact, mesh.nodes)
     elif problem.psi is None and problem.kappa == 0.0:
         reference = problem.u0 * mittag_leffler(
             problem.alpha, -problem.lambda_L * mesh.nodes ** problem.alpha)
@@ -245,6 +264,7 @@ class FDResult:
     max_norms: np.ndarray
     l2_errors: np.ndarray | None
     max_errors: np.ndarray | None
+    forcing_norms: np.ndarray  # sqrt(h) |psi(., t_{n-theta})| for n = 1..N
 
 
 # the DST-I matrix is formed in column panels of at most this many bytes
@@ -289,7 +309,8 @@ def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh,
                kernel: KernelTable | SOEApprox, exact=None) -> FDResult:
     """March the finite-difference scheme on a kernel table or an SOE
     approximation (fast L1, Nq x M states); discrete L2 norms carry weight h.
-    u0 and psi(x, t_{n-theta}) are projected onto the grid sine modes
+    u0 and psi(x, t_{n-theta}) are sampled once each on whole arrays (see
+    ``FDProblem1D``) and projected onto the grid sine modes
     sin(j pi x / length), exact eigenvectors of the 3-point operator with
     eigenvalues lambda_j = (4/h^2) sin^2(j pi h / (2 length)); each mode takes
     the single-mode step with shift lambda_j - kappa, then the grid is rebuilt.
@@ -308,16 +329,21 @@ def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh,
     eps max |u^n|. Against the explicit three-point scheme the residual of
     every entry stays within 1e-13 of its terms' scale; the worst case seen,
     2.2e-14, is at kappa = 30 and M = 256, where growing modes leave some grid
-    values far below the largest."""
+    values far below the largest.
+
+    ``exact(x, t)`` is called once, with x and the (N+1, 1) column t of
+    nodes, its result broadcast to the (N+1, M) trajectory. The result's
+    ``forcing_norms`` are the discrete L2 norms of the psi samples the solve
+    took, zeros without psi, which ``check_stability_envelope`` reads."""
     x, h, M = problem.grid(), problem.h, problem.M
     theta = _SOEHistory.theta if isinstance(kernel, SOEApprox) else kernel.theta
     data = np.zeros((mesh.N + 1, M))  # u0, then psi at the offset nodes
     if problem.u0 is not None:
         data[0] = problem.u0(x) if callable(problem.u0) else problem.u0
     if problem.psi is not None:
-        for n, t in enumerate(mesh.offset_nodes(theta), start=1):
-            data[n] = problem.psi(x, t)
+        _sample("psi", data[1:], problem.psi, x, mesh.offset_nodes(theta)[:, None])
     _check_finite(data)
+    forcing = math.sqrt(h) * np.linalg.norm(data[1:], axis=1)
     sine = _sine_transform(M)
     data = sine(data, 2.0 / (M + 1))
     j = np.arange(1, M + 1)
@@ -329,12 +355,11 @@ def solve_fd1d(problem: FDProblem1D, mesh: TimeMesh,
     mx = np.abs(traj).max(axis=1)
     l2_err = max_err = None
     if exact is not None:
-        ref = np.stack([np.asarray(exact(x, t), dtype=float) for t in mesh.nodes])
-        diff = traj - ref
+        diff = traj - _sample("exact", np.empty(traj.shape), exact, x, mesh.nodes[:, None])
         l2_err = math.sqrt(h) * np.linalg.norm(diff, axis=1)
         max_err = np.abs(diff).max(axis=1)
     return FDResult(trajectory=traj, x=x, h=h, l2_norms=l2, max_norms=mx,
-                    l2_errors=l2_err, max_errors=max_err)
+                    l2_errors=l2_err, max_errors=max_err, forcing_norms=forcing)
 
 
 # a few ulp of slack for coefficients that equal their bound in exact arithmetic
@@ -451,34 +476,27 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
     (asserted only when theta <= theta^(n) for all rows), then evaluates the
     quadratic Gronwall lemma (``gronwall._lemma``) with Lambda = 2 kappa,
     g = 2 |psi_n| and v0 = |u^0|: factor 1 for kappa <= 0, against the
-    run's stored ``l2_norms``. On a mesh that breaks the step restriction,
-    ``envelope_ok`` is False. A table failing A1 (``pi_A`` inf) certifies nothing:
-    envelope inf, step restriction threshold 0, margin nan. Both checks allow
-    1e-9 relative for rounding: the hypothesis against max(1, |lhs|, rhs),
-    the envelope against max(1, envelope).
+    run's stored ``l2_norms``. It audits the run's own forcing: |psi_n| is
+    ``result.forcing_norms``, the norms of the samples the solve took, and
+    ``kappa`` is all it reads from ``problem``. On a mesh that breaks the
+    step restriction, ``envelope_ok`` is False. A table failing A1 (``pi_A``
+    inf) certifies nothing: envelope inf, step restriction threshold 0,
+    margin nan. Both checks allow 1e-9 relative for rounding: the
+    hypothesis against max(1, |lhs|, rhs), the envelope against
+    max(1, envelope).
     """
     check_same_problem(ktable, mesh)
     _check_source(ctable, ktable)
     theta = ktable.theta
     h = result.h
-    x = result.x
     traj = result.trajectory
     theta_ok = bool(np.all(theta <= _leading_pair(ktable)[2] + 1e-15))
-
-    t_off = mesh.offset_nodes(theta)
-    if problem.psi is None:
-        psi_norms = np.zeros(mesh.N)
-    else:
-        psi_norms = np.array(
-            [math.sqrt(h) * np.linalg.norm(np.broadcast_to(
-                np.asarray(problem.psi(x, t), dtype=float), x.shape))
-             for t in t_off])
 
     sq = h * np.einsum("nd,nd->n", traj, traj)
     lhs = ktable.K @ np.diff(sq)
     u_th = theta * traj[:-1] + (1.0 - theta) * traj[1:]
     nth = math.sqrt(h) * np.linalg.norm(u_th, axis=1)
-    rhs = 2.0 * problem.kappa * nth ** 2 + 2.0 * nth * psi_norms
+    rhs = 2.0 * problem.kappa * nth ** 2 + 2.0 * nth * result.forcing_norms
     scale = np.maximum(np.maximum(1.0, np.abs(lhs)), rhs)
     worst = float(np.min((rhs - lhs) / scale))
     hyp_ok = bool(worst >= -_STABILITY_TOL)
@@ -491,7 +509,7 @@ def check_stability_envelope(ktable: KernelTable, mesh: TimeMesh,
                           strict=False)
         _, _, envelope, _ = _lemma(
             ctable, mesh, ktable.alpha, pi_A, mesh.max_ratio(), 2.0 * problem.kappa,
-            "quadratic", norms[0], 2.0 * psi_norms)
+            "quadratic", norms[0], 2.0 * result.forcing_norms)
         margin = float(np.min((envelope - norms[1:]) / np.maximum(envelope, 1.0)))
     restriction_ok = bool(mesh.max_step() <= limit)
     return StabilityReport(

@@ -584,6 +584,12 @@ REFUSED = {
     "solve_fd1d_kappa_nan": (["solve", "--problem", "fd1d", "--scheme", "l1",
                               "--mesh", "graded:16,2,1", "--alpha", "0.5",
                               "--M", "8", "--kappa", "nan"], "kappa"),
+    # a mesh spec's refusal names the spec, not only the field it failed on
+    "solve_mesh_N_with_exponent": (["solve", "--scheme", "l1", "--mesh", "graded:1e3,2,1",
+                                    "--alpha", "0.5"], "mesh spec 'graded:1e3,2,1'"),
+    "dump_mesh_gamma_word": (["kernels", "dump", "--scheme", "l1", "--mesh",
+                              "graded:16,x,1", "--alpha", "0.5"],
+                             "mesh spec 'graded:16,x,1'"),
     "soe_eps_nan": (["soe", "build", "--alpha", "0.5", "--eps", "nan",
                      "--delta-t", "0.1", "--T", "1"], "eps"),
     "soe_eps_inf": (["soe", "build", "--alpha", "0.5", "--eps", "inf",
@@ -611,6 +617,31 @@ def test_invalid_numbers_exit_2_with_empty_stdout(capsys, case):
     assert code == cli.EXIT_VALIDATION
     assert out == ""
     assert err.startswith("validation error:") and name in err
+
+
+def test_mesh_file_refusal_names_the_path_and_line(capsys, tmp_path):
+    path = tmp_path / "nodes.txt"
+    path.write_text("0\n0.5\nabc\n1\n")
+    code, out, err = run(capsys, "solve", "--scheme", "l1", "--mesh", f"file:{path}",
+                         "--alpha", "0.5")
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == (f"validation error: mesh spec 'file:{path}': {path}, line 3: "
+                   "not a number: 'abc'\n")
+
+
+def test_single_mode_solve_takes_a_negative_kappa(capsys):
+    # fd1d marches every sine mode with the same scalar step and has always
+    # taken kappa < 0; the single mode with shift lambda - kappa = 1.5 is the
+    # run of lambda = 1.5, value for value
+    argv = ["solve", "--scheme", "l1", "--mesh", "graded:16,2,1", "--alpha", "0.5"]
+    code, out, err = run(capsys, *argv, "--kappa", "-0.5")
+    assert (code, err) == (0, "")
+    code, plain, _ = run(capsys, *argv, "--lambda", "1.5")
+    assert code == 0
+
+    def values(body):
+        return [row.split(",")[2] for row in body.splitlines() if row[:1].isdigit()]
+    assert len(values(out)) == 17 and values(out) == values(plain)
 
 
 @pytest.mark.parametrize("scheme", ["l1", "fastl1"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,24 @@ def test_parse_mesh_spec(tmp_path):
     assert parse_mesh_spec(f"file:{path}").N == 8
     with pytest.raises(InvalidMeshError):
         parse_mesh_spec("weird:1,2")
+
+
+@pytest.mark.parametrize("spec", ["graded:1e3,2,1", "graded:16,x,1", "graded:16,2,",
+                                  "graded:16,2", "graded:0,2,1", "weird:1,2"])
+def test_mesh_spec_refusals_name_the_spec(spec):
+    # int('1e3') and float('x') once escaped as bare conversion errors
+    with pytest.raises(InvalidMeshError, match=f"^mesh spec {re.escape(repr(spec))}: "):
+        parse_mesh_spec(spec)
+
+
+def test_mesh_file_refusal_names_the_path_and_line(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("0\n0.5\n\nabc\n1\n")
+    with pytest.raises(InvalidMeshError, match=re.escape(f"{path}, line 4: not a number: 'abc'")):
+        load_txt(path)
+    with pytest.raises(InvalidMeshError, match=re.escape(
+            f"mesh spec 'file:{path}': {path}, line 4: not a number: 'abc'")):
+        parse_mesh_spec(f"file:{path}")
 
 
 def test_random_mesh_respects_ratio_bound():

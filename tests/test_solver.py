@@ -329,14 +329,118 @@ def test_fd_refuses_a_non_finite_forcing(M):
     mesh = uniform_mesh(8, 1.0)
     t_bad = mesh.nodes[5]
 
-    def psi(x, t):
-        out = np.ones_like(x)
-        out[-1] = math.nan if t == t_bad else 1.0
-        return out
+    def psi(x, t):  # called once: x is the grid, t the column of offset nodes
+        return np.where((x == x[-1]) & (t == t_bad), math.nan, 1.0)
 
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_fd1d(FDProblem1D(length=1.0, M=M, psi=psi), mesh,
                    l1_kernel(mesh, 0.5))
+
+
+def test_fd_samples_psi_and_u0_once_on_whole_arrays():
+    mesh = graded_mesh(16, 2.0, 1.0)
+    calls = []
+
+    def psi(x, t):
+        calls.append(("psi", x.shape, t.shape))
+        return np.sin(math.pi * x) * np.cos(2.0 * t)
+
+    def u0(x):
+        calls.append(("u0", x.shape))
+        return np.sin(math.pi * x)
+
+    res = solve_fd1d(FDProblem1D(length=1.0, M=5, psi=psi, u0=u0), mesh,
+                     l1_kernel(mesh, 0.5))
+    assert sorted(calls) == [("psi", (5,), (16, 1)), ("u0", (5,))]
+    assert res.forcing_norms.shape == (16,)
+
+
+def test_stability_audit_never_calls_psi():
+    # the audit reads the forcing norms the run stored, so a psi that cannot
+    # be called leaves its report as it was
+    mesh = graded_mesh(32, 2.0, 1.0)
+    table = l1_kernel(mesh, 0.5)
+    ctable = build_complementary(table)
+    problem = FDProblem1D(
+        length=1.0, M=16, kappa=1.0,
+        psi=lambda x, t: np.sin(math.pi * x) * np.cos(2.0 * t),
+        u0=lambda x: np.sin(math.pi * x))
+    res = solve_fd1d(problem, mesh, table)
+
+    def refuse(x, t):
+        raise AssertionError("the audit called psi")
+
+    want = check_stability_envelope(table, mesh, res, problem, ctable, 1.0)
+    got = check_stability_envelope(table, mesh, res,
+                                   dataclasses.replace(problem, psi=refuse), ctable, 1.0)
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+    assert got.envelope_ok and got.hypothesis_ok
+
+
+@pytest.mark.parametrize("scheme", ["l1", "alikhanov", "fastl1"])
+def test_forcing_norms_match_per_node_samples(store, scheme):
+    alpha = 0.4
+    mesh = graded_mesh(48, 2.0, 1.0)
+    if scheme == "fastl1":
+        kernel = store.soe(alpha, 1e-10, float(mesh.tau.min()), mesh.T)
+    else:
+        kernel = (l1_kernel if scheme == "l1" else alikhanov_kernel)(mesh, alpha)
+    theta = getattr(kernel, "theta", 0.0)  # fast L1 steps at t_n, as L1 does
+    problem = FDProblem1D(
+        length=2.0, M=33, kappa=0.5,
+        psi=lambda x, t: np.cos(3.0 * x) * (1.0 + t) + x * t ** 0.5,
+        u0=lambda x: x * (2.0 - x))
+    res = solve_fd1d(problem, mesh, kernel)
+    want = np.array([math.sqrt(res.h) * np.linalg.norm(problem.psi(res.x, t))
+                     for t in mesh.offset_nodes(theta)])
+    assert np.all(np.abs(res.forcing_norms - want) <= 4.0 * np.spacing(want))
+    free = solve_fd1d(dataclasses.replace(problem, psi=None), mesh, kernel)
+    assert free.forcing_norms.shape == (mesh.N,)
+    assert not np.any(free.forcing_norms)
+
+
+def test_fd_refuses_a_sample_that_does_not_broadcast():
+    mesh = uniform_mesh(8, 1.0)
+    table = l1_kernel(mesh, 0.5)
+    per_point = FDProblem1D(length=1.0, M=4, psi=lambda x, t: np.ones(5))
+    with pytest.raises(ValueError, match=re.escape(
+            "psi gave shape (5,), which does not broadcast to (8, 4)")):
+        solve_fd1d(per_point, mesh, table)
+    with pytest.raises(ValueError, match=re.escape(
+            "exact gave shape (9, 5), which does not broadcast to (9, 4)")):
+        solve_fd1d(FDProblem1D(length=1.0, M=4), mesh, table,
+                   exact=lambda x, t: np.ones((9, 5)))
+    with pytest.raises(ValueError, match=re.escape(
+            "exact gave shape (8,), which does not broadcast to (9,)")):
+        solve_single_mode(SingleModeProblem(alpha=0.5, lambda_L=1.0), mesh, table,
+                          exact=lambda t: t[1:])
+
+
+def test_constant_exact_references_broadcast():
+    mesh = uniform_mesh(8, 1.0)
+    table = l1_kernel(mesh, 0.5)
+    res = solve_single_mode(SingleModeProblem(alpha=0.5, lambda_L=0.0), mesh, table,
+                            exact=lambda t: 1.0)
+    assert res.exact.shape == (9,) and np.all(res.exact == 1.0)
+    assert res.max_error == 0.0
+    fd = solve_fd1d(FDProblem1D(length=1.0, M=4), mesh, table,
+                    exact=lambda x, t: 0.0)
+    assert np.all(fd.l2_errors == 0.0) and np.all(fd.max_errors == 0.0)
+    assert fd.l2_errors.shape == fd.max_errors.shape == (9,)
+
+
+def test_single_mode_takes_a_negative_kappa():
+    # the shift is lambda_L - kappa, so kappa = -0.5 at lambda_L = 1 is the
+    # damped run of lambda_L = 1.5, bit for bit, as every fd1d mode steps
+    mesh = graded_mesh(16, 2.0, 1.0)
+    table = l1_kernel(mesh, 0.5)
+    damped = solve_single_mode(SingleModeProblem(alpha=0.5, lambda_L=1.0, kappa=-0.5),
+                               mesh, table)
+    plain = solve_single_mode(SingleModeProblem(alpha=0.5, lambda_L=1.5), mesh, table)
+    assert np.array_equal(damped.us, plain.us)
+    with pytest.raises(ValueError, match="lambda_L must be nonnegative"):
+        SingleModeProblem(alpha=0.5, lambda_L=-1.0)
 
 
 @pytest.mark.parametrize("scheme", ["l1", "alikhanov", "fastl1"])
@@ -475,11 +579,11 @@ def test_damped_stability_envelope_is_the_kappa_zero_one():
         u0=lambda x: np.sin(math.pi * x))
     res = solve_fd1d(problem, mesh, table)
     rep = check_stability_envelope(table, mesh, res, problem, ctable, pi_A=1.0)
-    t_off = mesh.offset_nodes(table.theta)
-    psi_norms = np.array([math.sqrt(res.h) * np.linalg.norm(problem.psi(res.x, t))
-                          for t in t_off])
+    # the audit's g is the run's own forcing norms; their accuracy is
+    # checked against per-node samples in test_forcing_norms_match_per_node_samples
     u0_norm = math.sqrt(res.h) * np.linalg.norm(res.trajectory[0])
-    cert = gronwall_bound(GronwallProblem(lambdas=np.zeros(mesh.N), g=2.0 * psi_norms,
+    cert = gronwall_bound(GronwallProblem(lambdas=np.zeros(mesh.N),
+                                          g=2.0 * res.forcing_norms,
                                           v0=u0_norm, Lambda=0.0),
                           ctable, mesh, 0.5, 1.0, mesh.max_ratio())
     assert np.array_equal(rep.envelope, cert.bound_per_step)
